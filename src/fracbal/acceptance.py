@@ -44,6 +44,7 @@ from .gadgets import (
 from .sgraph import (
     SignedGraph,
     all_triangles,
+    is_acyclic,
     is_balanced,
     negative_cycle_witness,
     parse_graph,
@@ -196,7 +197,14 @@ def criterion_forest_lemmas(seed: int = 0) -> CriterionResult:
 
 
 def _independent_cover_check(g: SignedGraph, prop: SetProperty, result) -> bool:
-    """Re-verify an LP result from scratch, outside the solver module."""
+    """Re-verify an LP result from scratch, outside the solver module.
+
+    Primal feasibility (every class has the property, every vertex is
+    covered), dual feasibility by a scan of every subset of the host, and
+    equal values together prove optimality.  The subset scan is exponential,
+    so hosts stay tiny (at most 5 vertices here).
+    """
+    has_property = is_balanced if prop is SetProperty.BALANCED else is_acyclic
     weights = dict(result.primal)
     duals = dict(result.dual)
     if any(w < 0 for w in weights.values()) or any(y < 0 for y in duals.values()):
@@ -204,10 +212,12 @@ def _independent_cover_check(g: SignedGraph, prop: SetProperty, result) -> bool:
     for v in g.vertices:
         if sum(w for s, w in weights.items() if v in s) < 1:
             return False
-    for s in weights:
-        checker = is_balanced if prop is SetProperty.BALANCED else None
-        if checker is not None and not checker(g, s):
-            return False
+    if not all(has_property(g, s) for s in weights):
+        return False
+    for size in range(1, len(g.vertices) + 1):
+        for s in combinations(g.vertices, size):
+            if has_property(g, s) and sum(duals.get(v, 0) for v in s) > 1:
+                return False
     return sum(weights.values()) == result.optimum == sum(duals.values())
 
 

@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 a verification or check failed, 2 usage or input
 error, 3 an enumeration guard was exceeded.  All output is deterministic
 JSON (or fixed-format report lines), so identical invocations are
 byte-identical; ``--seed`` fixes the only randomness (trace sampling in
-``reproduce``), and ``--threads`` is accepted for interface stability but
-results never depend on it.
+``reproduce``).
 """
 from __future__ import annotations
 
@@ -242,8 +241,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for fractional balanced colorings and fractional arboricity",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit a constructor's graph as JSON")

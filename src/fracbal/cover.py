@@ -83,7 +83,13 @@ def verify_cover_certificates(
 
 
 def fractional_cover_optimum(family: SetFamily) -> LpResult:
-    """Exact optimum of the covering LP over ``family`` with certificates."""
+    """Exact optimum of the covering LP over ``family`` with certificates.
+
+    A host with no vertices needs no cover: its optimum is 0 with empty
+    primal and dual.
+    """
+    if not family.host.vertices:
+        return LpResult(Fraction(0), (), ())
     if not family.sets:
         raise CoverError("empty family")
     covered: set[str] = set()
@@ -95,14 +101,13 @@ def fractional_cover_optimum(family: SetFamily) -> LpResult:
 
     verts = family.host.vertices
     col = {v: j for j, v in enumerate(verts)}
-    one = Fraction(1)
     rows = []
     for s in family.sets:
-        row = [Fraction(0)] * len(verts)
+        row = [0] * len(verts)
         for v in s:
-            row[col[v]] = one
+            row[col[v]] = 1
         rows.append(row)
-    res = simplex_max(rows, [one] * len(rows), [one] * len(verts))
+    res = simplex_max(rows, [1] * len(rows), [1] * len(verts))
 
     primal = tuple(
         (family.sets[i], res.duals[i])

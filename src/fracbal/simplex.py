@@ -1,14 +1,29 @@
-"""Dense exact-rational simplex with Bland's anti-cycling rule.
+"""Exact fraction-free simplex with Bland's anti-cycling rule.
 
 Solves  max c^T x  subject to  A x <= b,  x >= 0  with b >= 0, so the
-all-slack basis is feasible and no phase-1 is needed.  Every entry is a
-``fractions.Fraction``; no floating point enters the computation, which is
-what lets the covering optima downstream be exact.
+all-slack basis is feasible and no phase-1 is needed.
+
+The tableau is condensed (Tucker form): one row per basic variable and one
+column per nonbasic variable plus the right-hand side, with the objective
+as a last row.  Each row and column carries the label of its variable:
+structural ``j < n``, slack ``n + i``.  Entries are Python integers over one
+common denominator ``d``, the determinant of the current basis, and a pivot
+is the integer-preserving update of Edmonds and Bareiss:
+
+    new[i][k] = (t[i][k] * p - t[i][s] * t[r][k]) // d
+
+which always divides exactly; afterwards ``d`` becomes the pivot ``p``.
+Rational inputs are scaled once by the lcm of their denominators, which
+rescales the slacks and the objective but neither the pivot path nor the
+optimal ``x`` and duals.  No floating point enters the computation, which
+is what lets the covering optima downstream be exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Sequence
 
 
@@ -21,18 +36,22 @@ class SimplexResult:
     value: Fraction
     x: tuple[Fraction, ...]       # structural variable values
     duals: tuple[Fraction, ...]   # one multiplier per constraint row
+    pivots: int                   # Bland pivots taken
+    # Largest int.bit_length() of any tableau entry; a property of the
+    # integer representation, not of the answer, so equality ignores it.
+    max_bits: int = field(default=0, compare=False)
 
 
 def simplex_max(
-    rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
+    rows: Sequence[Sequence[Rational]],
+    b: Sequence[Rational],
+    c: Sequence[Rational],
 ) -> SimplexResult:
     """Maximize c.x over Ax <= b, x >= 0 (requires b >= 0).
 
-    Bland's rule: entering variable is the least-index column with positive
-    reduced cost; the leaving row breaks ratio ties by least basic-variable
-    index.  This guarantees termination without perturbation.
+    Bland's rule: entering variable is the least-label nonbasic variable with
+    positive reduced cost; the leaving row breaks ratio ties by least basic
+    label.  This guarantees termination without perturbation.
     """
     m = len(rows)
     n = len(c)
@@ -41,54 +60,64 @@ def simplex_max(
     if any(bi < 0 for bi in b):
         raise SimplexError("requires nonnegative right-hand sides")
 
-    zero = Fraction(0)
-    # tableau: m rows of n structural + m slack coefficients + rhs
-    t = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1) if k == i else zero for k in range(m)]
-        + [Fraction(b[i])]
-        for i in range(m)
-    ]
-    # objective row holds reduced costs; slacks start costless
-    obj = [Fraction(c[j]) for j in range(n)] + [zero] * m + [zero]
+    exact = [[Fraction(v) for v in row] + [Fraction(bi)] for row, bi in zip(rows, b)]
+    exact.append([Fraction(cj) for cj in c] + [Fraction(0)])
+    scale = lcm(*(v.denominator for row in exact for v in row))
+    # m constraint rows, then the objective row of reduced costs and -value
+    t = [[v.numerator * (scale // v.denominator) for v in row] for row in exact]
     basis = [n + i for i in range(m)]
-    total = n + m
+    nonbasic = list(range(n))
+    d = 1
+    widest = 0
+    pivots = 0
 
     while True:
-        enter = next((j for j in range(total) if obj[j] > 0), None)
-        if enter is None:
+        widest = max(widest, max(map(max, t)), -min(map(min, t)))
+        obj = t[m]
+        s = None
+        for k in range(n):
+            if obj[k] > 0 and (s is None or nonbasic[k] < nonbasic[s]):
+                s = k
+        if s is None:
             break
-        leave = None
-        best: Fraction | None = None
+        r = None
         for i in range(m):
-            coef = t[i][enter]
+            coef = t[i][s]
             if coef > 0:
-                ratio = t[i][total] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]  # type: ignore[index]
-                ):
-                    best = ratio
-                    leave = i
-        if leave is None:
+                if r is None:
+                    r = i
+                    continue
+                # t[i][n] / coef against t[r][n] / t[r][s]; both divisors > 0
+                lhs = t[i][n] * t[r][s]
+                rhs = t[r][n] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r is None:
             raise SimplexError("unbounded objective")
-        piv = t[leave][enter]
-        t[leave] = [v / piv for v in t[leave]]
-        for i in range(m):
-            if i != leave and t[i][enter] != 0:
-                f = t[i][enter]
-                row = t[i]
-                prow = t[leave]
-                t[i] = [row[k] - f * prow[k] for k in range(total + 1)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            prow = t[leave]
-            obj = [obj[k] - f * prow[k] for k in range(total + 1)]
-        basis[leave] = enter
+        prow = t[r]
+        p = prow[s]
+        for i, row in enumerate(t):
+            if i == r:
+                continue
+            f = row[s]
+            if f:
+                row = [(v * p - f * w) // d for v, w in zip(row, prow)]
+            elif p != d:
+                row = [v * p // d for v in row]
+            row[s] = -f
+            t[i] = row
+        prow[s] = d
+        d = p
+        basis[r], nonbasic[s] = nonbasic[s], basis[r]
+        pivots += 1
 
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = t[i][total]
-    value = -obj[total]
-    duals = tuple(-obj[n + i] for i in range(m))
-    return SimplexResult(value, tuple(x), duals)
+            x[var] = Fraction(t[i][n], d)
+    duals = [Fraction(0)] * m
+    for k, var in enumerate(nonbasic):
+        if var >= n:
+            duals[var - n] = Fraction(-obj[k], d)
+    value = Fraction(-obj[n], d * scale)
+    return SimplexResult(value, tuple(x), tuple(duals), pivots, widest.bit_length())

@@ -1,5 +1,8 @@
 """Command-line behaviors: outputs, exit codes, determinism."""
+import hashlib
 import json
+
+import pytest
 
 from fracbal.cli import main
 from fracbal.gadgets import BuildTrace, Op2
@@ -65,6 +68,48 @@ def test_solve_chi_fb(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "chi-fb", str(f), "--column-generation")
     assert code == 0
     assert json.loads(out)["optimum"] == "3/2"
+
+
+def test_solve_empty_graph_is_zero(tmp_path, capsys):
+    f = tmp_path / "empty.json"
+    f.write_text('{"vertices": [], "edges": []}')
+    for problem in ("chi-fb", "a-f"):
+        code, out, err = run(capsys, "solve", problem, str(f))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"optimum": "0", "primal": [], "dual": {}}
+        code, out, _ = run(capsys, "solve", problem, str(f), "--column-generation")
+        assert code == 0
+        assert json.loads(out)["optimum"] == "0"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the exact standard output; any change to the pivot
+# path, the certificates or the formatting moves them
+@pytest.mark.parametrize(
+    "name, argv, digest",
+    [
+        ("w-hat", ("chi-fb",), "13f482a536e9fc43"),
+        ("w-hat", ("a-f",), "8884922a7e747ab1"),
+        ("w-prime", ("chi-fb",), "365b70584052eafa"),
+        ("w-prime", ("chi-fb", "--column-generation"), "127ba807d822efa7"),
+    ],
+)
+def test_solve_output_is_pinned(tmp_path, capsys, name, argv, digest):
+    graph = tmp_path / f"{name}.json"
+    assert run(capsys, "build", name, "--out", str(graph))[0] == 0
+    problem, *flags = argv
+    code, out, _ = run(capsys, "solve", problem, str(graph), *flags)
+    assert code == 0
+    assert _digest(out) == digest
+
+
+def test_reproduce_all_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "reproduce", "all")
+    assert code == 0
+    assert _digest(out) == "2a0039696de74c29"
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

@@ -1,11 +1,85 @@
-"""The rational simplex core on tiny hand-solved programs."""
+"""The exact simplex core: hand-solved programs, and a differential test
+against a dense Fraction tableau that takes the same Bland pivots."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracbal.simplex import SimplexError, simplex_max
+from fracbal.simplex import SimplexError, SimplexResult, simplex_max
 
 F = Fraction
+
+
+def dense_simplex_max(rows, b, c) -> SimplexResult:
+    """Reference oracle: the full m x (n + m + 1) Fraction tableau with
+    Bland's rule (least-index entering column, ratio ties broken by least
+    basic index), counting its pivots."""
+    m = len(rows)
+    n = len(c)
+    if any(len(r) != n for r in rows) or len(b) != m:
+        raise SimplexError("inconsistent dimensions")
+    if any(bi < 0 for bi in b):
+        raise SimplexError("requires nonnegative right-hand sides")
+
+    zero = Fraction(0)
+    t = [
+        [Fraction(rows[i][j]) for j in range(n)]
+        + [Fraction(1) if k == i else zero for k in range(m)]
+        + [Fraction(b[i])]
+        for i in range(m)
+    ]
+    obj = [Fraction(c[j]) for j in range(n)] + [zero] * m + [zero]
+    basis = [n + i for i in range(m)]
+    total = n + m
+    pivots = 0
+
+    while True:
+        enter = next((j for j in range(total) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = t[i][enter]
+            if coef > 0:
+                ratio = t[i][total] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise SimplexError("unbounded objective")
+        piv = t[leave][enter]
+        t[leave] = [v / piv for v in t[leave]]
+        for i in range(m):
+            if i != leave and t[i][enter] != 0:
+                f = t[i][enter]
+                row = t[i]
+                prow = t[leave]
+                t[i] = [row[k] - f * prow[k] for k in range(total + 1)]
+        if obj[enter] != 0:
+            f = obj[enter]
+            prow = t[leave]
+            obj = [obj[k] - f * prow[k] for k in range(total + 1)]
+        basis[leave] = enter
+        pivots += 1
+
+    x = [zero] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = t[i][total]
+    value = -obj[total]
+    duals = tuple(-obj[n + i] for i in range(m))
+    return SimplexResult(value, tuple(x), duals, pivots)
+
+
+def outcome(solver, rows, b, c):
+    try:
+        return solver(rows, b, c)
+    except SimplexError as exc:
+        return str(exc)
 
 
 def test_two_variable_program():
@@ -56,3 +130,67 @@ def test_negative_rhs_rejected():
 def test_zero_objective():
     res = simplex_max([[F(1)]], [F(5)], [F(0)])
     assert res.value == 0
+
+
+@pytest.mark.parametrize(
+    "rows, b, c",
+    [
+        ([], [], [F(1)]),          # m = 0, positive cost: unbounded
+        ([], [], [F(0), F(-1)]),   # m = 0, nothing to gain
+        ([[]], [F(1)], []),        # n = 0
+        ([], [], []),
+        ([[F(1)]], [F(1), F(2)], [F(1)]),  # inconsistent dimensions
+    ],
+)
+def test_edge_shapes_match_oracle(rows, b, c):
+    assert outcome(simplex_max, rows, b, c) == outcome(dense_simplex_max, rows, b, c)
+
+
+def test_edge_shape_results():
+    with pytest.raises(SimplexError, match="unbounded objective"):
+        simplex_max([], [], [1])
+    res = simplex_max([[]], [1], [])
+    assert (res.value, res.x, res.duals, res.pivots) == (0, (), (F(0),), 0)
+
+
+def test_counters_on_hand_solved_program():
+    res = simplex_max([[F(2), F(1)], [F(1), F(2)]], [F(2), F(2)], [F(1), F(1)])
+    assert res.pivots == 2
+    # the final objective row holds -value * d = -4/3 * 3
+    assert res.max_bits == 3
+
+
+# mostly nonnegative, so that most programs are bounded and pivot often
+entries = st.one_of(
+    st.integers(min_value=-2, max_value=4),
+    st.fractions(min_value=-2, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def programs(draw):
+    """Small LPs: integer or fractional entries, zero right-hand sides and
+    repeated rows for degeneracy, costs of any sign, unbounded directions."""
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows, b = [], []
+    for _ in range(m):
+        if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
+            k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows.append(list(rows[k]))
+            b.append(b[k])
+            continue
+        rows.append([F(draw(entries)) for _ in range(n)])
+        b.append(F(draw(st.one_of(st.just(0), entries.map(abs)))))
+    c = [F(draw(entries)) for _ in range(n)]
+    return rows, b, c
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(programs())
+def test_condensed_tableau_matches_dense_oracle(program):
+    rows, b, c = program
+    want = outcome(dense_simplex_max, rows, b, c)
+    got = outcome(simplex_max, rows, b, c)
+    # equal results include equal pivot counts: the same Bland path
+    assert got == want
