@@ -87,10 +87,17 @@ class Certificate:
             raise CertificateError(f"malformed JSON: {exc}") from exc
         try:
             mode = Mode(obj["mode"])
+            p, q = obj["p"], obj["q"]
             rows = [(entry["set"], entry["rep"]) for entry in obj["classes"]]
-            return cls.build(obj["p"], obj["q"], mode, rows)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad certificate document: {exc}") from exc
+        # type(...) is int, since JSON true and false load as bool, an int subclass
+        if any(type(n) is not int for n in (p, q, *(rep for _, rep in rows))):
+            raise CertificateError("p, q and every rep must be integers")
+        for s, _ in rows:
+            if not isinstance(s, list) or not all(isinstance(v, str) for v in s):
+                raise CertificateError(f"class set must be a list of vertex names, got {s!r}")
+        return cls.build(p, q, mode, rows)
 
     def to_json(self) -> str:
         obj = {
@@ -161,7 +168,12 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
             Violation("palette-overflow", (), None,
                       f"{c.total_rep} repetitions for {c.p} colors")
         )
-    coverage = tuple((v, c.coverage(v)) for v in g.vertices)
+    counts = dict.fromkeys(g.vertices, 0)
+    for s, rep in c.classes:
+        for v in s:
+            if v in counts:
+                counts[v] += rep
+    coverage = tuple(counts.items())
     for v, cov in coverage:
         if cov < c.q:
             violations.append(

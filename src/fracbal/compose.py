@@ -3,14 +3,16 @@
 Every graph built from the all-negative triangle by the two trace
 operations admits a balanced (83, 41)-coloring in which the endpoints of
 every edge share either 13 or 14 colors.  This module constructs one by
-replaying the trace while carrying the coloring as 83 explicit color
-slots (vertex sets):
+replaying the trace while carrying the coloring as one 83-bit mask per
+vertex (bit i set iff the vertex holds color i), so the overlap of two
+vertices is ``(m[x] & m[y]).bit_count()`` and every pool below is mask
+algebra.  A pool's first ``count`` colors are its lowest set bits:
 
 * Base: the all-negative triangle colored with pairwise overlaps
   (14, 14, 14) and 13 exclusive colors per vertex.
 
-* Apex insertion: the new vertex may join exactly the classes containing
-  at most one vertex of its face (two face vertices plus the apex would
+* Apex insertion: the new vertex may join exactly the colors held by at
+  most one vertex of its face (two face vertices plus the apex would
   close a negative triangle).  A tiny feasibility search picks the face
   overlaps a_i in {13, 14} and the leftover count b = 41 - sum(a_i),
   subject to pool capacities; a solution always exists because the face
@@ -19,24 +21,25 @@ slots (vertex sets):
 * Edge substitution: the host coloring restricted to {x, y} and a
   reference coloring of the 10-vertex gadget restricted to {u, v} induce
   the same four membership-pattern group sizes, so the two colorings can
-  be matched slot by slot (template for overlap 13 or 14, matching the
-  current overlap of the edge).  Matched slots absorb the corresponding
-  gadget class; balance survives because the identified edge pins the
-  sign of every path between its endpoints on both sides.  The two
-  positive faces of the copy are then completed with a scheme from the
-  mini-extension fixture, selected by the induced triangle profile.
+  be matched color by color (template for overlap 13 or 14, matching the
+  current overlap of the edge).  Each matched host color absorbs the
+  corresponding gadget class; balance survives because the identified
+  edge pins the sign of every path between its endpoints on both sides.
+  The two positive faces of the copy are then completed with a scheme
+  from the mini-extension fixture, selected by the induced triangle
+  profile.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Sequence
+from itertools import islice, product
+from typing import Iterator, Sequence
 
 from .certify import Certificate, Mode
-from .gadgets import (
+from .gadgets import (  # noqa: F401  (perfbench/spans.py wraps compose.apply_trace_step)
     BuildTrace,
-    GadgetGraph,
     Op1,
+    _Builder,
     apply_trace_step,
     k3_minus,
     k4_minus,
@@ -49,6 +52,7 @@ from .tables import (
 )
 
 P, Q = 83, 41
+PALETTE = (1 << P) - 1
 
 
 class ComposeError(RuntimeError):
@@ -57,122 +61,110 @@ class ComposeError(RuntimeError):
 
 @dataclass
 class _State:
-    gadget: GadgetGraph
-    slots: list[set[str]]  # slots[i] = vertices holding color i
-
-    def overlap(self, x: str, y: str) -> int:
-        return sum(1 for s in self.slots if x in s and y in s)
-
-    def coverage(self, v: str) -> int:
-        return sum(1 for s in self.slots if v in s)
+    graph: _Builder
+    masks: dict[str, int]  # bit i of masks[v] set iff v holds color i
 
 
-def _expand(cert: Certificate) -> list[set[str]]:
-    """Certificate as explicit unit-weight slots, padded to the palette."""
-    slots: list[set[str]] = []
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _lowest(pool: int, count: int) -> int:
+    """The ``count`` lowest colors of ``pool``."""
+    return sum(1 << i for i in islice(_bits(pool), count))
+
+
+def _masks(cert: Certificate) -> dict[str, int]:
+    """Certificate as color masks: classes take consecutive colors, each
+    as many as its repetition."""
+    masks: dict[str, int] = {}
+    color = 0
     for s, rep in cert.classes:
-        slots.extend(set(s) for _ in range(rep))
-    slots.extend(set() for _ in range(cert.p - len(slots)))
-    return slots
+        block = ((1 << rep) - 1) << color
+        for v in s:
+            masks[v] = masks.get(v, 0) | block
+        color += rep
+    return masks
 
 
 def _base_state(base: str) -> _State:
-    state = _State(k3_minus(), _expand(k3_base_colorings()["14-14-14"]))
+    state = _State(_Builder(k3_minus()), _masks(k3_base_colorings()["14-14-14"]))
     if base == "K4_MINUS":
-        state.gadget = k4_minus()
+        state.graph = _Builder(k4_minus())
         _extend_apex(state, ("u1", "u2", "u3"), "u4", step=0)
     return state
 
 
 def _extend_apex(state: _State, face: Sequence[str], apex: str, step: int) -> None:
     """Assign 41 colors to a new apex adjacent to the three face vertices."""
-    g = state.gadget.graph
-    f = sorted(face, key=g.index.__getitem__)
-    pools: dict[frozenset[str], list[int]] = {}
-    for i, slot in enumerate(state.slots):
-        pools.setdefault(frozenset(slot & set(f)), []).append(i)
-    only = [pools.get(frozenset((v,)), []) for v in f]
-    none_pool = pools.get(frozenset(), [])
-    if pools.get(frozenset(f)):
+    f = sorted(face, key=state.graph.index.__getitem__)
+    m0, m1, m2 = (state.masks[v] for v in f)
+    if m0 & m1 & m2:
         raise ComposeError(
             f"step {step}: face {f} carried by a full class; it cannot be negative"
         )
-
-    choice = None
-    for a1, a2, a3 in product((13, 14), repeat=3):
-        b = Q - (a1 + a2 + a3)
-        if b < 0 or b > len(none_pool):
-            continue
-        if a1 <= len(only[0]) and a2 <= len(only[1]) and a3 <= len(only[2]):
-            choice = (a1, a2, a3, b)
+    pools = (m0 & ~(m1 | m2), m1 & ~(m0 | m2), m2 & ~(m0 | m1), PALETTE & ~(m0 | m1 | m2))
+    caps = [pool.bit_count() for pool in pools]
+    for a in product((13, 14), repeat=3):
+        counts = (*a, Q - sum(a))
+        if counts[3] >= 0 and all(c <= cap for c, cap in zip(counts, caps)):
             break
-    if choice is None:
-        sizes = ([len(x) for x in only], len(none_pool))
-        raise ComposeError(f"step {step}: no feasible apex profile, pools {sizes}")
-    a1, a2, a3, b = choice
-    for count, pool in ((a1, only[0]), (a2, only[1]), (a3, only[2]), (b, none_pool)):
-        for i in pool[:count]:
-            state.slots[i].add(apex)
+    else:
+        raise ComposeError(f"step {step}: no feasible apex profile, pools {(caps[:3], caps[3])}")
+    state.masks[apex] = sum(_lowest(pool, c) for pool, c in zip(pools, counts))
 
 
 _PATTERNS = ("both", "first", "second", "neither")
 
 
-def _pattern(slot: set[str], x: str, y: str) -> str:
-    if x in slot:
-        return "both" if y in slot else "first"
-    return "second" if y in slot else "neither"
+def _groups(mx: int, my: int) -> tuple[int, int, int, int]:
+    """Colors of x and y split by membership pattern, in ``_PATTERNS`` order."""
+    return mx & my, mx & ~my, my & ~mx, PALETTE & ~(mx | my)
 
 
 def _extend_substitution(
     state: _State, edge: tuple[str, str], mapping: dict[str, str], step: int
 ) -> None:
     """Graft a reference gadget coloring onto the fresh copy along ``edge``."""
-    x, y = edge
-    a = state.overlap(x, y)
+    mx, my = (state.masks[v] for v in edge)
+    a = (mx & my).bit_count()
     if a == 13:
-        template = w_coloring_83_41_uv13()
+        template = _masks(w_coloring_83_41_uv13())
     elif a == 14:
-        template = w_coloring_83_41_uv14()
+        template = _masks(w_coloring_83_41_uv14())
     else:
         raise ComposeError(f"step {step}: edge {edge} has overlap {a}, not 13 or 14")
 
-    tslots = _expand(template)
-    host_groups = {p: [] for p in _PATTERNS}
-    for i, slot in enumerate(state.slots):
-        host_groups[_pattern(slot, x, y)].append(i)
-    template_groups = {p: [] for p in _PATTERNS}
-    for i, slot in enumerate(tslots):
-        template_groups[_pattern(slot, "u", "v")].append(i)
-    for p in _PATTERNS:
-        if len(host_groups[p]) != len(template_groups[p]):
+    host_groups = _groups(mx, my)
+    template_groups = _groups(template["u"], template["v"])
+    for p, h, t in zip(_PATTERNS, host_groups, template_groups):
+        if h.bit_count() != t.bit_count():
             raise ComposeError(
-                f"step {step}: group {p} mismatch "
-                f"{len(host_groups[p])} vs {len(template_groups[p])}"
+                f"step {step}: group {p} mismatch {h.bit_count()} vs {t.bit_count()}"
             )
-    for p in _PATTERNS:
-        for hi, ti in zip(host_groups[p], template_groups[p]):
-            state.slots[hi].update(
-                mapping[w] for w in tslots[ti] if w not in ("u", "v")
-            )
+    # the k-th template color of a group becomes the k-th host color of it
+    to_host = [0] * P
+    for h, t in zip(host_groups, template_groups):
+        for hi, ti in zip(_bits(h), _bits(t)):
+            to_host[ti] = hi
+    for w, m in template.items():
+        if w not in ("u", "v"):
+            state.masks[mapping[w]] = sum(1 << to_host[i] for i in _bits(m))
 
     for outer, minis in (
         (("u", "x1", "x2"), ("a1", "a2", "a3")),
         (("v", "x3", "x4"), ("b1", "b2", "b3")),
     ):
-        _extend_mini(
-            state,
-            tuple(mapping[o] for o in outer),
-            tuple(mapping[m] for m in minis),
-            step,
-        )
+        _extend_mini(state, [mapping[o] for o in outer], [mapping[m] for m in minis], step)
 
 
-def _extend_mini(
-    state: _State, outer: tuple[str, ...], minis: tuple[str, ...], step: int
-) -> None:
+def _extend_mini(state: _State, outer: list[str], minis: list[str], step: int) -> None:
     """Complete the coloring over one positive-face mini gadget."""
-    g = state.gadget.graph
+    g = state.graph
     o = sorted(outer, key=g.index.__getitem__)
     # prime of an outer vertex: the mini vertex not adjacent to it
     prime = {}
@@ -182,41 +174,32 @@ def _extend_mini(
             raise ComposeError(f"step {step}: bad mini adjacency at {v}")
         prime[v] = non_adj[0]
 
-    triple_group: list[int] = []
-    pair_groups: dict[frozenset[str], list[int]] = {
-        frozenset((o[i], o[(i + 1) % 3])): [] for i in range(3)
+    m = [state.masks[v] for v in o]
+    triple = m[0] & m[1] & m[2]
+    pair_groups = {
+        frozenset((o[i], o[(i + 1) % 3])): m[i] & m[(i + 1) % 3] & ~m[(i + 2) % 3]
+        for i in range(3)
     }
-    single_groups: dict[str, list[int]] = {v: [] for v in o}
-    for i, slot in enumerate(state.slots):
-        inside = slot & set(o)
-        if len(inside) == 3:
-            triple_group.append(i)
-        elif len(inside) == 2:
-            pair_groups[frozenset(inside)].append(i)
-        elif len(inside) == 1:
-            single_groups[next(iter(inside))].append(i)
+    single_groups = {
+        o[i]: m[i] & ~(m[(i + 1) % 3] | m[(i + 2) % 3]) for i in range(3)
+    }
 
-    pair_sizes = {len(v) for v in pair_groups.values()}
-    single_sizes = {len(v) for v in single_groups.values()}
-    scheme = None
-    for cand in mini_extension_schemes():
-        prof = cand["profile"]
-        if (
-            len(triple_group) == prof["triple"]
-            and pair_sizes == {prof["pair"]}
-            and single_sizes == {prof["single"]}
-        ):
-            scheme = cand
-            break
+    pair_sizes = {v.bit_count() for v in pair_groups.values()}
+    single_sizes = {v.bit_count() for v in single_groups.values()}
+    scheme = next((
+        cand for cand in mini_extension_schemes()
+        if triple.bit_count() == cand["profile"]["triple"]
+        and pair_sizes == {cand["profile"]["pair"]}
+        and single_sizes == {cand["profile"]["single"]}
+    ), None)
     if scheme is None:
         raise ComposeError(
             f"step {step}: unknown triangle profile "
-            f"(triple={len(triple_group)}, pairs={sorted(pair_sizes)}, "
+            f"(triple={triple.bit_count()}, pairs={sorted(pair_sizes)}, "
             f"singles={sorted(single_sizes)})"
         )
 
-    taken = {v: 0 for v in o}  # consumption pointer per single group
-    pair_taken = {k: 0 for k in pair_groups}
+    # families draw from the pair and single groups without replacement
     for i in range(3):
         env = {"i": o[i], "i+1": o[(i + 1) % 3], "i+2": o[(i + 2) % 3]}
         for fam in scheme["families"]:
@@ -224,23 +207,17 @@ def _extend_mini(
             primes = [prime[env[tok]] for tok in fam["primes"]]
             count = fam["count"]
             if len(out_pat) == 2:
-                key = frozenset(out_pat)
-                pool = pair_groups[key]
-                start = pair_taken[key]
-                if start + count > len(pool):
+                pools, key = pair_groups, frozenset(out_pat)
+                if pools[key].bit_count() < count:
                     raise ComposeError(f"step {step}: pair pool exhausted at {out_pat}")
-                chosen = pool[start:start + count]
-                pair_taken[key] = start + count
             else:
-                v = out_pat[0]
-                pool = single_groups[v]
-                start = taken[v]
-                if start + count > len(pool):
-                    raise ComposeError(f"step {step}: single pool exhausted at {v}")
-                chosen = pool[start:start + count]
-                taken[v] = start + count
-            for slot_id in chosen:
-                state.slots[slot_id].update(primes)
+                pools, key = single_groups, out_pat[0]
+                if pools[key].bit_count() < count:
+                    raise ComposeError(f"step {step}: single pool exhausted at {key}")
+            chosen = _lowest(pools[key], count)
+            pools[key] ^= chosen
+            for p in primes:
+                state.masks[p] = state.masks.get(p, 0) | chosen
 
 
 def compose_8341(trace: BuildTrace) -> Certificate:
@@ -249,12 +226,13 @@ def compose_8341(trace: BuildTrace) -> Certificate:
     the caller can re-check it independently."""
     state = _base_state(trace.base)
     for idx, step in enumerate(trace.steps, start=1):
-        new_gadget, info = apply_trace_step(state.gadget, step, idx)
+        info = state.graph.apply(step, idx)
         if isinstance(step, Op1):
-            state.gadget = new_gadget
             _extend_apex(state, step.face, info, idx)  # type: ignore[arg-type]
         else:
-            state.gadget = new_gadget
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
-    rows = [(tuple(sorted(s)), 1) for s in state.slots if s]
-    return Certificate.build(P, Q, Mode.BALANCED, rows)
+    classes: list[list[str]] = [[] for _ in range(P)]
+    for v, mask in state.masks.items():
+        for i in _bits(mask):
+            classes[i].append(v)
+    return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))

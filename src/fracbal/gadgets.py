@@ -15,6 +15,11 @@ gadget copy whose u-v edge is identified with it) and ``glue_triangle``
 (identify a negative triangle of a guest with one of the host).  Copies are
 switched where needed so that identified edges agree in sign; switching
 preserves every cycle sign, so balance properties survive.
+
+Each surgery is implemented once, on a private mutable builder that
+freezes into a validated GadgetGraph.  The public surgery functions thaw,
+apply one operation and freeze; trace replay and the constructors keep one
+builder throughout, so replaying a trace takes time linear in its length.
 """
 from __future__ import annotations
 
@@ -66,18 +71,197 @@ class GadgetGraph:
             raise GraphError(f"gadget has no terminal {role!r}") from None
 
 
-def _triple(g: SignedGraph, t: Iterable[str]) -> tuple[str, str, str]:
-    s = canonical_set(g, t)
+def _triple(g: SignedGraph | _Builder, t: Iterable[str]) -> tuple[str, str, str]:
+    s = canonical_set(g, t)  # type: ignore[arg-type]
     if len(s) != 3:
         raise GraphError(f"expected 3 vertices, got {len(s)}")
     return s  # type: ignore[return-value]
 
 
-def _fresh_name(g: SignedGraph, prefix: str) -> str:
+def _fresh_name(g: _Builder, prefix: str) -> str:
     k = 1
     while f"{prefix}{k}" in g.index:
         k += 1
     return f"{prefix}{k}"
+
+
+class _Builder:
+    """A gadget graph under construction, and the one implementation of
+    every surgery.  An operation checks its preconditions before it changes
+    anything and costs time in the size of what it adds (a glue also scans
+    the marked list); ``freeze`` runs the full validation once.  The
+    builder reads like a SignedGraph, so ``canonical_set`` and
+    ``triangle_sign`` apply to it and report the same errors.
+    """
+
+    def __init__(self, g: GadgetGraph) -> None:
+        self.vertices = list(g.graph.vertices)
+        self.edges = list(g.graph.edges)
+        self.index = dict(g.graph.index)
+        self.adj = {v: dict(nbrs) for v, nbrs in g.graph.adj.items()}
+        self.terminals = dict(g.terminals)
+        self.marked = list(g.marked_triangles)
+
+    # they read only ``index`` and ``adj``, which the builder keeps current
+    has_vertex = SignedGraph.has_vertex
+    has_edge = SignedGraph.has_edge
+    sign = SignedGraph.sign
+
+    def freeze(self) -> GadgetGraph:
+        graph = SignedGraph(tuple(self.vertices), tuple(self.edges))
+        return GadgetGraph(graph, self.terminals, tuple(self.marked))
+
+    def _add_vertex(self, v: str) -> None:
+        if v in self.index:
+            raise GraphError("duplicate vertex name")
+        self.index[v] = len(self.vertices)
+        self.vertices.append(v)
+        self.adj[v] = {}
+
+    def _add_edge(self, a: str, b: str, sign: int) -> None:
+        self.edges.append((a, b, sign))
+        self.adj[a][b] = sign
+        self.adj[b][a] = sign
+
+    def add_apex(self, t: Iterable[str], apex: str | None) -> str:
+        """See ``complete_negative_face``; returns the apex name."""
+        t1, t2, t3 = _triple(self, t)
+        if triangle_sign(self, (t1, t2, t3)) != -1:  # type: ignore[arg-type]
+            raise GraphError(f"triangle {(t1, t2, t3)} is not negative")
+        if apex is None:
+            apex = _fresh_name(self, "n")
+        if self.has_vertex(apex):
+            raise GraphError(f"apex name {apex!r} already in graph")
+        s1 = -1
+        s2 = -s1 * self.sign(t1, t2)
+        s3 = -s1 * self.sign(t1, t3)
+        self._add_vertex(apex)
+        self._add_edge(t1, apex, s1)
+        self._add_edge(t2, apex, s2)
+        self._add_edge(t3, apex, s3)
+        return apex
+
+    def add_mini(self, t: Iterable[str], prime_names: tuple[str, str, str] | None) -> None:
+        """See ``complete_positive_face``."""
+        tt = _triple(self, t)
+        if triangle_sign(self, tt) != 1:  # type: ignore[arg-type]
+            raise GraphError(f"triangle {tt} is not positive")
+        if prime_names is None:
+            base = _fresh_name(self, "m")
+            prime_names = (base + "a", base + "b", base + "c")
+        for name in prime_names:
+            if self.has_vertex(name):
+                raise GraphError(f"vertex name {name!r} already in graph")
+        e01 = self.sign(tt[0], tt[1])
+        e12 = self.sign(tt[1], tt[2])
+        e02 = self.sign(tt[0], tt[2])
+        s = (e01 * e02, e01 * e12, e12 * e02)  # two triangle edges at t_i
+        for name in prime_names:
+            self._add_vertex(name)
+        for i in range(3):
+            self._add_edge(tt[i], prime_names[(i + 1) % 3], s[i])
+            self._add_edge(tt[i], prime_names[(i + 2) % 3], -s[i])
+        for i in range(3):
+            self._add_edge(prime_names[i], prime_names[(i + 1) % 3], -1)
+        self.marked.append(canonical_set(self, prime_names))  # type: ignore[arg-type]
+
+    def substitute(
+        self, e: tuple[str, str], gadget: GadgetGraph, suffix: str | int
+    ) -> dict[str, str]:
+        """See ``substitute_edge``; returns the copy's name mapping."""
+        x, y = e
+        if not self.has_edge(x, y):
+            raise GraphError(f"({x!r}, {y!r}) is not an edge of the host")
+        gu = gadget.terminal("u")
+        gv = gadget.terminal("v")
+        guest = gadget.graph
+        if not guest.has_edge(gu, gv):
+            raise GraphError("gadget terminals u and v are not adjacent")
+        switched = {gv} if guest.sign(gu, gv) != self.sign(x, y) else set()
+        mapping = self._graft(guest, {gu: x, gv: y}, switched, suffix)
+        for t in gadget.marked_triangles:
+            mt = canonical_set(self, tuple(mapping[v] for v in t))  # type: ignore[arg-type]
+            self.marked.append(mt)
+        return mapping
+
+    def glue(
+        self,
+        t_host: Iterable[str],
+        guest: GadgetGraph,
+        t_guest: Iterable[str],
+        suffix: str | int,
+        correspondence: Mapping[str, str] | None,
+    ) -> None:
+        """See ``glue_triangle``."""
+        th = _triple(self, t_host)
+        tg = _triple(guest.graph, t_guest)
+        if triangle_sign(self, th) != -1:  # type: ignore[arg-type]
+            raise GraphError(f"host triangle {th} is not negative")
+        if triangle_sign(guest.graph, tg) != -1:
+            raise GraphError(f"guest triangle {tg} is not negative")
+        if correspondence is None:
+            correspondence = dict(zip(tg, th))
+        if sorted(correspondence) != sorted(tg) or sorted(correspondence.values()) != sorted(th):
+            raise GraphError("correspondence must biject the two triangles")
+
+        gsign = guest.graph.sign
+        pairs = [(tg[0], tg[1]), (tg[0], tg[2]), (tg[1], tg[2])]
+        switched = None
+        for bits in range(8):
+            subset = {tg[i] for i in range(3) if bits >> i & 1}
+            if all(
+                (-gsign(a, b) if (a in subset) != (b in subset) else gsign(a, b))
+                == self.sign(correspondence[a], correspondence[b])
+                for a, b in pairs
+            ):
+                switched = subset
+                break
+        if switched is None:  # unreachable for two negative triangles
+            raise GraphError("cannot match shared edge signs by switching")
+
+        mapping = self._graft(guest.graph, correspondence, switched, suffix)
+        known = set(self.marked)
+        for t in guest.marked_triangles:
+            mt = canonical_set(self, tuple(mapping[v] for v in t))  # type: ignore[arg-type]
+            if mt not in known:
+                known.add(mt)
+                self.marked.append(mt)
+
+    def _graft(
+        self,
+        guest: SignedGraph,
+        identified: Mapping[str, str],
+        switched: set[str],
+        suffix: str | int,
+    ) -> dict[str, str]:
+        """Copy ``guest`` switched at ``switched``: ``identified`` vertices
+        map to host vertices, the others to new ``<name>#<suffix>`` ones, and
+        an edge between two identified vertices merges with the host's."""
+        mapping = {}
+        for v in guest.vertices:
+            if v in identified:
+                mapping[v] = identified[v]
+            else:
+                mapping[v] = f"{v}#{suffix}"
+                if self.has_vertex(mapping[v]):
+                    raise GraphError(f"fresh name {mapping[v]!r} collides with host")
+        for v in guest.vertices:
+            if v not in identified:
+                self._add_vertex(mapping[v])
+        for a, b, s in guest.edges:
+            if a not in identified or b not in identified:
+                flip = (a in switched) != (b in switched)
+                self._add_edge(mapping[a], mapping[b], -s if flip else s)
+        return mapping
+
+    def apply(self, step: Op1 | Op2, idx: int) -> dict[str, str] | str:
+        """See ``apply_trace_step``; returns its second value."""
+        try:
+            if isinstance(step, Op1):
+                return self.add_apex(step.face, f"k{idx}")
+            return self.substitute(step.edge, w_prime(), idx)
+        except GraphError as exc:
+            raise TraceError(idx, str(exc)) from exc
 
 
 def k3_minus() -> GadgetGraph:
@@ -113,22 +297,9 @@ def complete_negative_face(g: GadgetGraph, t: Iterable[str], apex: str | None = 
     -1; the other two signs are then forced by requiring every apex
     triangle to be negative.
     """
-    graph = g.graph
-    t1, t2, t3 = _triple(graph, t)
-    if triangle_sign(graph, (t1, t2, t3)) != -1:
-        raise GraphError(f"triangle {(t1, t2, t3)} is not negative")
-    if apex is None:
-        apex = _fresh_name(graph, "n")
-    if graph.has_vertex(apex):
-        raise GraphError(f"apex name {apex!r} already in graph")
-    s1 = -1
-    s2 = -s1 * graph.sign(t1, t2)
-    s3 = -s1 * graph.sign(t1, t3)
-    new = SignedGraph(
-        graph.vertices + (apex,),
-        graph.edges + ((t1, apex, s1), (t2, apex, s2), (t3, apex, s3)),
-    )
-    return GadgetGraph(new, g.terminals, g.marked_triangles)
+    b = _Builder(g)
+    b.add_apex(t, apex)
+    return b.freeze()
 
 
 def complete_positive_face(
@@ -148,31 +319,9 @@ def complete_positive_face(
 
     The inner triangle is appended to the marked set.
     """
-    graph = g.graph
-    tt = _triple(graph, t)
-    if triangle_sign(graph, tt) != 1:
-        raise GraphError(f"triangle {tt} is not positive")
-    if prime_names is None:
-        base = _fresh_name(graph, "m")
-        prime_names = (base + "a", base + "b", base + "c")
-    for name in prime_names:
-        if graph.has_vertex(name):
-            raise GraphError(f"vertex name {name!r} already in graph")
-    e = [
-        graph.sign(tt[0], tt[1]),  # e01
-        graph.sign(tt[1], tt[2]),  # e12
-        graph.sign(tt[0], tt[2]),  # e02
-    ]
-    s = (e[0] * e[2], e[0] * e[1], e[1] * e[2])  # two triangle edges at t_i
-    new_edges = list(graph.edges)
-    for i in range(3):
-        new_edges.append((tt[i], prime_names[(i + 1) % 3], s[i]))
-        new_edges.append((tt[i], prime_names[(i + 2) % 3], -s[i]))
-    for i in range(3):
-        new_edges.append((prime_names[i], prime_names[(i + 1) % 3], -1))
-    new = SignedGraph(graph.vertices + tuple(prime_names), tuple(new_edges))
-    marked = g.marked_triangles + (canonical_set(new, prime_names),)  # type: ignore[operator]
-    return GadgetGraph(new, g.terminals, marked)
+    b = _Builder(g)
+    b.add_mini(t, prime_names)
+    return b.freeze()
 
 
 _W_HAT_EDGES: tuple[tuple[str, str, int], ...] = (
@@ -207,20 +356,20 @@ def w_hat() -> GadgetGraph:
 
 def w_prime() -> GadgetGraph:
     """w_hat with both positive faces completed; 16 vertices, 7 marked triangles."""
-    g = w_hat()
+    b = _Builder(w_hat())
     # canonical order of (u, x1, x2) is (x1, x2, u); primes in that order
     # are a2 = prime(x1), a3 = prime(x2), a1 = prime(u)
-    g = complete_positive_face(g, ("u", "x1", "x2"), ("a2", "a3", "a1"))
-    g = complete_positive_face(g, ("v", "x3", "x4"), ("b2", "b3", "b1"))
-    return g
+    b.add_mini(("u", "x1", "x2"), ("a2", "a3", "a1"))
+    b.add_mini(("v", "x3", "x4"), ("b2", "b3", "b1"))
+    return b.freeze()
 
 
 def w_double_prime() -> GadgetGraph:
     """w_prime with an apex completing each of the 7 marked triangles; 23 vertices."""
-    g = w_prime()
-    for i, t in enumerate(g.marked_triangles, start=1):
-        g = complete_negative_face(g, t, f"c{i}")
-    return g
+    b = _Builder(w_prime())
+    for i, t in enumerate(list(b.marked), start=1):
+        b.add_apex(t, f"c{i}")
+    return b.freeze()
 
 
 def substitute_edge(
@@ -238,55 +387,9 @@ def substitute_edge(
     Non-terminal copy vertices are renamed with ``#<suffix>``; the copy's
     marked triangles are appended.
     """
-    new, _ = _substitute_edge_mapped(g, e, gadget, suffix)
-    return new
-
-
-def _substitute_edge_mapped(
-    g: GadgetGraph,
-    e: tuple[str, str],
-    gadget: GadgetGraph,
-    suffix: str | int,
-) -> tuple[GadgetGraph, dict[str, str]]:
-    x, y = e
-    host = g.graph
-    if not host.has_edge(x, y):
-        raise GraphError(f"({x!r}, {y!r}) is not an edge of the host")
-    gu = gadget.terminal("u")
-    gv = gadget.terminal("v")
-    if not gadget.graph.has_edge(gu, gv):
-        raise GraphError("gadget terminals u and v are not adjacent")
-
-    copy = gadget
-    if gadget.graph.sign(gu, gv) != host.sign(x, y):
-        from .sgraph import switch
-
-        copy = GadgetGraph(switch(gadget.graph, (gv,)), gadget.terminals, gadget.marked_triangles)
-
-    mapping = {}
-    for v in copy.graph.vertices:
-        if v == gu:
-            mapping[v] = x
-        elif v == gv:
-            mapping[v] = y
-        else:
-            mapping[v] = f"{v}#{suffix}"
-            if host.has_vertex(mapping[v]):
-                raise GraphError(f"fresh name {mapping[v]!r} collides with host")
-
-    vertices = list(host.vertices) + [
-        mapping[v] for v in copy.graph.vertices if v not in (gu, gv)
-    ]
-    edges = list(host.edges)
-    for a, b, s in copy.graph.edges:
-        if {a, b} == {gu, gv}:
-            continue  # merged with the host edge
-        edges.append((mapping[a], mapping[b], s))
-    new_graph = SignedGraph(tuple(vertices), tuple(edges))
-    marked = list(g.marked_triangles)
-    for t in copy.marked_triangles:
-        marked.append(canonical_set(new_graph, tuple(mapping[v] for v in t)))
-    return GadgetGraph(new_graph, g.terminals, tuple(marked)), mapping
+    b = _Builder(g)
+    b.substitute(e, gadget, suffix)
+    return b.freeze()
 
 
 def glue_triangle(
@@ -306,81 +409,28 @@ def glue_triangle(
     subset always exists.  Shared edges are merged, other guest vertices
     are renamed with ``#<suffix>``.
     """
-    th = _triple(host.graph, t_host)
-    tg = _triple(guest.graph, t_guest)
-    if triangle_sign(host.graph, th) != -1:
-        raise GraphError(f"host triangle {th} is not negative")
-    if triangle_sign(guest.graph, tg) != -1:
-        raise GraphError(f"guest triangle {tg} is not negative")
-    if correspondence is None:
-        correspondence = dict(zip(tg, th))
-    if sorted(correspondence) != sorted(tg) or sorted(correspondence.values()) != sorted(th):
-        raise GraphError("correspondence must biject the two triangles")
+    b = _Builder(host)
+    b.glue(t_host, guest, t_guest, suffix, correspondence)
+    return b.freeze()
 
-    from .sgraph import switch
 
-    pairs = [(tg[0], tg[1]), (tg[0], tg[2]), (tg[1], tg[2])]
-    switched = None
-    for bits in range(8):
-        subset = tuple(tg[i] for i in range(3) if bits >> i & 1)
-        ok = True
-        for a, b in pairs:
-            flip = (a in subset) != (b in subset)
-            sign = -guest.graph.sign(a, b) if flip else guest.graph.sign(a, b)
-            if sign != host.graph.sign(correspondence[a], correspondence[b]):
-                ok = False
-                break
-        if ok:
-            switched = switch(guest.graph, subset)
-            break
-    if switched is None:  # unreachable for two negative triangles
-        raise GraphError("cannot match shared edge signs by switching")
-
-    mapping = {}
-    for v in switched.vertices:
-        if v in correspondence:
-            mapping[v] = correspondence[v]
-        else:
-            mapping[v] = f"{v}#{suffix}"
-            if host.graph.has_vertex(mapping[v]):
-                raise GraphError(f"fresh name {mapping[v]!r} collides with host")
-
-    vertices = list(host.graph.vertices) + [
-        mapping[v] for v in switched.vertices if v not in correspondence
-    ]
-    shared = set(tg)
-    edges = list(host.graph.edges)
-    for a, b, s in switched.edges:
-        if a in shared and b in shared:
-            continue  # merged with host triangle edges
-        edges.append((mapping[a], mapping[b], s))
-    new_graph = SignedGraph(tuple(vertices), tuple(edges))
-    marked = list(host.marked_triangles)
-    for t in guest.marked_triangles:
-        mt = canonical_set(new_graph, tuple(mapping[v] for v in t))
-        if mt not in marked:
-            marked.append(mt)
-    return GadgetGraph(new_graph, host.terminals, tuple(marked))
+def _edges_replaced(base: GadgetGraph, gadget: GadgetGraph) -> GadgetGraph:
+    """``base`` with its k-th edge replaced by a ``gadget`` copy suffixed k;
+    the base's own marked triangles are dropped."""
+    b = _Builder(GadgetGraph(base.graph, {}, ()))
+    for i, (x, y, _) in enumerate(base.graph.edges, start=1):
+        b.substitute((x, y), gadget, i)
+    return b.freeze()
 
 
 def u_hat() -> GadgetGraph:
     """K4 with every edge replaced by a w_prime copy; 88 vertices, 42 marked triangles."""
-    base = k4_minus()
-    g = GadgetGraph(base.graph, {}, ())
-    wp = w_prime()
-    for i, (a, b, _) in enumerate(base.graph.edges, start=1):
-        g = substitute_edge(g, (a, b), wp, suffix=i)
-    return g
+    return _edges_replaced(k4_minus(), w_prime())
 
 
 def g_hat_k3() -> GadgetGraph:
     """Triangle with every edge replaced by a w_double_prime copy; 66 vertices."""
-    base = k3_minus()
-    g = GadgetGraph(base.graph, {}, ())
-    wpp = w_double_prime()
-    for i, (a, b, _) in enumerate(base.graph.edges, start=1):
-        g = substitute_edge(g, (a, b), wpp, suffix=i)
-    return g
+    return _edges_replaced(k3_minus(), w_double_prime())
 
 
 def g_sequence(i: int, depth_guard: int = 2) -> GadgetGraph:
@@ -398,10 +448,10 @@ def g_sequence(i: int, depth_guard: int = 2) -> GadgetGraph:
         raise TraceError(i, f"depth guard exceeded ({i} > {depth_guard})")
     g = k4_minus()
     for _ in range(i):
-        prev = g
-        g = u_hat()
-        for k, t in enumerate(list(g.marked_triangles)[:42], start=1):
-            g = glue_triangle(g, t, prev, ("u1", "u2", "u3"), suffix=f"g{k}")
+        b = _Builder(u_hat())
+        for k, t in enumerate(b.marked[:42], start=1):
+            b.glue(t, g, ("u1", "u2", "u3"), f"g{k}", None)
+        g = b.freeze()
     return g
 
 
@@ -416,11 +466,10 @@ def w1_underlying(alt_orientation: bool = False) -> GadgetGraph:
     core = w_hat().graph
     unsigned = SignedGraph(core.vertices, tuple((a, b, -1) for a, b, _ in core.edges))
     gadget = GadgetGraph(unsigned, {"u": "u", "v": "v"}, ())
-    g = GadgetGraph(unsigned, {"u": "u", "v": "v"}, ())
+    b = _Builder(gadget)
     for i, other in enumerate(("z", "x1", "t"), start=1):
-        e = (other, "u") if alt_orientation else ("u", other)
-        g = substitute_edge(g, e, gadget, suffix=i)
-    return g
+        b.substitute((other, "u") if alt_orientation else ("u", other), gadget, i)
+    return b.freeze()
 
 
 @dataclass(frozen=True)
@@ -436,6 +485,15 @@ class Op2:
     endpoint, v with the second)."""
 
     edge: tuple[str, str]
+
+
+def _names(value: object, count: int) -> bool:
+    """True iff ``value`` is a JSON list of ``count`` vertex names."""
+    return (
+        isinstance(value, list)
+        and len(value) == count
+        and all(isinstance(v, str) for v in value)
+    )
 
 
 @dataclass(frozen=True)
@@ -455,17 +513,24 @@ class BuildTrace:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphError(f"malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise GraphError("trace document must be a JSON object")
+        raw_steps = obj.get("steps", [])
+        if not isinstance(raw_steps, list):
+            raise GraphError("'steps' must be a list")
         steps: list[Op1 | Op2] = []
-        for k, entry in enumerate(obj.get("steps", []), start=1):
+        for k, entry in enumerate(raw_steps, start=1):
+            if not isinstance(entry, dict):
+                raise TraceError(k, "step entry must be a JSON object")
             op = entry.get("op")
             if op == "inner_k4":
                 face = entry.get("face")
-                if not isinstance(face, list) or len(face) != 3:
+                if not _names(face, 3):
                     raise TraceError(k, "inner_k4 needs a 3-vertex face")
                 steps.append(Op1(tuple(face)))
             elif op == "substitute_w_prime":
                 edge = entry.get("edge")
-                if not isinstance(edge, list) or len(edge) != 2:
+                if not _names(edge, 2):
                     raise TraceError(k, "substitute_w_prime needs a 2-vertex edge")
                 steps.append(Op2(tuple(edge)))
             else:
@@ -490,22 +555,14 @@ def apply_trace_step(
     Returns the new gadget plus the apex name (Op1) or the copy's
     template-to-fresh name mapping (Op2).
     """
-    if isinstance(step, Op1):
-        try:
-            new = complete_negative_face(g, step.face, apex=f"k{idx}")
-        except GraphError as exc:
-            raise TraceError(idx, str(exc)) from exc
-        return new, f"k{idx}"
-    try:
-        new, mapping = _substitute_edge_mapped(g, step.edge, w_prime(), suffix=idx)
-    except GraphError as exc:
-        raise TraceError(idx, str(exc)) from exc
-    return new, mapping
+    b = _Builder(g)
+    info = b.apply(step, idx)
+    return b.freeze(), info
 
 
 def build_from_trace(trace: BuildTrace) -> GadgetGraph:
     """Replay a build trace; step preconditions are reported by index."""
-    g = k3_minus() if trace.base == "K3_MINUS" else k4_minus()
+    b = _Builder(k3_minus() if trace.base == "K3_MINUS" else k4_minus())
     for idx, step in enumerate(trace.steps, start=1):
-        g, _ = apply_trace_step(g, step, idx)
-    return g
+        b.apply(step, idx)
+    return b.freeze()

@@ -49,8 +49,8 @@ class SignedGraph:
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError("duplicate vertex name")
         index = {v: i for i, v in enumerate(self.vertices)}
-        seen: set[tuple[str, str]] = set()
-        normalized = []
+        n = len(index)
+        normalized: dict[int, tuple[str, str, int]] = {}  # by index[a] * n + index[b]
         for a, b, sign in self.edges:
             if a not in index or b not in index:
                 raise GraphError(f"unknown vertex in edge ({a!r}, {b!r})")
@@ -60,12 +60,11 @@ class SignedGraph:
                 raise GraphError(f"edge sign must be +1 or -1, got {sign!r}")
             if index[a] > index[b]:
                 a, b = b, a
-            if (a, b) in seen:
+            key = index[a] * n + index[b]
+            if key in normalized:
                 raise GraphError(f"duplicate edge ({a!r}, {b!r})")
-            seen.add((a, b))
-            normalized.append((a, b, sign))
-        normalized.sort(key=lambda e: (index[e[0]], index[e[1]]))
-        object.__setattr__(self, "edges", tuple(normalized))
+            normalized[key] = (a, b, sign)
+        object.__setattr__(self, "edges", tuple(normalized[k] for k in sorted(normalized)))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -77,6 +76,16 @@ class SignedGraph:
         for a, b, sign in self.edges:
             nbrs[a][b] = sign
             nbrs[b][a] = sign
+        return nbrs
+
+    @cached_property
+    def canonical_adj(self) -> dict[str, list[str]]:
+        """Each vertex's neighbours in canonical order."""
+        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
+        # the edge list is sorted, so every list is built in canonical order
+        for a, b, _ in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
         return nbrs
 
     def has_vertex(self, v: str) -> bool:
@@ -211,9 +220,11 @@ def _bfs_forest(g: SignedGraph, s: tuple[str, ...]):
         parity[root] = 0
         depth[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in sorted(g.adj[v], key=g.index.__getitem__):
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in g.canonical_adj[v]:
                 if w in inside and w not in parent:
                     parent[w] = v
                     parity[w] = parity[v] ^ (1 if g.adj[v][w] < 0 else 0)
@@ -284,12 +295,11 @@ def all_triangles(g: SignedGraph) -> list[tuple[tuple[str, str, str], int]]:
     """Every 3-clique with the product of its edge signs, in canonical order."""
     out = []
     idx = g.index
-    order = sorted(g.vertices, key=idx.__getitem__)
-    for a in order:
-        for b in sorted(g.adj[a], key=idx.__getitem__):
+    for a in g.vertices:
+        for b in g.canonical_adj[a]:
             if idx[b] <= idx[a]:
                 continue
-            for c in sorted(g.adj[b], key=idx.__getitem__):
+            for c in g.canonical_adj[b]:
                 if idx[c] <= idx[b] or c not in g.adj[a]:
                     continue
                 sign = g.adj[a][b] * g.adj[b][c] * g.adj[a][c]
@@ -336,7 +346,12 @@ def parse_graph(text: str) -> SignedGraph:
     for entry in raw_edges:
         if not isinstance(entry, dict) or not {"a", "b", "sign"} <= entry.keys():
             raise GraphError(f"edge entry must have keys a, b, sign: {entry!r}")
-        edges.append((entry["a"], entry["b"], entry["sign"]))
+        a, b, sign = entry["a"], entry["b"], entry["sign"]
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise GraphError(f"edge endpoints must be vertex names: {entry!r}")
+        if type(sign) is not int:  # JSON true and false load as bool, an int subclass
+            raise GraphError(f"edge sign must be +1 or -1, got {sign!r}")
+        edges.append((a, b, sign))
     return SignedGraph(tuple(vertices), tuple(edges))
 
 

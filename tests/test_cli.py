@@ -209,3 +209,53 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "k4-minus", "--out", str(target))
     assert code == 0 and out == ""
     assert len(parse_graph(target.read_text()).vertices) == 4
+
+
+_ONE_EDGE = '{"vertices": ["u", "v"], "edges": [{"a": "u", "b": "v", "sign": %s}]}'
+_CERT = '{"p": %s, "q": %s, "mode": "balanced", "classes": [{"set": %s, "rep": %s}]}'
+
+
+# malformed documents at the three JSON boundaries: trace, certificate, graph
+_GOOD_GRAPH = _ONE_EDGE % "-1"
+_GOOD_CERT = _CERT % (2, 1, '["u"]', 1)
+_STEPS = '{"base": "K3_MINUS", "steps": %s}'
+
+
+@pytest.mark.parametrize(
+    "command, graph, document",
+    [
+        pytest.param("compose-8341", None, "[1]", id="trace-not-object"),
+        pytest.param("compose-8341", None, _STEPS % '{"op": "inner_k4"}', id="steps-not-list"),
+        pytest.param("compose-8341", None, _STEPS % "[1]", id="step-not-object"),
+        pytest.param("compose-8341", None,
+                     _STEPS % '[{"op": "inner_k4", "face": [["u1"], "u2", "u3"]}]',
+                     id="face-name-not-string"),
+        pytest.param("compose-8341", None,
+                     _STEPS % '[{"op": "substitute_w_prime", "edge": ["u1", {}]}]',
+                     id="edge-name-not-string"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (2, 1, '"uv"', 1), id="set-is-string"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (2, 1, '["u", 1]', 1), id="set-name-not-string"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (2.0, 1, '["u"]', 1), id="p-float"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (2, "true", '["u"]', 1), id="q-bool"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (2, 1, '["u"]', 1.5), id="rep-float"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (2, 1, '["u"]', "true"), id="rep-bool"),
+        pytest.param("verify", _GOOD_GRAPH, '{"p": 2, "q": 1, "mode": "striped", "classes": []}',
+                     id="unknown-mode"),
+        pytest.param("verify", _ONE_EDGE % "true", _GOOD_CERT, id="sign-bool"),
+        pytest.param("verify", _ONE_EDGE % "1.0", _GOOD_CERT, id="sign-float"),
+        pytest.param("verify",
+                     '{"vertices": ["u"], "edges": [{"a": ["u"], "b": "u", "sign": 1}]}',
+                     _GOOD_CERT, id="endpoint-not-string"),
+    ],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, command, graph, document):
+    doc = tmp_path / "doc.json"
+    doc.write_text(document)
+    argv = [command, str(doc)]
+    if graph is not None:
+        gfile = tmp_path / "graph.json"
+        gfile.write_text(graph)
+        argv = [command, str(gfile), str(doc)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err

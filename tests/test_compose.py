@@ -1,4 +1,5 @@
 """The inductive (83,41)-coloring composer across trace shapes."""
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from fracbal.acceptance import random_trace
 from fracbal.certify import overlap, profile, verify
 from fracbal.compose import compose_8341
-from fracbal.gadgets import BuildTrace, Op1, Op2, build_from_trace, k3_minus
+from fracbal.gadgets import BuildTrace, Op1, Op2, build_from_trace, k3_minus, w_prime
+from fracbal.sgraph import serialize_graph
 
 
 def assert_good_coloring(trace):
@@ -58,11 +60,17 @@ def test_substitution_on_positive_edge():
     assert_good_coloring(trace)
 
 
-def test_gadget_triangle_trace():
+def gadget_triangle_trace():
+    """Every edge of the base triangle replaced by a w_prime copy, then an
+    apex in every marked triangle."""
     steps = [Op2((a, b)) for a, b, _ in k3_minus().graph.edges]
     partial = build_from_trace(BuildTrace("K3_MINUS", tuple(steps)))
     steps.extend(Op1(t) for t in partial.marked_triangles)
-    trace = BuildTrace("K3_MINUS", tuple(steps))
+    return BuildTrace("K3_MINUS", tuple(steps)), partial
+
+
+def test_gadget_triangle_trace():
+    trace, partial = gadget_triangle_trace()
     g, cert = assert_good_coloring(trace)
     assert len(g.graph.vertices) == 45 + len(partial.marked_triangles)
 
@@ -96,6 +104,55 @@ def test_hundred_random_traces_seeded():
         assert_good_coloring(trace)
 
 
+def deep_trace(depth: int, seed: int) -> BuildTrace:
+    """A valid trace that alternates apex insertions and w_prime
+    substitutions, drawn from pools of known negative triangles and edges
+    that each step extends by name, so the trace is made without replaying
+    it."""
+    rng = random.Random(seed)
+    wp = w_prime()
+    faces = [("u1", "u2", "u3")]
+    edges = [("u1", "u2"), ("u1", "u3"), ("u2", "u3")]
+    steps: list = []
+    for idx in range(1, depth + 1):
+        if idx % 2:
+            t = rng.choice(faces)
+            apex = f"k{idx}"
+            steps.append(Op1(t))
+            faces += [(t[0], t[1], apex), (t[0], t[2], apex), (t[1], t[2], apex)]
+            edges += [(v, apex) for v in t]
+        else:
+            x, y = rng.choice(edges)
+            if rng.random() < 0.5:
+                x, y = y, x
+            steps.append(Op2((x, y)))
+            name = {"u": x, "v": y}
+            rename = {v: name.get(v, f"{v}#{idx}") for v in wp.graph.vertices}
+            faces += [tuple(rename[v] for v in t) for t in wp.marked_triangles]
+            edges += [(rename[a], rename[b]) for a, b, _ in wp.graph.edges if {a, b} != {"u", "v"}]
+    return BuildTrace("K3_MINUS", tuple(steps))
+
+
+def test_depth_1000_trace_is_certified():
+    trace = deep_trace(1000, seed=3)
+    g = build_from_trace(trace)
+    assert len(g.graph.vertices) == 3 + 500 + 500 * 14
+    cert = compose_8341(trace)
+    assert (cert.p, cert.q) == (83, 41)
+    rep = verify(g.graph, cert)
+    assert rep.ok, rep.violations[:3]
+    assert all(cov == 41 for _, cov in rep.per_vertex_coverage)
+    # overlaps from color masks; a per-edge scan of the classes is quadratic
+    masks = dict.fromkeys(g.graph.vertices, 0)
+    color = 0
+    for members, rep_count in cert.classes:
+        for v in members:
+            masks[v] |= ((1 << rep_count) - 1) << color
+        color += rep_count
+    bad = [(a, b) for a, b, _ in g.graph.edges if (masks[a] & masks[b]).bit_count() not in (13, 14)]
+    assert not bad, bad[:3]
+
+
 def test_composition_is_deterministic():
     trace = BuildTrace("K3_MINUS", (Op2(("u1", "u2")), Op1(("u1", "u2", "u3"))))
     assert compose_8341(trace) == compose_8341(trace)
@@ -107,3 +164,26 @@ def test_invalid_trace_surfaces_step_error():
     trace = BuildTrace("K3_MINUS", (Op1(("u1", "u2", "zz")),))
     with pytest.raises(TraceError, match="step 1"):
         compose_8341(trace)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of the built graph and the composed certificate; any
+# change to vertex naming, edge order or color assignment moves them
+@pytest.mark.parametrize(
+    "name, graph_digest, cert_digest",
+    [
+        ("random depth 200", "df07f53f2a85d7f0", "5b4dd2afaa75dae8"),
+        ("gadget triangle", "ef30ed74d5a1f78b", "fe5ae59ac87f9ec7"),
+    ],
+    ids=["random-depth-200", "gadget-triangle"],
+)
+def test_trace_outputs_are_pinned(name, graph_digest, cert_digest):
+    if name == "gadget triangle":
+        trace, _ = gadget_triangle_trace()
+    else:
+        trace = random_trace(random.Random(7), 200)
+    assert _digest(serialize_graph(build_from_trace(trace).graph)) == graph_digest
+    assert _digest(compose_8341(trace).to_json()) == cert_digest

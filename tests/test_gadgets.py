@@ -1,12 +1,17 @@
 """Constructors, graph surgery, and build traces."""
+import hashlib
+import random
+
 import pytest
 
+from fracbal.acceptance import random_trace
 from fracbal.gadgets import (
     BuildTrace,
     GadgetGraph,
     Op1,
     Op2,
     TraceError,
+    apply_trace_step,
     build_from_trace,
     complete_negative_face,
     complete_positive_face,
@@ -270,6 +275,15 @@ def test_build_from_trace_reports_step_index():
         build_from_trace(trace)
 
 
+def test_step_by_step_replay_matches_build_from_trace():
+    # one frozen gadget per step versus one builder for the whole trace
+    trace = random_trace(random.Random(11), 60)
+    g = k3_minus()
+    for idx, step in enumerate(trace.steps, start=1):
+        g, _ = apply_trace_step(g, step, idx)
+    assert g == build_from_trace(trace)
+
+
 def test_trace_json_round_trip():
     trace = BuildTrace(
         "K3_MINUS",
@@ -277,6 +291,17 @@ def test_trace_json_round_trip():
     )
     again = BuildTrace.from_json(trace.to_json())
     assert again == trace
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [(u_hat, "795d3aa7efa7eee7"), (lambda: g_sequence(1), "d4259f6ad674cc8c")],
+    ids=["u_hat", "g_sequence(1)"],
+)
+def test_constructions_are_pinned(build, digest):
+    # sha256 prefix of the serialized graph: vertex order, names and signs
+    text = serialize_graph(build().graph)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_constructions_are_deterministic():

@@ -1,9 +1,12 @@
 """Property-based invariants over random signed graphs."""
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbal.sgraph import (
     SignedGraph,
+    all_triangles,
     is_balanced,
     negative_cycle_witness,
     parse_graph,
@@ -84,3 +87,17 @@ def test_balance_agrees_with_cycle_enumeration(case):
 
     g, members = case
     assert is_balanced(g, members) == balance_oracle(g, members)
+
+
+@given(signed_graphs(), st.data())
+@settings(derandomize=True, max_examples=200)
+def test_all_triangles_matches_triple_scan(g, data):
+    # a shuffled declaration order, so canonical order differs from name order
+    order = tuple(data.draw(st.permutations(g.vertices)))
+    g = SignedGraph(order, g.edges)
+    want = [
+        ((a, b, c), g.sign(a, b) * g.sign(b, c) * g.sign(a, c))
+        for a, b, c in combinations(order, 3)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    ]
+    assert all_triangles(g) == want
