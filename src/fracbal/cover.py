@@ -19,15 +19,15 @@ that searches for a balanced/acyclic set of dual weight above 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import Iterable, Sequence
 
 from .certify import Certificate, Mode
-from .families import SetFamily, SetProperty, enumerate_sets, _Search
-from .sgraph import SignedGraph
+from .families import SetFamily, SetProperty, enumerate_sets, _Core
+from .sgraph import SignedGraph, all_triangles
 from .simplex import simplex_max
 
 
@@ -165,6 +165,8 @@ class ColumnGenResult:
     result: LpResult | None
     iterations: int
     columns: int
+    # search nodes over all pricing calls; equality ignores it
+    price_nodes: int = field(default=0, compare=False)
 
     @property
     def optimum(self) -> Fraction | None:
@@ -173,39 +175,41 @@ class ColumnGenResult:
 
 def _price(
     g: SignedGraph, prop: SetProperty, y: dict[str, Fraction]
-) -> tuple[Fraction, tuple[str, ...]]:
-    """Maximum-dual-weight set with the property, by branch and bound.
+) -> tuple[Fraction, tuple[str, ...], int]:
+    """Maximum-dual-weight set with the property, by branch and bound, and
+    the number of search nodes visited.
 
-    Vertices are scanned in canonical order with the include branch first,
-    so among equal-weight maximizers the first one found is kept, which is
-    the lexicographically least improving column.
+    The positive duals are scaled once by the lcm of their denominators, so
+    the walk of the shared integer search core adds Python ints.  Vertices
+    are scanned in canonical order with the include branch first, and a
+    branch is cut when the weight so far plus a bound on the rest cannot
+    beat the best.  The bound is the remaining weight less, for each
+    triangle of a greedy disjoint packing that lies in the rest, its
+    lightest vertex: a good set holds at most two vertices of a negative
+    triangle (of any triangle when acyclic).  Among equal-weight maximizers
+    the first one found is kept, which is the lexicographically least
+    improving column; a tighter bound only cuts branches that cannot beat
+    it.
     """
-    cand = [v for v in g.vertices if y.get(v, Fraction(0)) > 0]
-    search = _Search(g, prop)
-    best_w = Fraction(0)
-    best_s: tuple[str, ...] = ()
-    suffix = [Fraction(0)] * (len(cand) + 1)
-    for i in range(len(cand) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + y[cand[i]]
-
-    def walk(i: int, weight: Fraction) -> None:
-        nonlocal best_w, best_s
-        if weight + suffix[i] <= best_w:
-            return
-        if i == len(cand):
-            if weight > best_w:
-                best_w = weight
-                best_s = tuple(sorted(search.chosen, key=g.index.__getitem__))
-            return
-        v = cand[i]
-        mark = search.try_add(v)
-        if mark is not None:
-            walk(i + 1, weight + y[v])
-            search.remove(v, mark)
-        walk(i + 1, weight)
-
-    walk(0, Fraction(0))
-    return best_w, best_s
+    verts = g.vertices
+    cand = [i for i, v in enumerate(verts) if y.get(v, 0) > 0]
+    scale = lcm(*(y[verts[i]].denominator for i in cand))
+    weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
+    at = {c: k for k, c in enumerate(cand)}
+    # cut[k]: the lightest weight of each packed triangle whose first vertex is cand[k]
+    cut = [0] * len(cand)
+    packed: set[int] = set()
+    for t, sign in reversed(all_triangles(g)):
+        ks = [at.get(g.index[v], -1) for v in t]
+        if (sign < 0 or prop is SetProperty.ACYCLIC) and -1 not in ks and packed.isdisjoint(ks):
+            packed.update(ks)
+            cut[min(ks)] += min(weights[k] for k in ks)
+    bound = [0] * (len(cand) + 1)
+    for k in range(len(cand) - 1, -1, -1):
+        bound[k] = bound[k + 1] + weights[k] - cut[k]
+    core = _Core(g, prop)
+    best, best_set, nodes = core.walk_price(cand, weights, bound)
+    return Fraction(best, scale), core.members(best_set), nodes
 
 
 def column_generation(
@@ -227,16 +231,20 @@ def column_generation(
     started = time.monotonic()
     iterations = 0
     lower = Fraction(0)
+    nodes = 0
     master: LpResult | None = None
     while True:
-        fam = SetFamily(g, prop, tuple(columns))
+        # singletons and priced columns hold the property by construction
+        fam = SetFamily._trusted(g, prop, tuple(columns))
         master = fractional_cover_optimum(fam)
         y = master.dual_map
-        best_w, best_s = _price(g, prop, y)
+        best_w, best_s, price_nodes = _price(g, prop, y)
+        nodes += price_nodes
         iterations += 1
         if best_w <= 1:
             return ColumnGenResult(
-                True, master.optimum, master.optimum, master, iterations, len(columns)
+                True, master.optimum, master.optimum, master, iterations, len(columns),
+                nodes,
             )
         # y / best_w is dual feasible for the full family
         lower = max(lower, master.optimum / best_w)
@@ -246,7 +254,7 @@ def column_generation(
         )
         if out_of_budget:
             return ColumnGenResult(
-                False, lower, master.optimum, master, iterations, len(columns)
+                False, lower, master.optimum, master, iterations, len(columns), nodes
             )
         if best_s in columns:  # pricing stalled; should not happen
             raise CoverError("pricing returned a known column")

@@ -1,17 +1,26 @@
 """Exhaustive and maximal enumeration of balanced / acyclic vertex sets.
 
-Both properties are hereditary (every subset of a good set is good), so a
-branch-and-prune over include/exclude decisions in canonical vertex order
-never needs to look below a failed inclusion.  Maximality is certified at
-each leaf by testing every single-vertex extension, which is sound exactly
-because of heredity.
+Both properties are hereditary (every subset of a good set is good), and so
+are the ``avoid`` constraints.  One integer search core serves enumeration
+here and pricing in ``cover``: vertices are indices in canonical order, a
+set is a bitmask over them, and the chosen set sits on a rollback parity
+union-find.  The walk is an explicit-stack loop over include/exclude
+decisions in canonical order, include branch first, which fixes the output
+order without a sorting pass; results are identical across runs.
 
-The include branch is explored first, which fixes the output order without
-a sorting pass; results are identical across runs.
+Maximal enumeration needs no test at the leaves.  A vertex that cannot join
+the chosen set at its turn never can further down (heredity).  A vertex
+excluded while it could still join stays *pending*, stored with its reach:
+the undecided vertices next to it, next to a chosen component touching it,
+or sharing an avoid set with it.  Only including a vertex of its reach can
+block it, so only then is it re-tested; once blocked it leaves the list.  A
+pending vertex whose reach holds no undecided vertex can never be blocked,
+so every set below would extend by it and the branch is cut.  Every leaf
+the walk reaches is therefore maximal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -33,15 +42,38 @@ class SetProperty(Enum):
 
 @dataclass(frozen=True)
 class SetFamily:
+    """Vertex sets with a property, each checked on construction.
+
+    ``nodes`` and ``leaves`` count the search-tree nodes and leaves of the
+    enumeration that produced the family (0 for families built by callers);
+    equality ignores them.
+    """
+
     host: SignedGraph
     property: SetProperty
     sets: tuple[tuple[str, ...], ...]
     maximal_only: bool = False
+    nodes: int = field(default=0, compare=False)
+    leaves: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         for s in self.sets:
             if not _satisfies(self.host, self.property, s):
                 raise GraphError(f"set {s} violates {self.property.value}")
+
+    @classmethod
+    def _trusted(
+        cls, host: SignedGraph, prop: SetProperty, sets: tuple[tuple[str, ...], ...],
+        maximal_only: bool = False, nodes: int = 0, leaves: int = 0,
+    ) -> SetFamily:
+        """A family of sets that the search core produced, which hold the
+        property by construction, built without re-checking them."""
+        fam = object.__new__(cls)
+        fam.__dict__.update(
+            host=host, property=prop, sets=sets, maximal_only=maximal_only,
+            nodes=nodes, leaves=leaves,
+        )
+        return fam
 
 
 def _satisfies(g: SignedGraph, prop: SetProperty, members: Iterable[str]) -> bool:
@@ -52,57 +84,179 @@ def _satisfies(g: SignedGraph, prop: SetProperty, members: Iterable[str]) -> boo
     return is_acyclic(g, members)
 
 
-class _Search:
-    """Shared incremental state: a rollback union-find over chosen vertices."""
+class _Core:
+    """Integer search state over ``g``: the chosen set as a bitmask over a
+    rollback parity union-find.
+
+    Vertex i is ``g.vertices[i]``, and ascending bit order is canonical
+    order.  Each vertex has its neighbours as ``(j, negative)`` pairs, and
+    ``reach0`` holds its neighbour mask plus the other members of every
+    avoid set containing it.  Each union-find root carries the union of its
+    members' neighbour masks.  A walk saves ``(chosen, dsu.mark())`` before
+    a branch and ``restore``s it after.
+    """
 
     def __init__(
-        self,
-        g: SignedGraph,
-        prop: SetProperty,
-        avoid: Sequence[frozenset[str]] = (),
+        self, g: SignedGraph, prop: SetProperty, avoid: Iterable[Iterable[str]] = ()
     ) -> None:
-        self.g = g
-        self.prop = prop
-        self.dsu = ParityDSU(len(g.vertices))
-        self.idx = g.index
-        self.chosen: set[str] = set()
-        self.avoid = avoid
+        n = len(g.vertices)
+        idx = g.index
+        self.names = g.vertices
+        self.acyclic = prop is SetProperty.ACYCLIC
+        self.nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+        near = [0] * n
+        for a, b, sign in g.edges:
+            i, j = idx[a], idx[b]
+            self.nbrs[i].append((j, sign < 0))
+            self.nbrs[j].append((i, sign < 0))
+            near[i] |= 1 << j
+            near[j] |= 1 << i
+        self.dsu = ParityDSU(n, near)
+        self.reach0 = near  # the union-find keeps its own copy
+        self.partners: list[list[int]] = [[] for _ in range(n)]
+        for a in avoid:
+            members = {idx.get(v, -1) for v in a}
+            if not members or -1 in members:
+                continue  # an empty set or a stranger can never be swallowed
+            whole = sum(1 << i for i in members)
+            for i in members:
+                self.partners[i].append(whole & ~(1 << i))
+                self.reach0[i] |= whole & ~(1 << i)
+        self.chosen = 0
 
-    def try_add(self, v: str) -> int | None:
-        """Attach v to the current set; returns a rollback mark or None."""
-        for a in self.avoid:
-            if v in a and a <= self.chosen | {v}:
+    def scan(self, v: int) -> dict[int, int] | None:
+        """The roots of the chosen components next to v, each with v's parity
+        relative to it; None when v cannot join the chosen set."""
+        chosen = self.chosen
+        for others in self.partners[v]:
+            if others & chosen == others:
                 return None
-        mark = self.dsu.mark()
-        vi = self.idx[v]
-        for w, sign in self.g.adj[v].items():
-            if w not in self.chosen:
-                continue
-            wi = self.idx[w]
-            if self.prop is SetProperty.ACYCLIC:
-                ra, _ = self.dsu.find(vi)
-                rb, _ = self.dsu.find(wi)
-                if ra == rb:
-                    self.dsu.rollback(mark)
-                    return None
-                self.dsu.union(vi, wi, False)
-            else:
-                if not self.dsu.union(vi, wi, sign < 0):
-                    self.dsu.rollback(mark)
-                    return None
-        self.chosen.add(v)
-        return mark
+        parent, parity = self.dsu.parent, self.dsu.parity
+        roots: dict[int, int] = {}
+        for w, p in self.nbrs[v]:
+            if chosen >> w & 1:
+                while parent[w] != w:
+                    p ^= parity[w]
+                    w = parent[w]
+                if w in roots:
+                    if self.acyclic or roots[w] != p:
+                        return None
+                else:
+                    roots[w] = p
+        return roots
 
-    def remove(self, v: str, mark: int) -> None:
-        self.chosen.remove(v)
+    def reach(self, v: int, roots: dict[int, int]) -> int:
+        """The vertices whose inclusion can block v, given ``scan(v)``."""
+        r = self.reach0[v]
+        for x in roots:
+            r |= self.dsu.mask[x]
+        return r
+
+    def attach(self, v: int, roots: dict[int, int]) -> None:
+        """Add v, joining it to the components ``scan(v)`` returned."""
+        self.chosen |= 1 << v
+        self.dsu.join(v, roots)
+
+    def restore(self, chosen: int, mark: int) -> None:
+        self.chosen = chosen
         self.dsu.rollback(mark)
 
-    def extendable_by(self, v: str) -> bool:
-        mark = self.try_add(v)
-        if mark is None:
-            return False
-        self.remove(v, mark)
-        return True
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The names of a vertex mask, in canonical order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def walk_sets(self, cand: list[int], maximal: bool) -> tuple[list[int], int, int]:
+        """Every good set (every maximal one if ``maximal``) of the chosen set
+        plus vertices of ``cand`` (ascending), as masks in include-first
+        order, with the numbers of search nodes and leaves visited."""
+        m = len(cand)
+        undecided = [0] * (m + 1)  # mask of cand[i:]
+        for i in range(m - 1, -1, -1):
+            undecided[i] = undecided[i + 1] | 1 << cand[i]
+        scan, reach, attach, mark = self.scan, self.reach, self.attach, self.dsu.mark
+        out: list[int] = []
+        nodes = leaves = 0
+        stack: list[tuple[int, tuple, int, int, int]] = []  # exclude branches left
+        i, pending, alive = 0, (), True  # pending: (vertex, reach) pairs
+        while True:
+            if alive:
+                nodes += 1
+                if i == m:
+                    leaves += 1
+                    if self.chosen:
+                        out.append(self.chosen)
+                    alive = False
+                    continue
+                v = cand[i]
+                i += 1
+                roots = scan(v)
+                if roots is None:  # v stays out for good
+                    alive = all(rp & undecided[i] for _, rp in pending)
+                else:
+                    r = reach(v, roots) if maximal else 0
+                    stack.append((i, pending, self.chosen, mark(), r))
+                    attach(v, roots)
+                    if pending:
+                        pending, alive = self._retest(pending, v, undecided[i])
+                continue
+            if not stack:
+                return out, nodes, leaves
+            i, pending, chosen, at, r = stack.pop()
+            self.restore(chosen, at)
+            if maximal:  # v was excluded while it could still join
+                alive = bool(r & undecided[i]) and all(rp & undecided[i] for _, rp in pending)
+                pending += ((cand[i - 1], r),)
+            else:
+                alive = True
+
+    def _retest(self, pending: tuple, v: int, undec: int) -> tuple[tuple, bool]:
+        """The pending vertices after v was included, and whether the branch
+        lives on."""
+        kept = []
+        for p, rp in pending:
+            if rp >> v & 1:
+                roots = self.scan(p)
+                if roots is None:
+                    continue  # blocked for good
+                rp = self.reach(p, roots)
+            if not rp & undec:
+                return pending, False
+            kept.append((p, rp))
+        return tuple(kept), True
+
+    def walk_price(
+        self, cand: list[int], weights: list[int], bound: list[int]
+    ) -> tuple[int, int, int]:
+        """The largest total weight of a good set within ``cand`` (ascending,
+        positive integer weights), the first such set in include-first order
+        as a mask, and the number of search nodes.  ``bound[i]`` must be at
+        least the weight of any good set within ``cand[i:]``."""
+        scan, attach, mark = self.scan, self.attach, self.dsu.mark
+        best = best_set = nodes = 0
+        stack: list[tuple[int, int, int, int]] = []  # exclude branches left
+        i = weight = 0
+        while True:
+            nodes += 1
+            if weight + bound[i] > best:
+                if i == len(cand):
+                    best, best_set = weight, self.chosen
+                else:
+                    roots = scan(cand[i])
+                    if roots is not None:
+                        stack.append((i + 1, weight, self.chosen, mark()))
+                        attach(cand[i], roots)
+                        weight += weights[i]
+                    i += 1
+                    continue
+            if not stack:
+                return best, best_set, nodes
+            i, weight, chosen, at = stack.pop()
+            self.restore(chosen, at)
 
 
 def enumerate_sets(
@@ -137,35 +291,19 @@ def enumerate_sets(
     if banned & set(need):
         raise GraphError("must_contain and forbid overlap")
 
-    search = _Search(g, prop, tuple(frozenset(a) for a in avoid))
+    core = _Core(g, prop, avoid)
     for v in need:
-        if search.try_add(v) is None:
-            return SetFamily(g, prop, (), maximal_only)
-
-    candidates = [v for v in g.vertices if v not in search.chosen and v not in banned]
-    out: list[tuple[str, ...]] = []
-
-    def emit() -> None:
-        if maximal_only:
-            for w in candidates:
-                if w not in search.chosen and search.extendable_by(w):
-                    return
-        if search.chosen:
-            out.append(tuple(sorted(search.chosen, key=g.index.__getitem__)))
-
-    def walk(i: int) -> None:
-        if i == len(candidates):
-            emit()
-            return
-        v = candidates[i]
-        mark = search.try_add(v)
-        if mark is not None:
-            walk(i + 1)
-            search.remove(v, mark)
-        walk(i + 1)
-
-    walk(0)
-    return SetFamily(g, prop, tuple(out), maximal_only)
+        roots = core.scan(g.index[v])
+        if roots is None:
+            return SetFamily._trusted(g, prop, (), maximal_only)
+        core.attach(g.index[v], roots)
+    cand = [
+        i for i, v in enumerate(g.vertices)
+        if not core.chosen >> i & 1 and v not in banned
+    ]
+    masks, nodes, leaves = core.walk_sets(cand, maximal_only)
+    sets = tuple(core.members(s) for s in masks)
+    return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)
 
 
 def triangles_missed(s: Iterable[str], marked: Sequence[tuple[str, ...]]) -> list[int]:

@@ -132,14 +132,16 @@ class ParityDSU:
 
     No path compression so that ``rollback`` can undo unions in reverse
     order; union by rank keeps finds near-logarithmic, which is plenty for
-    the graph sizes handled here.
+    the graph sizes handled here.  Every root also carries ``mask``, the
+    union of its members' initial masks (0 unless given).
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, masks: Iterable[int] = ()) -> None:
         self.parent = list(range(n))
         self.parity = [0] * n  # parity of the edge to the parent
         self.rank = [0] * n
-        self._trail: list[tuple[int, bool]] = []
+        self.mask = list(masks) or [0] * n
+        self._trail: list[tuple[int, bool, int]] = []
 
     def find(self, x: int) -> tuple[int, int]:
         p = 0
@@ -157,23 +159,41 @@ class ParityDSU:
             return want == 0
         if self.rank[rx] < self.rank[ry]:
             rx, ry = ry, rx
-        bumped = self.rank[rx] == self.rank[ry]
-        if bumped:
-            self.rank[rx] += 1
-        self.parent[ry] = rx
-        self.parity[ry] = want
-        self._trail.append((ry, bumped))
+        self._link(ry, rx, want)
         return True
+
+    def join(self, v: int, roots: dict[int, int]) -> None:
+        """Join the singleton v to every root r of ``roots``, where
+        ``roots[r]`` is v's parity relative to r; the caller has checked
+        that they do not conflict."""
+        if not roots:
+            return
+        top = max(roots, key=self.rank.__getitem__)
+        q = roots[top]
+        self._link(v, top, q)
+        for r, p in roots.items():
+            if r != top:
+                self._link(r, top, p ^ q)
+
+    def _link(self, child: int, root: int, parity: int) -> None:
+        bumped = self.rank[child] == self.rank[root]
+        if bumped:
+            self.rank[root] += 1
+        self._trail.append((child, bumped, self.mask[root]))
+        self.parent[child] = root
+        self.parity[child] = parity
+        self.mask[root] |= self.mask[child]
 
     def mark(self) -> int:
         return len(self._trail)
 
     def rollback(self, mark: int) -> None:
         while len(self._trail) > mark:
-            child, bumped = self._trail.pop()
+            child, bumped, mask = self._trail.pop()
             root = self.parent[child]
             self.parent[child] = child
             self.parity[child] = 0
+            self.mask[root] = mask
             if bumped:
                 self.rank[root] -= 1
 

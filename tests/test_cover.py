@@ -197,6 +197,9 @@ def test_column_generation_interval_on_large_arboricity_instance():
         w1_underlying().graph, SetProperty.ACYCLIC, time_budget=45.0
     )
     target = Fraction(52, 25)
+    # integer pricing brings the master optimum down from 34 within a few
+    # iterations, far inside the budget
+    assert cg.upper <= 3
     if cg.completed:
         assert cg.optimum == target
     else:

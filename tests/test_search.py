@@ -1,0 +1,247 @@
+"""The integer search core behind enumeration and pricing: differential
+tests against the recursive string-keyed walks it replaced, counters, and
+inputs too deep for recursion."""
+from dataclasses import replace
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fracbal.cover import _price, column_generation
+from fracbal.families import SetFamily, SetProperty, enumerate_sets
+from fracbal.gadgets import w_double_prime, w_hat
+from fracbal.sgraph import GraphError, ParityDSU, SignedGraph, canonical_set
+
+
+class _ReferenceSearch:
+    """Reference oracle state: a rollback union-find over chosen names, with
+    every inclusion re-scanning the avoid sets and the neighbour dict."""
+
+    def __init__(self, g, prop, avoid=()):
+        self.g = g
+        self.prop = prop
+        self.dsu = ParityDSU(len(g.vertices))
+        self.idx = g.index
+        self.chosen = set()
+        self.avoid = avoid
+
+    def try_add(self, v):
+        for a in self.avoid:
+            if v in a and a <= self.chosen | {v}:
+                return None
+        mark = self.dsu.mark()
+        vi = self.idx[v]
+        for w, sign in self.g.adj[v].items():
+            if w not in self.chosen:
+                continue
+            wi = self.idx[w]
+            if self.prop is SetProperty.ACYCLIC:
+                ra, _ = self.dsu.find(vi)
+                rb, _ = self.dsu.find(wi)
+                if ra == rb:
+                    self.dsu.rollback(mark)
+                    return None
+                self.dsu.union(vi, wi, False)
+            else:
+                if not self.dsu.union(vi, wi, sign < 0):
+                    self.dsu.rollback(mark)
+                    return None
+        self.chosen.add(v)
+        return mark
+
+    def remove(self, v, mark):
+        self.chosen.remove(v)
+        self.dsu.rollback(mark)
+
+    def extendable_by(self, v):
+        mark = self.try_add(v)
+        if mark is None:
+            return False
+        self.remove(v, mark)
+        return True
+
+
+def reference_enumerate_sets(
+    g: SignedGraph,
+    prop: SetProperty,
+    *,
+    maximal_only: bool = False,
+    must_contain: Sequence[str] = (),
+    forbid: Sequence[str] = (),
+    avoid: Sequence[Iterable[str]] = (),
+) -> tuple[tuple[str, ...], ...]:
+    """Reference oracle: the include-first recursive walk that certifies
+    maximality by trying every extension at each leaf."""
+    need = canonical_set(g, must_contain)
+    banned = set(canonical_set(g, forbid))
+    search = _ReferenceSearch(g, prop, tuple(frozenset(a) for a in avoid))
+    for v in need:
+        if search.try_add(v) is None:
+            return ()
+    candidates = [v for v in g.vertices if v not in search.chosen and v not in banned]
+    out = []
+
+    def emit():
+        if maximal_only:
+            for w in candidates:
+                if w not in search.chosen and search.extendable_by(w):
+                    return
+        if search.chosen:
+            out.append(tuple(sorted(search.chosen, key=g.index.__getitem__)))
+
+    def walk(i):
+        if i == len(candidates):
+            emit()
+            return
+        v = candidates[i]
+        mark = search.try_add(v)
+        if mark is not None:
+            walk(i + 1)
+            search.remove(v, mark)
+        walk(i + 1)
+
+    walk(0)
+    return tuple(out)
+
+
+def reference_price(g, prop, y):
+    """Reference oracle: recursive branch and bound on Fraction weights,
+    keeping the first maximizer in include-first order."""
+    cand = [v for v in g.vertices if y.get(v, Fraction(0)) > 0]
+    search = _ReferenceSearch(g, prop)
+    best_w = Fraction(0)
+    best_s = ()
+    suffix = [Fraction(0)] * (len(cand) + 1)
+    for i in range(len(cand) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + y[cand[i]]
+
+    def walk(i, weight):
+        nonlocal best_w, best_s
+        if weight + suffix[i] <= best_w:
+            return
+        if i == len(cand):
+            if weight > best_w:
+                best_w = weight
+                best_s = tuple(sorted(search.chosen, key=g.index.__getitem__))
+            return
+        v = cand[i]
+        mark = search.try_add(v)
+        if mark is not None:
+            walk(i + 1, weight + y[v])
+            search.remove(v, mark)
+        walk(i + 1, weight)
+
+    walk(0, Fraction(0))
+    return best_w, best_s
+
+
+@st.composite
+def signed_graphs(draw, max_n=9):
+    """Random signed graphs whose declaration order is not name order."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    density = draw(st.sampled_from((0.25, 0.5, 0.8)))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.floats(min_value=0, max_value=1)) < density:
+                edges.append((names[i], names[j], draw(st.sampled_from((1, -1)))))
+    return SignedGraph(tuple(names), tuple(edges))
+
+
+@st.composite
+def constrained_searches(draw):
+    """A graph, a property and must_contain / forbid / avoid constraints;
+    avoid sets may be empty, singletons, overlap the other constraints or
+    name a vertex outside the graph."""
+    g = draw(signed_graphs())
+    verts = list(g.vertices)
+    prop = draw(st.sampled_from(SetProperty))
+    role = [draw(st.sampled_from(("free",) * 6 + ("need", "ban"))) for _ in verts]
+    need = [v for v, r in zip(verts, role) if r == "need"]
+    ban = [v for v, r in zip(verts, role) if r == "ban"]
+    pool = st.sampled_from(verts + ["stranger"]) if verts else st.just("stranger")
+    avoid = draw(st.lists(st.lists(pool, max_size=4), max_size=4))
+    return g, prop, need, ban, avoid
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(constrained_searches(), st.booleans())
+def test_enumeration_matches_reference_walk(case, maximal):
+    g, prop, need, ban, avoid = case
+    want = reference_enumerate_sets(
+        g, prop, maximal_only=maximal, must_contain=need, forbid=ban, avoid=avoid
+    )
+    fam = enumerate_sets(
+        g, prop, maximal_only=maximal, must_contain=need, forbid=ban, avoid=avoid
+    )
+    # the same sets in the same order, not merely the same family
+    assert fam.sets == want
+    if maximal:
+        # every leaf reached is emitted, except the empty set when every
+        # candidate is blocked from the start
+        assert fam.leaves == len(fam.sets) or (fam.sets, fam.leaves) == ((), 1)
+
+
+duals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=2, max_denominator=12),
+    st.integers(min_value=1, max_value=3).map(Fraction),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(signed_graphs(), st.sampled_from(SetProperty), st.data())
+def test_pricing_matches_reference_walk(g, prop, data):
+    # some vertices carry no dual at all; the rest are zero or positive
+    y = {}
+    for v in g.vertices:
+        d = data.draw(st.one_of(st.none(), duals))
+        if d is not None:
+            y[v] = d
+    weight, best, _ = _price(g, prop, y)
+    assert (weight, best) == reference_price(g, prop, y)
+    assert type(weight) is Fraction
+
+
+def test_maximal_enumeration_counters_on_w_double_prime():
+    fam = enumerate_sets(w_double_prime().graph, SetProperty.BALANCED, maximal_only=True)
+    # every leaf the pruned walk reaches is a maximal set
+    assert fam.leaves == len(fam.sets) == 3501
+    # the recursive walk with a per-leaf extension scan visited 1,476,086 nodes
+    assert 0 < fam.nodes <= 1_476_086 // 3
+
+
+def test_counters_stay_out_of_equality():
+    g = w_double_prime().graph
+    fam = enumerate_sets(g, SetProperty.BALANCED, must_contain=("u", "v"), maximal_only=True)
+    plain = SetFamily(g, SetProperty.BALANCED, fam.sets, True)
+    assert (plain.nodes, plain.leaves) == (0, 0)
+    assert fam.nodes > 0 and fam == plain
+
+
+def test_column_generation_counts_pricing_nodes():
+    cg = column_generation(w_hat().graph, SetProperty.BALANCED)
+    assert cg.completed and cg.price_nodes > 0
+    assert cg == replace(cg, price_nodes=0)
+
+
+def test_caller_built_families_are_still_validated():
+    g = SignedGraph(("a", "b", "c"), (("a", "b", -1), ("b", "c", -1), ("a", "c", -1)))
+    with pytest.raises(GraphError, match="violates balanced"):
+        SetFamily(g, SetProperty.BALANCED, (("a", "b", "c"),))
+    cycle = SignedGraph(("a", "b", "c"), (("a", "b", 1), ("b", "c", 1), ("a", "c", 1)))
+    with pytest.raises(GraphError, match="violates acyclic"):
+        SetFamily(cycle, SetProperty.ACYCLIC, (("a", "b", "c"),))
+
+
+def test_pricing_a_long_path_needs_no_recursion():
+    n = 1200
+    names = tuple(f"p{i}" for i in range(n))
+    g = SignedGraph(names, tuple((names[i], names[i + 1], -1) for i in range(n - 1)))
+    y = {v: Fraction(1, 3) for v in names}
+    weight, best, _ = _price(g, SetProperty.BALANCED, y)
+    # a path is a tree, so the whole vertex set is the unique maximizer
+    assert weight == Fraction(n, 3) and best == names
