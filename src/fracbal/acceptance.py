@@ -1,14 +1,16 @@
 """The acceptance gate: every release-blocking check, runnable as a library.
 
-Each criterion returns a CriterionResult with a human-readable summary;
-the pytest suite asserts them and the command line prints one pass/fail
-line per criterion.  All arithmetic is exact (integers and rationals), so
-there are no tolerances anywhere.
+Each criterion fills a _Check with its expectations, a human-readable
+summary and the facts it found (listings, counts); ``run_criterion``
+stamps the id and title from ``CRITERIA`` onto the CriterionResult.  The
+pytest suite asserts them and the command line only prints them.  All
+arithmetic is exact (integers and rationals), so there are no tolerances
+anywhere.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable
@@ -25,6 +27,7 @@ from .families import (
     lemma_case_sets,
 )
 from .gadgets import (
+    W_HAT_POSITIVE_FACES,
     BuildTrace,
     GadgetGraph,
     Op1,
@@ -66,14 +69,17 @@ class CriterionResult:
     title: str
     ok: bool
     details: str
+    facts: dict[str, object] = field(default_factory=dict)
 
 
 class _Check:
-    """Collects assertion-style facts and their failures."""
+    """Collects assertion-style facts and their failures, plus named facts
+    (listings, counts) that the command line prints as they are."""
 
     def __init__(self) -> None:
         self.failures: list[str] = []
         self.notes: list[str] = []
+        self.facts: dict[str, object] = {}
 
     def expect(self, fact: bool, label: str) -> None:
         if not fact:
@@ -85,7 +91,7 @@ class _Check:
     def result(self, cid: str, title: str) -> CriterionResult:
         ok = not self.failures
         details = "; ".join(self.notes) if ok else "FAILED: " + "; ".join(self.failures)
-        return CriterionResult(cid, title, ok, details)
+        return CriterionResult(cid, title, ok, details, self.facts)
 
 
 LEMMA_TEN_SETS = (
@@ -101,14 +107,13 @@ LEMMA_TEN_SETS = (
     frozenset({"u", "v", "x3", "x5"}),
 )
 
-POSITIVE_FACES = (("u", "x1", "x2"), ("v", "x3", "x4"))
 
-
-def criterion_lemma_3_1(seed: int = 0) -> CriterionResult:
+def criterion_lemma_3_1(seed: int = 0) -> _Check:
     """Balanced-set case analysis on the core gadget and its completion."""
     c = _Check()
     wh = w_hat()
-    listing = lemma_case_sets(wh, POSITIVE_FACES)
+    listing = lemma_case_sets(wh, W_HAT_POSITIVE_FACES)
+    c.facts["sets"] = [list(s) for s in listing]
     got = {frozenset(s) for s in listing}
     c.expect(got == set(LEMMA_TEN_SETS), f"case listing differs: {sorted(map(sorted, got))}")
     plain = enumerate_sets(
@@ -121,10 +126,10 @@ def criterion_lemma_3_1(seed: int = 0) -> CriterionResult:
     ok, witness = check_missing_triangle_lemma(w_prime())
     c.expect(ok, f"a balanced set hits all 7 marked triangles: {witness}")
     c.note(f"ten-set listing reproduced; {len(plain.sets)} strictly maximal; completion lemma holds")
-    return c.result("lemma-3.1", "balanced-set case analysis")
+    return c
 
 
-def criterion_table_1(seed: int = 0) -> CriterionResult:
+def criterion_table_1(seed: int = 0) -> _Check:
     """The (172, 85) certificate with its overlap and triangle audits."""
     c = _Check()
     wh = w_hat()
@@ -142,14 +147,14 @@ def criterion_table_1(seed: int = 0) -> CriterionResult:
     for t in wh.marked_triangles:
         miss = triangle_missing_count(cert, t)
         c.expect(miss <= 4, f"negative triangle {t} missing {miss} > 4")
-    for t in POSITIVE_FACES:
+    for t in W_HAT_POSITIVE_FACES:
         com = triangle_common_count(cert, t)
         c.expect(com <= 4, f"positive triangle {t} full-count {com} > 4")
     c.note("verified; overlap(u,v)=28; negative audits <= 4 missing; positive audits <= 4 common")
-    return c.result("table-1", "(172,85) certificate")
+    return c
 
 
-def criterion_tables_2_3(seed: int = 0) -> CriterionResult:
+def criterion_tables_2_3(seed: int = 0) -> _Check:
     """The two (83, 41) certificates and their per-edge overlaps."""
     c = _Check()
     wh = w_hat()
@@ -163,10 +168,10 @@ def criterion_tables_2_3(seed: int = 0) -> CriterionResult:
             got = overlap(cert, a, b)
             c.expect(got == 14, f"uv={uv}: edge ({a},{b}) overlap {got} != 14")
     c.note("both verified; overlap(u,v) = 13 resp. 14; all other edges exactly 14")
-    return c.result("tables-2-3", "(83,41) certificates")
+    return c
 
 
-def criterion_table_5(seed: int = 0) -> CriterionResult:
+def criterion_table_5(seed: int = 0) -> _Check:
     """The (52, 25) forest certificate on the unsigned core graph."""
     c = _Check()
     wh = w_hat()
@@ -179,13 +184,19 @@ def criterion_table_5(seed: int = 0) -> CriterionResult:
         got = overlap(cert, "u", other)
         c.expect(got == 10, f"overlap(u,{other}) = {got} != 10")
     c.note("verified; all 20 classes induce forests; the four u-overlaps equal 10")
-    return c.result("table-5", "(52,25) forest certificate")
+    return c
 
 
-def criterion_forest_lemmas(seed: int = 0) -> CriterionResult:
+def criterion_forest_lemmas(seed: int = 0) -> _Check:
     """Full subset scan of the 10-vertex core graph for forest facts."""
     c = _Check()
     rep = check_forest_lemmas(w_hat())
+    c.facts.update({
+        "max-forest-order": rep.max_order,
+        "max-with-terminals": rep.max_order_with_terminals,
+        "maximum-forests-with-u": rep.top_sets_with_u,
+        "hitting-two-hubs": rep.top_sets_with_u_hitting_hubs,
+    })
     c.expect(rep.max_order == 5, f"max forest order {rep.max_order}")
     c.expect(rep.max_order_with_terminals == 4, f"max with u,v {rep.max_order_with_terminals}")
     c.expect(rep.hubs_ok, "an order-5 forest with u misses two of z, t, x1")
@@ -193,7 +204,7 @@ def criterion_forest_lemmas(seed: int = 0) -> CriterionResult:
         f"max order 5; with terminals 4; all {rep.top_sets_with_u} "
         "maximum forests containing u hit two hubs"
     )
-    return c.result("forest-lemmas", "forest facts by brute force")
+    return c
 
 
 def _independent_cover_check(g: SignedGraph, prop: SetProperty, result) -> bool:
@@ -221,7 +232,7 @@ def _independent_cover_check(g: SignedGraph, prop: SetProperty, result) -> bool:
     return sum(weights.values()) == result.optimum == sum(duals.values())
 
 
-def criterion_exact_lp(seed: int = 0) -> CriterionResult:
+def criterion_exact_lp(seed: int = 0) -> _Check:
     """Exact covering optima with re-verified strong-duality certificates."""
     c = _Check()
     cases = [
@@ -250,7 +261,7 @@ def criterion_exact_lp(seed: int = 0) -> CriterionResult:
             f"{label}: certificate re-verification failed",
         )
     c.note("3/2, 2, 4/3, 1, 1 with independently re-verified certificates")
-    return c.result("exact-lp", "exact covering LP values")
+    return c
 
 
 def random_trace(rng: random.Random, depth: int) -> BuildTrace:
@@ -289,7 +300,7 @@ def _composed_ok(c: _Check, trace: BuildTrace, label: str) -> None:
             break
 
 
-def criterion_composer(seed: int = 0) -> CriterionResult:
+def criterion_composer(seed: int = 0) -> _Check:
     """The inductive (83, 41)-coloring composer across trace shapes."""
     c = _Check()
     _composed_ok(c, BuildTrace("K3_MINUS"), "empty")
@@ -307,10 +318,10 @@ def criterion_composer(seed: int = 0) -> CriterionResult:
         if c.failures:
             break
     c.note("empty, one-apex, gadget-triangle and 100 random traces verified")
-    return c.result("composer", "inductive (83,41) colorings")
+    return c
 
 
-def criterion_bounds(seed: int = 0) -> CriterionResult:
+def criterion_bounds(seed: int = 0) -> _Check:
     """Thresholds, the missing-color recurrence, and the ratio dichotomy."""
     c = _Check()
     c.expect(bnd.threshold_83_41() == Fraction(83, 41), "83/41 threshold")
@@ -326,10 +337,10 @@ def criterion_bounds(seed: int = 0) -> CriterionResult:
             if finite != (Fraction(p, q) < boundary):
                 c.expect(False, f"dichotomy broken at ({p},{q})")
     c.note("thresholds derived; dichotomy at 83/41 over the full q <= 100 scan")
-    return c.result("bounds", "inequality-chain arithmetic")
+    return c
 
 
-def criterion_constructions(seed: int = 0) -> CriterionResult:
+def criterion_constructions(seed: int = 0) -> _Check:
     """Vertex counts, marked-triangle signs, and simplicity of every builder."""
     c = _Check()
     builds: list[tuple[str, GadgetGraph, int]] = [
@@ -354,7 +365,27 @@ def criterion_constructions(seed: int = 0) -> CriterionResult:
         c.expect(len(pairs) == len(g.graph.edges), f"{name} has parallel edges")
     c.expect(len(u_hat().marked_triangles) == 42, "u_hat must mark 42 triangles")
     c.note("counts 10/16/23/66/130/34, 42 marked on the K4 assembly, all simple")
-    return c.result("constructions", "construction audits")
+    return c
+
+
+def face_sign_audit(builders: dict[str, Callable[[], GadgetGraph]]) -> CriterionResult:
+    """Every marked triangle of every named builder is negative, and both
+    positive faces of w_hat are positive; ``facts["audits"]`` holds the
+    counts and signs."""
+    c = _Check()
+    audits: dict[str, dict[str, int]] = {}
+    for name, builder in builders.items():
+        g = builder()
+        bad = [t for t in g.marked_triangles if triangle_sign(g.graph, t) != -1]
+        audits[name] = {"marked": len(g.marked_triangles), "non-negative": len(bad)}
+        c.expect(not bad, f"{name}: marked {bad} not negative")
+    wh = w_hat()
+    for t in W_HAT_POSITIVE_FACES:
+        sign = triangle_sign(wh.graph, t)
+        audits[f"positive {','.join(t)}"] = {"sign": sign}
+        c.expect(sign == 1, f"face {t} has sign {sign}")
+    c.facts["audits"] = audits
+    return c.result("triangle-signs", "face-sign audit")
 
 
 def balance_oracle(g: SignedGraph, members: Iterable[str]) -> bool:
@@ -402,7 +433,7 @@ def random_signed_graph(rng: random.Random, max_n: int = 8) -> SignedGraph:
     return SignedGraph(names, tuple(edges))
 
 
-def criterion_properties(seed: int = 0, graphs: int = 500) -> CriterionResult:
+def criterion_properties(seed: int = 0, graphs: int = 500) -> _Check:
     """Randomized property corpus: heredity, switching invariance, witness
     soundness, serialization round trips, and oracle equivalence."""
     c = _Check()
@@ -446,10 +477,10 @@ def criterion_properties(seed: int = 0, graphs: int = 500) -> CriterionResult:
             c.expect(False, f"switching invariance broken on graph {k}")
             break
     c.note(f"{graphs} random graphs: oracle equality, witnesses, heredity, switching, round trips")
-    return c.result("properties", "randomized property suites")
+    return c
 
 
-CRITERIA: dict[str, tuple[str, Callable[[int], CriterionResult]]] = {
+CRITERIA: dict[str, tuple[str, Callable[[int], _Check]]] = {
     "lemma-3.1": ("balanced-set case analysis", criterion_lemma_3_1),
     "table-1": ("(172,85) certificate", criterion_table_1),
     "tables-2-3": ("(83,41) certificates", criterion_tables_2_3),
@@ -466,9 +497,9 @@ CRITERIA: dict[str, tuple[str, Callable[[int], CriterionResult]]] = {
 def run_criterion(cid: str, seed: int = 0) -> CriterionResult:
     if cid not in CRITERIA:
         raise KeyError(f"unknown criterion {cid!r}; known: {', '.join(CRITERIA)}")
-    _, fn = CRITERIA[cid]
-    return fn(seed)
+    title, fn = CRITERIA[cid]
+    return fn(seed).result(cid, title)
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
-    return [fn(seed) for _, fn in CRITERIA.values()]
+    return [run_criterion(cid, seed) for cid in CRITERIA]

@@ -5,15 +5,19 @@ color class ``rep`` times, drawing from a palette of p colors, and every
 vertex must be covered at least q times.  Classes identify colors only
 through multiplicity; duplicate rows for the same set are merged on load.
 
-The verifier is deliberately primitive: it uses only balance / forest
-checks and integer counting, so it stays independent of whatever produced
-the certificate (the LP solver or the inductive composer).
+The audits (overlaps, triangle counts, profiles) are popcounts on one
+cached view, ``Certificate.masks``: the classes laid out on consecutive
+colors, one color bitmask per vertex.  The verifier is deliberately
+primitive: it uses only balance / forest checks and integer counting over
+the classes, so it stays independent of whatever produced the certificate
+(the LP solver or the inductive composer, which reads the mask view).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness
@@ -112,8 +116,19 @@ class Certificate:
     def total_rep(self) -> int:
         return sum(rep for _, rep in self.classes)
 
-    def coverage(self, v: str) -> int:
-        return sum(rep for s, rep in self.classes if v in s)
+    @cached_property
+    def masks(self) -> dict[str, int]:
+        """Color masks: the classes take consecutive colors, each as many as
+        its repetition, and bit i of ``masks[v]`` is set iff v holds color i.
+        Vertices in no class are absent.  Shared; copy before changing."""
+        masks: dict[str, int] = {}
+        color = 0
+        for s, rep in self.classes:
+            block = ((1 << rep) - 1) << color
+            for v in s:
+                masks[v] = masks.get(v, 0) | block
+            color += rep
+        return masks
 
 
 @dataclass(frozen=True)
@@ -129,10 +144,6 @@ class VerifyReport:
     ok: bool
     per_vertex_coverage: tuple[tuple[str, int], ...]
     violations: tuple[Violation, ...]
-
-    @property
-    def coverage_map(self) -> dict[str, int]:
-        return dict(self.per_vertex_coverage)
 
 
 def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
@@ -186,15 +197,16 @@ def overlap(c: Certificate, x: str, y: str) -> int:
     """Number of common colors of two vertices."""
     if x == y:
         raise GraphError("overlap needs two distinct vertices")
-    return sum(rep for s, rep in c.classes if x in s and y in s)
+    m = c.masks
+    return (m.get(x, 0) & m.get(y, 0)).bit_count()
 
 
 def triangle_common_count(c: Certificate, t: Sequence[str]) -> int:
     """Number of colors appearing on all three vertices of a triangle."""
     if len(set(t)) != 3:
         raise GraphError("expected 3 distinct vertices")
-    need = set(t)
-    return sum(rep for s, rep in c.classes if need <= set(s))
+    a, b, d = (c.masks.get(v, 0) for v in set(t))
+    return (a & b & d).bit_count()
 
 
 def triangle_missing_count(c: Certificate, t: Sequence[str]) -> int:
@@ -205,9 +217,8 @@ def triangle_missing_count(c: Certificate, t: Sequence[str]) -> int:
     """
     if len(set(t)) != 3:
         raise GraphError("expected 3 distinct vertices")
-    need = set(t)
-    disjoint = sum(rep for s, rep in c.classes if not need & set(s))
-    return disjoint + (c.p - c.total_rep)
+    a, b, d = (c.masks.get(v, 0) for v in set(t))
+    return c.p - (a | b | d).bit_count()
 
 
 def triangle_property_audit(c: Certificate, t: Sequence[str], sign: int) -> bool:
@@ -248,12 +259,12 @@ def profile(c: Certificate, terminals: Sequence[str]) -> OverlapProfile:
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
             pairs.append(((terms[i], terms[j]), overlap(c, terms[i], terms[j])))
+    m = c.masks
     singles = []
     for v in terms:
-        others = [w for w in terms if w != v]
-        count = sum(
-            rep for s, rep in c.classes
-            if v in s and not any(w in s for w in others)
-        )
-        singles.append((v, count))
+        others = 0
+        for w in terms:
+            if w != v:
+                others |= m.get(w, 0)
+        singles.append((v, (m.get(v, 0) & ~others).bit_count()))
     return OverlapProfile(tuple(pairs), tuple(singles))

@@ -1,6 +1,9 @@
 """Command-line entry point wiring every module together.
 
-Exit codes: 0 success, 1 a verification or check failed, 2 usage or input
+The commands parse arguments, call the library and print; every check
+and audit is defined in ``acceptance`` or ``certify`` and only printed
+here (``check`` prints a CriterionResult's verdict and facts).  Exit
+codes: 0 success, 1 a verification or check failed, 2 usage or input
 error, 3 an enumeration guard was exceeded.  All output is deterministic
 JSON (or fixed-format report lines), so identical invocations are
 byte-identical; ``--seed`` fixes the only randomness (trace sampling in
@@ -13,14 +16,14 @@ import json
 import sys
 from typing import Callable
 
-from .acceptance import CRITERIA, run_all, run_criterion
+from .acceptance import CRITERIA, face_sign_audit, run_all, run_criterion
 from .bounds import BoundParams, BoundsError, first_infeasible_index, m_upper_bound, mu_bound
 from .bounds import threshold_52_25, threshold_83_41, threshold_172_85
 from .certify import Certificate, CertificateError
-from .certify import triangle_common_count, triangle_missing_count, verify
+from .certify import triangle_common_count, triangle_missing_count, triangle_property_audit, verify
 from .compose import ComposeError, compose_8341
 from .cover import CoverError, a_f, chi_fb, column_generation
-from .families import GuardExceeded, SetProperty, check_forest_lemmas, enumerate_sets, lemma_case_sets
+from .families import GuardExceeded, SetProperty, enumerate_sets
 from .gadgets import (
     BuildTrace,
     TraceError,
@@ -34,7 +37,7 @@ from .gadgets import (
     w_hat,
     w_prime,
 )
-from .sgraph import GraphError, parse_graph, serialize_graph, triangle_sign
+from .sgraph import GraphError, parse_graph, serialize_graph
 
 BUILDERS: dict[str, Callable] = {
     "k3-minus": k3_minus,
@@ -145,15 +148,12 @@ def cmd_audit_triangle(args) -> int:
     t = tuple(args.triangle.split(","))
     if len(t) != 3:
         raise GraphError("--triangle needs three comma-separated vertices")
-    missing = triangle_missing_count(cert, t)
-    common = triangle_common_count(cert, t)
-    strict = missing == 0 if args.sign == -1 else common == 0
     obj = {
         "triangle": list(t),
         "sign": args.sign,
-        "missing": missing,
-        "common": common,
-        "strict_property": strict,
+        "missing": triangle_missing_count(cert, t),
+        "common": triangle_common_count(cert, t),
+        "strict_property": triangle_property_audit(cert, t, args.sign),
     }
     _emit(args, json.dumps(obj, indent=2))
     return 0
@@ -182,39 +182,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.which == "lemma-3.1":
-        res = run_criterion("lemma-3.1", args.seed)
-        wh = w_hat()
-        listing = lemma_case_sets(wh, (("u", "x1", "x2"), ("v", "x3", "x4")))
-        obj = {"ok": res.ok, "details": res.details, "sets": [list(s) for s in listing]}
-        _emit(args, json.dumps(obj, indent=2))
-        return 0 if res.ok else 1
-    if args.which == "forest-lemmas":
-        rep = check_forest_lemmas(w_hat())
-        ok = rep.max_order == 5 and rep.max_order_with_terminals == 4 and rep.hubs_ok
-        obj = {
-            "ok": ok,
-            "max-forest-order": rep.max_order,
-            "max-with-terminals": rep.max_order_with_terminals,
-            "maximum-forests-with-u": rep.top_sets_with_u,
-            "hitting-two-hubs": rep.top_sets_with_u_hitting_hubs,
-        }
-        _emit(args, json.dumps(obj, indent=2))
-        return 0 if ok else 1
-    # triangle-signs: face-sign audit of every constructor
-    audits = {}
-    ok = True
-    for name, builder in BUILDERS.items():
-        g = builder()
-        bad = [t for t in g.marked_triangles if triangle_sign(g.graph, t) != -1]
-        audits[name] = {"marked": len(g.marked_triangles), "non-negative": len(bad)}
-        ok = ok and not bad
-    wh = w_hat()
-    for t in (("u", "x1", "x2"), ("v", "x3", "x4")):
-        audits[f"positive {','.join(t)}"] = {"sign": triangle_sign(wh.graph, t)}
-        ok = ok and triangle_sign(wh.graph, t) == 1
-    _emit(args, json.dumps({"ok": ok, "audits": audits}, indent=2))
-    return 0 if ok else 1
+    if args.which == "triangle-signs":
+        res = face_sign_audit(BUILDERS)
+    else:
+        res = run_criterion(args.which, args.seed)
+    head = {"ok": res.ok, "details": res.details} if args.which == "lemma-3.1" else {"ok": res.ok}
+    _emit(args, json.dumps({**head, **res.facts}, indent=2))
+    return 0 if res.ok else 1
 
 
 def cmd_reproduce(args) -> int:
@@ -228,8 +202,7 @@ def cmd_reproduce(args) -> int:
         print(f"{mark} {res.cid:14s} {res.title}: {res.details}")
         failed += 0 if res.ok else 1
     if args.id == "lemma-3.1":
-        wh = w_hat()
-        for s in lemma_case_sets(wh, (("u", "x1", "x2"), ("v", "x3", "x4"))):
+        for s in results[0].facts["sets"]:
             print("  {" + ", ".join(s) + "}")
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1

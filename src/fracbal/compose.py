@@ -4,9 +4,10 @@ Every graph built from the all-negative triangle by the two trace
 operations admits a balanced (83, 41)-coloring in which the endpoints of
 every edge share either 13 or 14 colors.  This module constructs one by
 replaying the trace while carrying the coloring as one 83-bit mask per
-vertex (bit i set iff the vertex holds color i), so the overlap of two
-vertices is ``(m[x] & m[y]).bit_count()`` and every pool below is mask
-algebra.  A pool's first ``count`` colors are its lowest set bits:
+vertex (bit i set iff the vertex holds color i; fixture colorings enter
+as their ``Certificate.masks``), so the overlap of two vertices is
+``(m[x] & m[y]).bit_count()`` and every pool below is mask algebra.  A
+pool's first ``count`` colors are its lowest set bits:
 
 * Base: the all-negative triangle colored with pairwise overlaps
   (14, 14, 14) and 13 exclusive colors per vertex.
@@ -37,6 +38,7 @@ from typing import Iterator, Sequence
 
 from .certify import Certificate, Mode
 from .gadgets import (  # noqa: F401  (perfbench/spans.py wraps compose.apply_trace_step)
+    W_HAT_POSITIVE_FACES,
     BuildTrace,
     Op1,
     _Builder,
@@ -78,21 +80,8 @@ def _lowest(pool: int, count: int) -> int:
     return sum(1 << i for i in islice(_bits(pool), count))
 
 
-def _masks(cert: Certificate) -> dict[str, int]:
-    """Certificate as color masks: classes take consecutive colors, each
-    as many as its repetition."""
-    masks: dict[str, int] = {}
-    color = 0
-    for s, rep in cert.classes:
-        block = ((1 << rep) - 1) << color
-        for v in s:
-            masks[v] = masks.get(v, 0) | block
-        color += rep
-    return masks
-
-
 def _base_state(base: str) -> _State:
-    state = _State(_Builder(k3_minus()), _masks(k3_base_colorings()["14-14-14"]))
+    state = _State(_Builder(k3_minus()), dict(k3_base_colorings()["14-14-14"].masks))
     if base == "K4_MINUS":
         state.graph = _Builder(k4_minus())
         _extend_apex(state, ("u1", "u2", "u3"), "u4", step=0)
@@ -133,9 +122,9 @@ def _extend_substitution(
     mx, my = (state.masks[v] for v in edge)
     a = (mx & my).bit_count()
     if a == 13:
-        template = _masks(w_coloring_83_41_uv13())
+        template = w_coloring_83_41_uv13().masks
     elif a == 14:
-        template = _masks(w_coloring_83_41_uv14())
+        template = w_coloring_83_41_uv14().masks
     else:
         raise ComposeError(f"step {step}: edge {edge} has overlap {a}, not 13 or 14")
 
@@ -155,10 +144,7 @@ def _extend_substitution(
         if w not in ("u", "v"):
             state.masks[mapping[w]] = sum(1 << to_host[i] for i in _bits(m))
 
-    for outer, minis in (
-        (("u", "x1", "x2"), ("a1", "a2", "a3")),
-        (("v", "x3", "x4"), ("b1", "b2", "b3")),
-    ):
+    for outer, minis in zip(W_HAT_POSITIVE_FACES, (("a1", "a2", "a3"), ("b1", "b2", "b3"))):
         _extend_mini(state, [mapping[o] for o in outer], [mapping[m] for m in minis], step)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .certify import Certificate, Mode
 from .families import SetFamily, SetProperty, enumerate_sets, _Core
@@ -43,17 +43,6 @@ class LpResult:
     optimum: Fraction
     primal: tuple[tuple[tuple[str, ...], Fraction], ...]
     dual: tuple[tuple[str, Fraction], ...]
-
-    def primal_weight(self, s: Iterable[str]) -> Fraction:
-        key = tuple(s)
-        for t, w in self.primal:
-            if t == key:
-                return w
-        return Fraction(0)
-
-    @property
-    def dual_map(self) -> dict[str, Fraction]:
-        return dict(self.dual)
 
 
 def verify_cover_certificates(
@@ -237,7 +226,7 @@ def column_generation(
         # singletons and priced columns hold the property by construction
         fam = SetFamily._trusted(g, prop, tuple(columns))
         master = fractional_cover_optimum(fam)
-        y = master.dual_map
+        y = dict(master.dual)
         best_w, best_s, price_nodes = _price(g, prop, y)
         nodes += price_nodes
         iterations += 1

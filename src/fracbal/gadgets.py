@@ -354,13 +354,17 @@ def w_hat() -> GadgetGraph:
     return GadgetGraph(g, {"u": "u", "v": "v"}, marked)
 
 
+# the two positive faces of w_hat, completed with mini gadgets in w_prime
+W_HAT_POSITIVE_FACES = (("u", "x1", "x2"), ("v", "x3", "x4"))
+
+
 def w_prime() -> GadgetGraph:
     """w_hat with both positive faces completed; 16 vertices, 7 marked triangles."""
     b = _Builder(w_hat())
     # canonical order of (u, x1, x2) is (x1, x2, u); primes in that order
     # are a2 = prime(x1), a3 = prime(x2), a1 = prime(u)
-    b.add_mini(("u", "x1", "x2"), ("a2", "a3", "a1"))
-    b.add_mini(("v", "x3", "x4"), ("b2", "b3", "b1"))
+    for face, primes in zip(W_HAT_POSITIVE_FACES, (("a2", "a3", "a1"), ("b2", "b3", "b1"))):
+        b.add_mini(face, primes)
     return b.freeze()
 
 

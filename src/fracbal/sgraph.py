@@ -100,11 +100,6 @@ class SignedGraph:
         except KeyError:
             raise GraphError(f"no edge ({a!r}, {b!r})") from None
 
-    def neighbors(self, v: str) -> dict[str, int]:
-        if v not in self.adj:
-            raise GraphError(f"unknown vertex {v!r}")
-        return self.adj[v]
-
     def induced_edges(self, members: Iterable[str]) -> Iterator[tuple[str, str, int]]:
         inside = set(members)
         for a, b, sign in self.edges:
@@ -273,29 +268,30 @@ def _fundamental_cycle(parent, depth, a: str, b: str) -> tuple[str, ...]:
     return tuple(up_a + up_b[-2::-1])
 
 
-def negative_cycle_witness(g: SignedGraph, members: Iterable[str]) -> CycleWitness | None:
-    """Explicit negative cycle inside ``members``, or None when balanced."""
+def _first_cycle(
+    g: SignedGraph, members: Iterable[str], negative_only: bool
+) -> CycleWitness | None:
+    """The fundamental cycle of the first non-tree edge of the induced BFS
+    forest, in edge order, skipping positive cycles when ``negative_only``."""
     s = canonical_set(g, members)
     parent, parity, depth = _bfs_forest(g, s)
     for a, b, sign in g.induced_edges(s):
         if parent.get(a) == b or parent.get(b) == a:
             continue
-        if parity[a] ^ parity[b] ^ (1 if sign < 0 else 0):
-            return CycleWitness(_fundamental_cycle(parent, depth, a, b), -1)
+        negative = parity[a] ^ parity[b] ^ (1 if sign < 0 else 0)
+        if negative or not negative_only:
+            return CycleWitness(_fundamental_cycle(parent, depth, a, b), -1 if negative else 1)
     return None
+
+
+def negative_cycle_witness(g: SignedGraph, members: Iterable[str]) -> CycleWitness | None:
+    """Explicit negative cycle inside ``members``, or None when balanced."""
+    return _first_cycle(g, members, negative_only=True)
 
 
 def any_cycle(g: SignedGraph, members: Iterable[str]) -> CycleWitness | None:
     """Any induced cycle (with its sign), or None when the set is a forest."""
-    s = canonical_set(g, members)
-    parent, parity, depth = _bfs_forest(g, s)
-    for a, b, sign in g.induced_edges(s):
-        if parent.get(a) == b or parent.get(b) == a:
-            continue
-        cyc = _fundamental_cycle(parent, depth, a, b)
-        csign = -1 if parity[a] ^ parity[b] ^ (1 if sign < 0 else 0) else 1
-        return CycleWitness(cyc, csign)
-    return None
+    return _first_cycle(g, members, negative_only=False)
 
 
 def switch(g: SignedGraph, members: Iterable[str]) -> SignedGraph:

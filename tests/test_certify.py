@@ -1,10 +1,15 @@
 """Certificate model, verifier findings, audits, and the fixture tables."""
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbal.certify import (
     Certificate,
     CertificateError,
     Mode,
+    OverlapProfile,
     overlap,
     profile,
     triangle_common_count,
@@ -14,6 +19,7 @@ from fracbal.certify import (
 )
 from fracbal.cover import chi_fb, lp_to_certificate
 from fracbal.gadgets import k4_minus, w_hat
+from fracbal.sgraph import GraphError
 from fracbal.tables import (
     FixtureError,
     k3_base_colorings,
@@ -181,3 +187,91 @@ def test_fixture_checksum_guard(tmp_path, monkeypatch):
     monkeypatch.undo()
     tables.w_forest_52_25.cache_clear()
     assert tables.w_forest_52_25().p == 52
+
+
+# Class-scan audits as they stood before the mask view: the oracle side of
+# the differential test below.
+def reference_overlap(c, x, y):
+    if x == y:
+        raise GraphError("overlap needs two distinct vertices")
+    return sum(rep for s, rep in c.classes if x in s and y in s)
+
+
+def reference_triangle_common_count(c, t):
+    if len(set(t)) != 3:
+        raise GraphError("expected 3 distinct vertices")
+    need = set(t)
+    return sum(rep for s, rep in c.classes if need <= set(s))
+
+
+def reference_triangle_missing_count(c, t):
+    if len(set(t)) != 3:
+        raise GraphError("expected 3 distinct vertices")
+    need = set(t)
+    disjoint = sum(rep for s, rep in c.classes if not need & set(s))
+    return disjoint + (c.p - c.total_rep)
+
+
+def reference_profile(c, terminals):
+    terms = list(terminals)
+    pairs = []
+    for i in range(len(terms)):
+        for j in range(i + 1, len(terms)):
+            pairs.append(((terms[i], terms[j]), reference_overlap(c, terms[i], terms[j])))
+    singles = []
+    for v in terms:
+        others = [w for w in terms if w != v]
+        count = sum(
+            rep for s, rep in c.classes
+            if v in s and not any(w in s for w in others)
+        )
+        singles.append((v, count))
+    return OverlapProfile(tuple(pairs), tuple(singles))
+
+
+# six names a certificate may use, two it never does
+_MEMBERS = ("a", "b", "c", "d", "e", "f")
+_NAMES = _MEMBERS + ("ghost", "stranger")
+
+
+@st.composite
+def raw_certificates(draw):
+    """Rows as a caller passes them: sets in any order, repeated sets that
+    ``build`` merges, and a palette that may exceed the total repetition."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=4, unique=True),
+            st.integers(1, 3),
+        ),
+        max_size=6,
+    ))
+    if rows:
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows += [(list(reversed(s)), rep) for s, rep in repeats]
+    total = sum(rep for _, rep in rows)
+    p = max(total, 1) + draw(st.integers(0, 3))
+    return Certificate.build(p, 1, Mode.BALANCED, rows)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except GraphError as exc:
+        return "error", str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(raw_certificates(), st.lists(st.sampled_from(_NAMES), max_size=5))
+def test_mask_audits_match_class_scans(cert, terminals):
+    for x in _NAMES:
+        for y in _NAMES:
+            assert _outcome(overlap, cert, x, y) == _outcome(reference_overlap, cert, x, y)
+    # repeated names hit the distinctness checks, with the same messages
+    for t in [*combinations(_NAMES, 3), ("a", "a", "b"), ("ghost",) * 3, ("a", "b", "c", "a")]:
+        assert _outcome(triangle_common_count, cert, t) == _outcome(
+            reference_triangle_common_count, cert, t
+        )
+        assert _outcome(triangle_missing_count, cert, t) == _outcome(
+            reference_triangle_missing_count, cert, t
+        )
+    assert _outcome(profile, cert, terminals) == _outcome(reference_profile, cert, terminals)

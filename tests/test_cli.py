@@ -106,10 +106,32 @@ def test_solve_output_is_pinned(tmp_path, capsys, name, argv, digest):
     assert _digest(out) == digest
 
 
-def test_reproduce_all_output_is_pinned(capsys):
-    code, out, _ = run(capsys, "reproduce", "all")
-    assert code == 0
-    assert _digest(out) == "2a0039696de74c29"
+# sha256 prefixes of the exact standard output of the report commands; CERT
+# stands for the (172, 85) fixture written out with to_json()
+_PINNED_REPORTS = {
+    ("reproduce", "all"): "2a0039696de74c29",
+    ("reproduce", "lemma-3.1"): "87f41cbd111926b5",
+    ("check", "lemma-3.1"): "f7c89a68fa95e010",
+    ("check", "forest-lemmas"): "0864807e54a98af0",
+    ("check", "triangle-signs"): "acf716ca5ff3992f",
+    ("audit-triangle", "CERT", "--triangle", "w,x1,x2", "--sign", "-1"): "c17fa26d6af2f3f5",
+    ("audit-triangle", "CERT", "--triangle", "u,x1,x2", "--sign", "-1"): "2a95282d979d0f2f",
+    ("audit-triangle", "CERT", "--triangle", "w,x1,x2", "--sign", "1"): "e476c8217ed683af",
+    ("audit-triangle", "CERT", "--triangle", "u,x1,x2", "--sign", "1"): "ad6e93fcadec82b6",
+}
+
+
+def test_reproduce_all_output_is_pinned(tmp_path, capsys):
+    from fracbal.tables import w_coloring_172_85
+
+    cert = tmp_path / "t1.json"
+    cert.write_text(w_coloring_172_85().to_json())
+    got = {}
+    for argv in _PINNED_REPORTS:
+        code, out, _ = run(capsys, *(str(cert) if a == "CERT" else a for a in argv))
+        assert code == 0, argv
+        got[argv] = _digest(out)
+    assert got == _PINNED_REPORTS
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
