@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness
+from .sgraph import GraphError, SignedGraph, any_cycle, load_json, negative_cycle_witness
 
 
 class CertificateError(ValueError):
@@ -85,10 +85,7 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CertificateError(f"malformed JSON: {exc}") from exc
+        obj = load_json(text, CertificateError)
         try:
             mode = Mode(obj["mode"])
             p, q = obj["p"], obj["q"]

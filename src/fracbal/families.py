@@ -373,14 +373,12 @@ class ForestLemmaReport:
         return self.top_sets_with_u == self.top_sets_with_u_hitting_hubs
 
 
-def check_forest_lemmas(
-    g: GadgetGraph, hubs: Sequence[str] = ("z", "t", "x1")
-) -> ForestLemmaReport:
+def check_forest_lemmas(g: GadgetGraph) -> ForestLemmaReport:
     """Brute-force acyclic-set facts for the 10-vertex core graph.
 
     Scans all vertex subsets and reports the maximum induced-forest order,
     the maximum containing both terminals, and whether every maximum-order
-    forest containing u includes at least two of the hub vertices.
+    forest containing u includes at least two of the hub vertices z, t, x1.
     """
     graph = g.graph
     n = len(graph.vertices)
@@ -388,7 +386,7 @@ def check_forest_lemmas(
         raise GuardExceeded(f"{n} vertices is too many for a full subset scan")
     u = g.terminal("u")
     v = g.terminal("v")
-    hub_set = set(hubs)
+    hub_set = {"z", "t", "x1"}
     verts = graph.vertices
     max_order = 0
     max_uv = 0

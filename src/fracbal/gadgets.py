@@ -31,6 +31,7 @@ from .sgraph import (
     GraphError,
     SignedGraph,
     canonical_set,
+    load_json,
     triangle_sign,
 )
 
@@ -190,7 +191,6 @@ class _Builder:
         guest: GadgetGraph,
         t_guest: Iterable[str],
         suffix: str | int,
-        correspondence: Mapping[str, str] | None,
     ) -> None:
         """See ``glue_triangle``."""
         th = _triple(self, t_host)
@@ -199,10 +199,7 @@ class _Builder:
             raise GraphError(f"host triangle {th} is not negative")
         if triangle_sign(guest.graph, tg) != -1:
             raise GraphError(f"guest triangle {tg} is not negative")
-        if correspondence is None:
-            correspondence = dict(zip(tg, th))
-        if sorted(correspondence) != sorted(tg) or sorted(correspondence.values()) != sorted(th):
-            raise GraphError("correspondence must biject the two triangles")
+        correspondence = dict(zip(tg, th))
 
         gsign = guest.graph.sign
         pairs = [(tg[0], tg[1]), (tg[0], tg[2]), (tg[1], tg[2])]
@@ -402,19 +399,17 @@ def glue_triangle(
     guest: GadgetGraph,
     t_guest: Iterable[str],
     suffix: str | int = "g",
-    correspondence: Mapping[str, str] | None = None,
 ) -> GadgetGraph:
     """Identify a negative triangle of ``guest`` with one of ``host``.
 
-    ``correspondence`` maps guest triangle vertices to host triangle
-    vertices (default: canonical order to canonical order).  The guest copy
+    The triangles' vertices are matched in canonical order.  The guest copy
     is switched at a subset of the identified vertices so the three shared
     edge signs agree with the host; both triangles being negative, such a
     subset always exists.  Shared edges are merged, other guest vertices
     are renamed with ``#<suffix>``.
     """
     b = _Builder(host)
-    b.glue(t_host, guest, t_guest, suffix, correspondence)
+    b.glue(t_host, guest, t_guest, suffix)
     return b.freeze()
 
 
@@ -437,7 +432,10 @@ def g_hat_k3() -> GadgetGraph:
     return _edges_replaced(k3_minus(), w_double_prime())
 
 
-def g_sequence(i: int, depth_guard: int = 2) -> GadgetGraph:
+_G_SEQUENCE_MAX_LEVEL = 2  # level 3 would have hundreds of thousands of vertices
+
+
+def g_sequence(i: int) -> GadgetGraph:
     """The iterated gadget family: level 0 is the all-negative K4, and each
     later level is u_hat with a fresh copy of the previous level glued onto
     every one of its 42 marked triangles.
@@ -448,13 +446,13 @@ def g_sequence(i: int, depth_guard: int = 2) -> GadgetGraph:
     """
     if i < 0:
         raise GraphError("level must be nonnegative")
-    if i > depth_guard:
-        raise TraceError(i, f"depth guard exceeded ({i} > {depth_guard})")
+    if i > _G_SEQUENCE_MAX_LEVEL:
+        raise TraceError(i, f"depth guard exceeded ({i} > {_G_SEQUENCE_MAX_LEVEL})")
     g = k4_minus()
     for _ in range(i):
         b = _Builder(u_hat())
         for k, t in enumerate(b.marked[:42], start=1):
-            b.glue(t, g, ("u1", "u2", "u3"), f"g{k}", None)
+            b.glue(t, g, ("u1", "u2", "u3"), f"g{k}")
         g = b.freeze()
     return g
 
@@ -513,10 +511,7 @@ class BuildTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "BuildTrace":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"malformed JSON: {exc}") from exc
+        obj = load_json(text, GraphError)
         if not isinstance(obj, dict):
             raise GraphError("trace document must be a JSON object")
         raw_steps = obj.get("steps", [])

@@ -12,7 +12,7 @@ output (sorted sets, sorted edge lists, witness extraction).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -44,11 +44,12 @@ class SignedGraph:
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, int], ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise GraphError("duplicate vertex name")
         index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
+            raise GraphError("duplicate vertex name")
         n = len(index)
         normalized: dict[int, tuple[str, str, int]] = {}  # by index[a] * n + index[b]
         for a, b, sign in self.edges:
@@ -65,27 +66,16 @@ class SignedGraph:
                 raise GraphError(f"duplicate edge ({a!r}, {b!r})")
             normalized[key] = (a, b, sign)
         object.__setattr__(self, "edges", tuple(normalized[k] for k in sorted(normalized)))
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        object.__setattr__(self, "index", index)
 
     @cached_property
     def adj(self) -> dict[str, dict[str, int]]:
+        """Each vertex's neighbours, with edge signs, in canonical order."""
         nbrs: dict[str, dict[str, int]] = {v: {} for v in self.vertices}
+        # the edge list is sorted, so every dict is filled in canonical order
         for a, b, sign in self.edges:
             nbrs[a][b] = sign
             nbrs[b][a] = sign
-        return nbrs
-
-    @cached_property
-    def canonical_adj(self) -> dict[str, list[str]]:
-        """Each vertex's neighbours in canonical order."""
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        # the edge list is sorted, so every list is built in canonical order
-        for a, b, _ in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
         return nbrs
 
     def has_vertex(self, v: str) -> bool:
@@ -193,29 +183,29 @@ class ParityDSU:
                 self.rank[root] -= 1
 
 
-def is_balanced(g: SignedGraph, members: Iterable[str]) -> bool:
-    """True iff ``members`` induces no cycle with edge-sign product -1."""
+def _unions_hold(g: SignedGraph, members: Iterable[str], acyclic: bool) -> bool:
+    """Union the induced edges of ``members`` in edge order; False at the
+    first edge that closes any cycle (``acyclic``) or a negative one."""
     s = canonical_set(g, members)
     pos = {v: i for i, v in enumerate(s)}
     dsu = ParityDSU(len(s))
     for a, b, sign in g.induced_edges(s):
-        if not dsu.union(pos[a], pos[b], sign < 0):
+        x, y = pos[a], pos[b]
+        if acyclic and dsu.find(x)[0] == dsu.find(y)[0]:
+            return False
+        if not dsu.union(x, y, sign < 0):
             return False
     return True
+
+
+def is_balanced(g: SignedGraph, members: Iterable[str]) -> bool:
+    """True iff ``members`` induces no cycle with edge-sign product -1."""
+    return _unions_hold(g, members, acyclic=False)
 
 
 def is_acyclic(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces a forest (signs ignored)."""
-    s = canonical_set(g, members)
-    pos = {v: i for i, v in enumerate(s)}
-    dsu = ParityDSU(len(s))
-    for a, b, _ in g.induced_edges(s):
-        ra, _ = dsu.find(pos[a])
-        rb, _ = dsu.find(pos[b])
-        if ra == rb:
-            return False
-        dsu.union(pos[a], pos[b], False)
-    return True
+    return _unions_hold(g, members, acyclic=True)
 
 
 def _bfs_forest(g: SignedGraph, s: tuple[str, ...]):
@@ -239,10 +229,10 @@ def _bfs_forest(g: SignedGraph, s: tuple[str, ...]):
         while head < len(queue):
             v = queue[head]
             head += 1
-            for w in g.canonical_adj[v]:
+            for w, sign in g.adj[v].items():
                 if w in inside and w not in parent:
                     parent[w] = v
-                    parity[w] = parity[v] ^ (1 if g.adj[v][w] < 0 else 0)
+                    parity[w] = parity[v] ^ (1 if sign < 0 else 0)
                     depth[w] = depth[v] + 1
                     queue.append(w)
     return parent, parity, depth
@@ -312,14 +302,14 @@ def all_triangles(g: SignedGraph) -> list[tuple[tuple[str, str, str], int]]:
     out = []
     idx = g.index
     for a in g.vertices:
-        for b in g.canonical_adj[a]:
+        adj_a = g.adj[a]
+        for b, ab in adj_a.items():
             if idx[b] <= idx[a]:
                 continue
-            for c in g.canonical_adj[b]:
-                if idx[c] <= idx[b] or c not in g.adj[a]:
+            for c, bc in g.adj[b].items():
+                if idx[c] <= idx[b] or c not in adj_a:
                     continue
-                sign = g.adj[a][b] * g.adj[b][c] * g.adj[a][c]
-                out.append(((a, b, c), sign))
+                out.append(((a, b, c), ab * bc * adj_a[c]))
     return out
 
 
@@ -341,15 +331,21 @@ def is_k4_minus_equivalent(g: SignedGraph) -> bool:
     return all(sign == -1 for _, sign in all_triangles(g))
 
 
+def load_json(text: str, error: type[Exception]) -> object:
+    """``json.loads``, raising ``error`` on text that is not JSON or nests
+    too deeply for the decoder."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"malformed JSON: {exc}") from exc
+
+
 def parse_graph(text: str) -> SignedGraph:
     """Parse the graph JSON schema into a SignedGraph.
 
     Schema: ``{"vertices": ["u", ...], "edges": [{"a": .., "b": .., "sign": -1}, ...]}``
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"malformed JSON: {exc}") from exc
+    obj = load_json(text, GraphError)
     if not isinstance(obj, dict):
         raise GraphError("graph document must be a JSON object")
     vertices = obj.get("vertices")

@@ -268,11 +268,18 @@ _STEPS = '{"base": "K3_MINUS", "steps": %s}'
         pytest.param("verify",
                      '{"vertices": ["u"], "edges": [{"a": ["u"], "b": "u", "sign": 1}]}',
                      _GOOD_CERT, id="endpoint-not-string"),
+        pytest.param("compose-8341", None, "[" * 100000, id="trace-too-deep"),
+        pytest.param("verify", "[" * 100000, _GOOD_CERT, id="graph-too-deep"),
+        pytest.param("verify", _GOOD_GRAPH, "[" * 100000, id="certificate-too-deep"),
+        pytest.param("verify", _GOOD_GRAPH, b'{"p": 2, "q": 1, "mode": "\xff"}', id="not-utf-8"),
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, graph, document):
     doc = tmp_path / "doc.json"
-    doc.write_text(document)
+    if isinstance(document, bytes):
+        doc.write_bytes(document)
+    else:
+        doc.write_text(document)
     argv = [command, str(doc)]
     if graph is not None:
         gfile = tmp_path / "graph.json"

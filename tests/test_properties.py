@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from fracbal.sgraph import (
     SignedGraph,
     all_triangles,
+    any_cycle,
+    is_acyclic,
     is_balanced,
     negative_cycle_witness,
     parse_graph,
@@ -101,3 +103,51 @@ def test_all_triangles_matches_triple_scan(g, data):
         if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
     ]
     assert all_triangles(g) == want
+
+
+@given(signed_graphs(), st.data())
+@settings(derandomize=True, max_examples=200)
+def test_adjacency_is_in_canonical_order(g, data):
+    # shuffled declaration order, edge order and endpoint order
+    order = tuple(data.draw(st.permutations(g.vertices)))
+    edges = [
+        (b, a, sign) if data.draw(st.booleans()) else (a, b, sign)
+        for a, b, sign in data.draw(st.permutations(g.edges))
+    ]
+    g = SignedGraph(order, tuple(edges))
+    for v in order:
+        signs = {b: sign for a, b, sign in edges if a == v}
+        signs.update({a: sign for a, b, sign in edges if b == v})
+        assert list(g.adj[v]) == sorted(signs, key=order.index)
+        assert g.adj[v] == signs
+
+
+def _components(members, edges) -> int:
+    nbrs = {v: [] for v in members}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen = set()
+    count = 0
+    for root in members:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+@given(graph_and_subset())
+@settings(derandomize=True, max_examples=300)
+def test_acyclicity_agrees_with_cycle_walk_and_edge_count(case):
+    g, members = case
+    inside = set(members)
+    edges = [(a, b) for a, b, _ in g.edges if a in inside and b in inside]
+    forest = len(edges) == len(members) - _components(members, edges)
+    assert is_acyclic(g, members) == (any_cycle(g, members) is None) == forest
