@@ -53,8 +53,11 @@ BUILDERS: dict[str, Callable] = {
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise GraphError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
 

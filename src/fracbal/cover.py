@@ -8,13 +8,20 @@ The LP is solved through its packing dual
     max sum y_v   s.t.   y(S) <= 1 for every family set S,  y >= 0,
 
 whose all-slack basis is feasible; the cover weights are read off the
-optimal dual multipliers.  Both certificates are re-verified with plain
-rational arithmetic before anything is returned, so a returned LpResult is
-itself a proof of optimality independent of the pivoting path.
+optimal dual multipliers.  Both certificates are re-verified in exact
+integer arithmetic (each side scaled by the lcm of its denominators) before
+anything is returned, so a returned LpResult is itself a proof of
+optimality independent of the pivoting path.
 
 ``column_generation`` scales the same LP past full enumeration: a
 restricted master over known columns plus an exact branch-and-bound pricer
-that searches for a balanced/acyclic set of dual weight above 1.
+that searches for a balanced/acyclic set of dual weight above 1.  The
+master is one ``simplex.Tableau`` kept across iterations: each priced
+column is appended as a packing row and the tableau resumes along the
+Bland path that a from-scratch solve of all columns would take, so every
+master equals ``fractional_cover_optimum`` on the same columns, byte for
+byte.  Each master's certificates are re-verified before pricing reads
+its duals.
 """
 from __future__ import annotations
 
@@ -28,7 +35,7 @@ from typing import Sequence
 from .certify import Certificate, Mode
 from .families import SetFamily, SetProperty, enumerate_sets, _Core
 from .sgraph import SignedGraph, all_triangles
-from .simplex import simplex_max
+from .simplex import SimplexResult, Tableau, simplex_max
 
 
 class CoverError(RuntimeError):
@@ -51,23 +58,34 @@ def verify_cover_certificates(
     primal: Sequence[tuple[tuple[str, ...], Fraction]],
     dual: Sequence[tuple[str, Fraction]],
 ) -> None:
-    """Raise CoverError unless primal and dual are feasible with equal value."""
+    """Raise CoverError unless primal and dual are feasible with equal value.
+
+    The cover weights and the vertex weights are each scaled by the lcm of
+    their denominators, so every sum below adds Python ints.
+    """
     weights = {s: w for s, w in primal}
     if any(w < 0 for w in weights.values()):
         raise CoverError("negative primal weight")
-    coverage = {v: Fraction(0) for v in family.host.vertices}
-    for s, w in weights.items():
+    w_scale = lcm(*(w.denominator for w in weights.values()))
+    scaled_w = {s: w.numerator * (w_scale // w.denominator) for s, w in weights.items()}
+    coverage = dict.fromkeys(family.host.vertices, 0)
+    for s, w in scaled_w.items():
         for v in s:
             coverage[v] += w
-    if any(c < 1 for c in coverage.values()):
+    if any(c < w_scale for c in coverage.values()):
         raise CoverError("primal does not cover every vertex")
     y = dict(dual)
     if any(val < 0 for val in y.values()):
         raise CoverError("negative dual weight")
+    y_scale = lcm(*(val.denominator for val in y.values()))
+    scaled_y = {v: val.numerator * (y_scale // val.denominator) for v, val in y.items()}
     for s in family.sets:
-        if sum(y.get(v, Fraction(0)) for v in s) > 1:
+        if sum([scaled_y.get(v, 0) for v in s]) > y_scale:
             raise CoverError(f"dual violates set constraint for {s}")
-    if sum(weights.values()) != optimum or sum(y.values()) != optimum:
+    if (
+        Fraction(sum(scaled_w.values()), w_scale) != optimum
+        or Fraction(sum(scaled_y.values()), y_scale) != optimum
+    ):
         raise CoverError("certificate values do not match the optimum")
 
 
@@ -88,22 +106,29 @@ def fractional_cover_optimum(family: SetFamily) -> LpResult:
     if missing:
         raise CoverError(f"vertex {missing[0]!r} lies in no family set")
 
-    verts = family.host.vertices
-    col = {v: j for j, v in enumerate(verts)}
-    rows = []
-    for s in family.sets:
-        row = [0] * len(verts)
-        for v in s:
-            row[col[v]] = 1
-        rows.append(row)
-    res = simplex_max(rows, [1] * len(rows), [1] * len(verts))
+    col = {v: j for j, v in enumerate(family.host.vertices)}
+    rows = [_indicator(s, col) for s in family.sets]
+    res = simplex_max(rows, [1] * len(rows), [1] * len(col))
+    return _certified(family, res)
 
+
+def _indicator(s: tuple[str, ...], col: dict[str, int]) -> list[int]:
+    row = [0] * len(col)
+    for v in s:
+        row[col[v]] = 1
+    return row
+
+
+def _certified(family: SetFamily, res: SimplexResult) -> LpResult:
+    """The cover (row duals) and vertex weights (x) of an optimal packing
+    LP over ``family``'s rows, re-verified before they are returned."""
+    verts = family.host.vertices
     primal = tuple(
         (family.sets[i], res.duals[i])
         for i in range(len(family.sets))
         if res.duals[i] != 0
     )
-    dual = tuple((v, res.x[col[v]]) for v in verts)
+    dual = tuple((v, res.x[j]) for j, v in enumerate(verts))
     verify_cover_certificates(family, res.value, primal, dual)
     return LpResult(res.value, primal, dual)
 
@@ -154,8 +179,10 @@ class ColumnGenResult:
     result: LpResult | None
     iterations: int
     columns: int
-    # search nodes over all pricing calls; equality ignores it
+    # search nodes over all pricing calls and master pivots actually
+    # computed; equality ignores both
     price_nodes: int = field(default=0, compare=False)
+    master_pivots: int = field(default=0, compare=False)
 
     @property
     def optimum(self) -> Fraction | None:
@@ -217,15 +244,17 @@ def column_generation(
     which always contains the true optimum.
     """
     columns: list[tuple[str, ...]] = [(v,) for v in g.vertices]
+    col = {v: j for j, v in enumerate(g.vertices)}
+    ones = [1] * len(columns)
+    lp = Tableau([_indicator(s, col) for s in columns], ones, ones, resumable=True)
     started = time.monotonic()
     iterations = 0
     lower = Fraction(0)
     nodes = 0
-    master: LpResult | None = None
     while True:
         # singletons and priced columns hold the property by construction
         fam = SetFamily._trusted(g, prop, tuple(columns))
-        master = fractional_cover_optimum(fam)
+        master = _certified(fam, lp.solve())
         y = dict(master.dual)
         best_w, best_s, price_nodes = _price(g, prop, y)
         nodes += price_nodes
@@ -233,7 +262,7 @@ def column_generation(
         if best_w <= 1:
             return ColumnGenResult(
                 True, master.optimum, master.optimum, master, iterations, len(columns),
-                nodes,
+                nodes, lp.executed,
             )
         # y / best_w is dual feasible for the full family
         lower = max(lower, master.optimum / best_w)
@@ -243,8 +272,10 @@ def column_generation(
         )
         if out_of_budget:
             return ColumnGenResult(
-                False, lower, master.optimum, master, iterations, len(columns), nodes
+                False, lower, master.optimum, master, iterations, len(columns), nodes,
+                lp.executed,
             )
         if best_s in columns:  # pricing stalled; should not happen
             raise CoverError("pricing returned a known column")
         columns.append(best_s)
+        lp.append_row(_indicator(best_s, col), 1)

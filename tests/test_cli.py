@@ -288,3 +288,10 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, graph, document):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, "build", "k3-minus", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err

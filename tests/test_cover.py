@@ -8,8 +8,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbal.certify import Mode, verify
+from fracbal import cover
 from fracbal.cover import (
     ColumnGenResult,
     CoverError,
@@ -17,11 +20,14 @@ from fracbal.cover import (
     chi_fb,
     column_generation,
     fractional_cover_optimum,
+    _price,
     lp_to_certificate,
+    verify_cover_certificates,
 )
 from fracbal.families import SetFamily, SetProperty, enumerate_sets
-from fracbal.gadgets import k3_minus, k4_minus, w_hat
+from fracbal.gadgets import k3_minus, k4_minus, w1_underlying, w_hat, w_prime
 from fracbal.sgraph import SignedGraph, is_acyclic, is_balanced
+from fracbal.simplex import simplex_max
 
 
 def c4():
@@ -160,7 +166,7 @@ def test_column_generation_reproduces_small_optima():
     assert cg2.completed and cg2.optimum == Fraction(4, 3)
 
 
-def test_column_generation_agrees_with_enumeration_on_random_corpus():
+def random_corpus():
     rng = random.Random(11)
     for _ in range(12):
         n = rng.randint(2, 9)
@@ -171,7 +177,11 @@ def test_column_generation_agrees_with_enumeration_on_random_corpus():
             for j in range(i + 1, n)
             if rng.random() < 0.5
         )
-        g = SignedGraph(names, edges)
+        yield SignedGraph(names, edges)
+
+
+def test_column_generation_agrees_with_enumeration_on_random_corpus():
+    for g in random_corpus():
         for prop, solve in ((SetProperty.BALANCED, chi_fb), (SetProperty.ACYCLIC, a_f)):
             direct = solve(g).optimum
             cg = column_generation(g, prop)
@@ -179,12 +189,69 @@ def test_column_generation_agrees_with_enumeration_on_random_corpus():
 
 
 def test_column_generation_budget_interval():
+    # two iterations never close w_hat: the run is always capped
     cg = column_generation(w_hat().graph, SetProperty.BALANCED, max_iterations=2)
     assert isinstance(cg, ColumnGenResult)
-    if not cg.completed:
-        assert cg.lower <= Fraction(11, 6) <= cg.upper
-    else:
-        assert cg.optimum == Fraction(11, 6)
+    assert not cg.completed and cg.iterations == 2
+    assert cg.lower <= Fraction(11, 6) <= cg.upper
+
+
+def scratch_column_generation(g, prop, max_iterations=None):
+    """Reference loop: the restricted master solved from scratch by
+    ``fractional_cover_optimum`` at every iteration, priced by ``_price``."""
+    columns = [(v,) for v in g.vertices]
+    iterations, lower, nodes = 0, Fraction(0), 0
+    while True:
+        master = fractional_cover_optimum(SetFamily._trusted(g, prop, tuple(columns)))
+        best_w, best_s, price_nodes = _price(g, prop, dict(master.dual))
+        nodes += price_nodes
+        iterations += 1
+        if best_w <= 1:
+            return ColumnGenResult(
+                True, master.optimum, master.optimum, master, iterations, len(columns), nodes
+            )
+        lower = max(lower, master.optimum / best_w)
+        if max_iterations is not None and iterations >= max_iterations:
+            return ColumnGenResult(
+                False, lower, master.optimum, master, iterations, len(columns), nodes
+            )
+        columns.append(best_s)
+
+
+def resumed_cases():
+    yield w_hat().graph, SetProperty.BALANCED, None
+    yield w_hat().graph, SetProperty.ACYCLIC, None
+    yield w1_underlying().graph, SetProperty.BALANCED, 2
+    for g in random_corpus():
+        yield g, SetProperty.BALANCED, None
+        yield g, SetProperty.ACYCLIC, None
+
+
+def test_resumed_master_matches_from_scratch_loop():
+    for g, prop, cap in resumed_cases():
+        want = scratch_column_generation(g, prop, cap)
+        got = column_generation(g, prop, max_iterations=cap)
+        assert got == want
+        assert got.price_nodes == want.price_nodes
+
+
+def test_master_pivots_counts_executed_pivots(monkeypatch):
+    # the from-scratch loop takes 1,118 Bland pivots on w_prime; resuming
+    # computes fewer, replays included, and returns the same result
+    from_scratch = []
+
+    def counting(rows, b, c):
+        res = simplex_max(rows, b, c)
+        from_scratch.append(res.pivots)
+        return res
+
+    g = w_prime().graph
+    monkeypatch.setattr(cover, "simplex_max", counting)
+    want = scratch_column_generation(g, SetProperty.BALANCED)
+    got = column_generation(g, SetProperty.BALANCED)
+    assert got == want
+    assert len(from_scratch) == got.iterations
+    assert 0 < got.master_pivots < sum(from_scratch)
 
 
 @pytest.mark.stretch
@@ -204,3 +271,92 @@ def test_column_generation_interval_on_large_arboricity_instance():
         assert cg.optimum == target
     else:
         assert cg.lower <= target <= cg.upper
+
+
+def fraction_cover_check(family, optimum, primal, dual):
+    """Reference copy of the certificate re-check in plain Fraction sums;
+    returns the CoverError message, or None."""
+    weights = {s: w for s, w in primal}
+    if any(w < 0 for w in weights.values()):
+        return "negative primal weight"
+    coverage = {v: Fraction(0) for v in family.host.vertices}
+    for s, w in weights.items():
+        for v in s:
+            coverage[v] += w
+    if any(c < 1 for c in coverage.values()):
+        return "primal does not cover every vertex"
+    y = dict(dual)
+    if any(val < 0 for val in y.values()):
+        return "negative dual weight"
+    for s in family.sets:
+        if sum(y.get(v, Fraction(0)) for v in s) > 1:
+            return f"dual violates set constraint for {s}"
+    if sum(weights.values()) != optimum or sum(y.values()) != optimum:
+        return "certificate values do not match the optimum"
+    return None
+
+
+CORRUPTIONS = {
+    "none": None,
+    "negative weight": "negative primal weight",
+    "uncovered vertex": "primal does not cover every vertex",
+    "negative dual": "negative dual weight",
+    "violated set": "dual violates set constraint for",
+    "value mismatch": "certificate values do not match the optimum",
+    "primal surplus": "certificate values do not match the optimum",
+}
+positive = st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=97)
+
+
+@st.composite
+def certificates(draw):
+    """An optimal certificate of a random family on an edgeless host (every
+    set is balanced), then one corruption of it."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    names = tuple(f"v{i}" for i in range(n))
+    subsets = st.lists(st.sampled_from(names), min_size=1, max_size=n, unique=True)
+    sets = {tuple(sorted(s)) for s in draw(st.lists(subsets, min_size=1, max_size=8))}
+    sets |= {(v,) for v in names if not any(v in s for s in sets)}
+    fam = SetFamily(SignedGraph(names, ()), SetProperty.BALANCED, tuple(sorted(sets)))
+    res = fractional_cover_optimum(fam)
+    optimum, primal, dual = res.optimum, list(res.primal), list(res.dual)
+    kind = draw(st.sampled_from(sorted(CORRUPTIONS)))
+    if kind == "negative weight":
+        k = draw(st.integers(min_value=0, max_value=len(primal) - 1))
+        primal[k] = (primal[k][0], -draw(st.fractions(min_value=0, max_denominator=9)) - 1)
+    elif kind == "uncovered vertex":
+        v = draw(st.sampled_from(names))
+        primal = [(s, w) for s, w in primal if v not in s]
+    elif kind == "negative dual":
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        dual[k] = (dual[k][0], Fraction(-1, draw(st.integers(min_value=1, max_value=9))))
+    elif kind == "violated set":
+        # a set of positive weight is tight, so any increase violates it
+        tight = draw(st.sampled_from([s for s, _ in primal]))
+        k = names.index(draw(st.sampled_from(tight)))
+        dual[k] = (dual[k][0], dual[k][1] + draw(positive))
+    elif kind == "value mismatch":
+        optimum += draw(st.sampled_from((Fraction(1, 7), Fraction(-1, 3), Fraction(1))))
+    elif kind == "primal surplus":
+        k = draw(st.integers(min_value=0, max_value=len(primal) - 1))
+        primal[k] = (primal[k][0], primal[k][1] + draw(positive))
+    # integral weights may arrive as ints
+    primal = [(s, int(w) if w.denominator == 1 else w) for s, w in primal]
+    return fam, optimum, primal, dual, CORRUPTIONS[kind]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(certificates())
+def test_integer_cover_check_matches_fraction_reference(case):
+    fam, optimum, primal, dual, expected = case
+    want = fraction_cover_check(fam, optimum, primal, dual)
+    try:
+        verify_cover_certificates(fam, optimum, primal, dual)
+        got = None
+    except CoverError as exc:
+        got = str(exc)
+    assert got == want
+    if expected is None:
+        assert got is None
+    else:
+        assert got.startswith(expected)

@@ -1,12 +1,15 @@
-"""The exact simplex core: hand-solved programs, and a differential test
-against a dense Fraction tableau that takes the same Bland pivots."""
+"""The exact simplex core: hand-solved programs, a differential test
+against a dense Fraction tableau that takes the same Bland pivots, and
+differential tests of the resumable tableau against from-scratch solves."""
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbal.simplex import SimplexError, SimplexResult, simplex_max
+from fracbal import simplex
+from fracbal.simplex import SimplexError, SimplexResult, Tableau, simplex_max
 
 F = Fraction
 
@@ -194,3 +197,86 @@ def test_condensed_tableau_matches_dense_oracle(program):
     got = outcome(simplex_max, rows, b, c)
     # equal results include equal pivot counts: the same Bland path
     assert got == want
+
+
+def test_appended_row_the_optimum_satisfies_keeps_the_path():
+    # max x + y s.t. x <= 1, y <= 1: two pivots to (1, 1); x + y <= 2 loses
+    # the first ratio test (2/1 against 1/1) and ties the second (1/1 against
+    # 1/1), and the optimum satisfies it, so the path stays and its dual is 0
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    assert tab.solve().pivots == 2
+    tab.append_row([1, 1], 2)
+    res = tab.solve()
+    assert res == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [1, 1])
+    assert (res.value, res.duals, res.pivots, tab.executed) == (2, (1, 1, 0), 2, 2)
+
+
+def test_violated_row_rewinds_to_where_it_wins():
+    # x + y <= 1 ties the first ratio test (1/1 against 1/1), which keeps
+    # x <= 1, and wins the second, for y, at 0/1 against 1/1: the engine
+    # replays one pivot from the checkpoint before pivot 0 and takes a new one
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    tab.solve()
+    tab.append_row([1, 1], 1)
+    res = tab.solve()
+    assert res == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 1], [1, 1])
+    assert (res.value, res.x, res.duals, res.pivots, tab.executed) == (1, (1, 0), (0, 0, 1), 2, 4)
+
+
+def test_append_row_checks_its_row():
+    with pytest.raises(SimplexError, match="resumable"):
+        Tableau([[1]], [1], [1]).append_row([1], 1)
+    tab = Tableau([[1]], [1], [1], resumable=True)
+    with pytest.raises(SimplexError, match="inconsistent dimensions"):
+        tab.append_row([1, 1], 1)
+    with pytest.raises(SimplexError, match="nonnegative"):
+        tab.append_row([1], -1)
+
+
+def resumed(tab):
+    try:
+        return tab.solve()
+    except SimplexError as exc:
+        return str(exc)
+
+
+@st.composite
+def packing_runs(draw):
+    """A packing LP (0/1 rows, small right-hand sides including 0, small
+    costs of any sign) and rows to append one at a time.  Copies of earlier
+    rows make exact ratio ties; many appended rows are not violated, and
+    without the unit rows some programs are unbounded until a row bounds
+    them."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    c = [draw(st.integers(min_value=-1, max_value=3)) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
+            rows.append(rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))])
+        else:
+            row = [draw(st.integers(min_value=0, max_value=1)) for _ in range(n)]
+            rows.append((row, draw(st.integers(min_value=0, max_value=2))))
+    if draw(st.booleans()):
+        # unit rows first, as column generation starts: bounded throughout
+        rows[:0] = [([int(j == k) for j in range(n)], 1) for k in range(n)]
+    start = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    return c, rows[:start], rows[start:]
+
+
+# checkpoints every 2 pivots also rebuild from later checkpoints
+@pytest.mark.parametrize("every", [2, simplex._CHECKPOINT_EVERY])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(run=packing_runs())
+def test_appended_rows_resume_along_the_from_scratch_path(every, run):
+    c, start, appended = run
+    rows = [row for row, _ in start]
+    b = [rhs for _, rhs in start]
+    with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
+        tab = Tableau(rows, b, c, resumable=True)
+        assert resumed(tab) == outcome(simplex_max, rows, b, c)
+        for row, rhs in appended:
+            tab.append_row(row, rhs)
+            rows.append(row)
+            b.append(rhs)
+            # equal results include equal pivot counts: the same Bland path
+            assert resumed(tab) == outcome(simplex_max, rows, b, c)
