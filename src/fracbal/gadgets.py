@@ -17,9 +17,12 @@ switched where needed so that identified edges agree in sign; switching
 preserves every cycle sign, so balance properties survive.
 
 Each surgery is implemented once, on a private mutable builder that
-freezes into a validated GadgetGraph.  The public surgery functions thaw,
-apply one operation and freeze; trace replay and the constructors keep one
-builder throughout, so replaying a trace takes time linear in its length.
+freezes into a GadgetGraph.  The public surgery functions thaw, apply one
+operation and freeze; trace replay and the constructors keep one builder
+throughout, so replaying a trace takes time linear in its length.  A
+builder only ever adds, so freezing validates what it added and shares
+the rest with the graph it was thawed from: one surgery step costs Python
+work in the size of what it adds, plus C-level copies of the parent.
 """
 from __future__ import annotations
 
@@ -28,8 +31,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .sgraph import (
+    Edge,
     GraphError,
     SignedGraph,
+    _assembled,
+    _derived,
     canonical_set,
     load_json,
     triangle_sign,
@@ -58,18 +64,24 @@ class GadgetGraph:
     marked_triangles: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        for role, v in self.terminals.items():
-            if not self.graph.has_vertex(v):
-                raise GraphError(f"terminal {role}={v!r} not in graph")
-        for t in self.marked_triangles:
-            if triangle_sign(self.graph, t) != -1:
-                raise GraphError(f"marked triangle {t} is not negative")
+        _check_gadget(self.graph, self.terminals, self.marked_triangles)
 
     def terminal(self, role: str) -> str:
         try:
             return self.terminals[role]
         except KeyError:
             raise GraphError(f"gadget has no terminal {role!r}") from None
+
+
+def _check_gadget(
+    graph: SignedGraph, terminals: Mapping[str, str], marked: Iterable[tuple[str, str, str]]
+) -> None:
+    for role, v in terminals.items():
+        if not graph.has_vertex(v):
+            raise GraphError(f"terminal {role}={v!r} not in graph")
+    for t in marked:
+        if triangle_sign(graph, t) != -1:
+            raise GraphError(f"marked triangle {t} is not negative")
 
 
 def _triple(g: SignedGraph | _Builder, t: Iterable[str]) -> tuple[str, str, str]:
@@ -90,18 +102,30 @@ class _Builder:
     """A gadget graph under construction, and the one implementation of
     every surgery.  An operation checks its preconditions before it changes
     anything and costs time in the size of what it adds (a glue also scans
-    the marked list); ``freeze`` runs the full validation once.  The
-    builder reads like a SignedGraph, so ``canonical_set`` and
-    ``triangle_sign`` apply to it and report the same errors.
+    the marked list).  The builder reads like a SignedGraph, so
+    ``canonical_set`` and ``triangle_sign`` apply to it and report the same
+    errors.
+
+    A builder never removes or re-signs what it was thawed from, which was
+    validated when that graph was built.  So ``freeze`` validates only the
+    added edges and marked triangles (and the terminals), with the checks
+    and messages of ``SignedGraph`` and ``GadgetGraph``, and builds the
+    graph from its parent's (see ``sgraph._derived``).  The thaw copies the
+    vertex list and the dicts at C speed but shares the parent's neighbour
+    dicts until an operation first adds an edge at one (``_own``).  Every
+    operation adds each vertex's new neighbours in canonical order, so no
+    neighbour dict needs sorting.  Freezing hands the builder's dicts to
+    the graph, so a builder freezes once.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
+        self.parent = g
         self.vertices = list(g.graph.vertices)
-        self.edges = list(g.graph.edges)
         self.index = dict(g.graph.index)
-        self.adj = {v: dict(nbrs) for v, nbrs in g.graph.adj.items()}
+        self.adj = dict(g.graph.adj)
         self.terminals = dict(g.terminals)
         self.marked = list(g.marked_triangles)
+        self.added: list[Edge] = []
 
     # they read only ``index`` and ``adj``, which the builder keeps current
     has_vertex = SignedGraph.has_vertex
@@ -109,8 +133,20 @@ class _Builder:
     sign = SignedGraph.sign
 
     def freeze(self) -> GadgetGraph:
-        graph = SignedGraph(tuple(self.vertices), tuple(self.edges))
-        return GadgetGraph(graph, self.terminals, tuple(self.marked))
+        parent = self.parent
+        graph = _derived(parent.graph, tuple(self.vertices), self.index, self.adj, self.added)
+        marked = tuple(self.marked)
+        _check_gadget(graph, self.terminals, marked[len(parent.marked_triangles):])
+        return _assembled(GadgetGraph, graph=graph, terminals=self.terminals, marked_triangles=marked)
+
+    def _own(self, vs: Iterable[str]) -> None:
+        """Give each inherited vertex of ``vs`` its own neighbour dict, so
+        that adding edges at it leaves the parent as it was."""
+        shared = self.parent.graph.adj
+        inherited = len(shared)
+        for v in vs:
+            if self.index[v] < inherited and self.adj[v] is shared[v]:
+                self.adj[v] = dict(shared[v])
 
     def _add_vertex(self, v: str) -> None:
         if v in self.index:
@@ -120,7 +156,7 @@ class _Builder:
         self.adj[v] = {}
 
     def _add_edge(self, a: str, b: str, sign: int) -> None:
-        self.edges.append((a, b, sign))
+        self.added.append((a, b, sign))
         self.adj[a][b] = sign
         self.adj[b][a] = sign
 
@@ -136,6 +172,7 @@ class _Builder:
         s1 = -1
         s2 = -s1 * self.sign(t1, t2)
         s3 = -s1 * self.sign(t1, t3)
+        self._own((t1, t2, t3))
         self._add_vertex(apex)
         self._add_edge(t1, apex, s1)
         self._add_edge(t2, apex, s2)
@@ -157,13 +194,17 @@ class _Builder:
         e12 = self.sign(tt[1], tt[2])
         e02 = self.sign(tt[0], tt[2])
         s = (e01 * e02, e01 * e12, e12 * e02)  # two triangle edges at t_i
+        self._own(tt)
         for name in prime_names:
             self._add_vertex(name)
-        for i in range(3):
-            self._add_edge(tt[i], prime_names[(i + 1) % 3], s[i])
-            self._add_edge(tt[i], prime_names[(i + 2) % 3], -s[i])
-        for i in range(3):
-            self._add_edge(prime_names[i], prime_names[(i + 1) % 3], -1)
+        # t_i - prime(t_{i+1}) has sign s_i and t_i - prime(t_{i+2}) sign -s_i;
+        # added prime by prime, so every neighbour dict stays canonical
+        for j in range(3):
+            for i in range(3):
+                if i != j:
+                    self._add_edge(tt[i], prime_names[j], s[i] if j == (i + 1) % 3 else -s[i])
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            self._add_edge(prime_names[i], prime_names[j], -1)
         self.marked.append(canonical_set(self, prime_names))  # type: ignore[arg-type]
 
     def substitute(
@@ -242,11 +283,20 @@ class _Builder:
                 mapping[v] = f"{v}#{suffix}"
                 if self.has_vertex(mapping[v]):
                     raise GraphError(f"fresh name {mapping[v]!r} collides with host")
-        for v in guest.vertices:
-            if v not in identified:
-                self._add_vertex(mapping[v])
+        self._own(identified.values())
+        # each copy with its edges to identified vertices, in host order, then
+        # the edges between copies: every neighbour dict stays canonical
+        hosts = sorted(identified, key=lambda v: self.index[identified[v]])
+        for w in guest.vertices:
+            if w not in identified:
+                self._add_vertex(mapping[w])
+                nbrs = guest.adj[w]
+                for v in hosts:
+                    if v in nbrs:
+                        flip = (v in switched) != (w in switched)
+                        self._add_edge(identified[v], mapping[w], -nbrs[v] if flip else nbrs[v])
         for a, b, s in guest.edges:
-            if a not in identified or b not in identified:
+            if a not in identified and b not in identified:
                 flip = (a in switched) != (b in switched)
                 self._add_edge(mapping[a], mapping[b], -s if flip else s)
         return mapping

@@ -12,9 +12,10 @@ output (sorted sets, sorted edge lists, witness extraction).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -50,21 +51,7 @@ class SignedGraph:
         index = {v: i for i, v in enumerate(self.vertices)}
         if len(index) != len(self.vertices):
             raise GraphError("duplicate vertex name")
-        n = len(index)
-        normalized: dict[int, tuple[str, str, int]] = {}  # by index[a] * n + index[b]
-        for a, b, sign in self.edges:
-            if a not in index or b not in index:
-                raise GraphError(f"unknown vertex in edge ({a!r}, {b!r})")
-            if a == b:
-                raise GraphError(f"loop at {a!r} is not allowed")
-            if sign not in (1, -1):
-                raise GraphError(f"edge sign must be +1 or -1, got {sign!r}")
-            if index[a] > index[b]:
-                a, b = b, a
-            key = index[a] * n + index[b]
-            if key in normalized:
-                raise GraphError(f"duplicate edge ({a!r}, {b!r})")
-            normalized[key] = (a, b, sign)
+        normalized = _normalized_edges(self.edges, index)
         object.__setattr__(self, "edges", tuple(normalized[k] for k in sorted(normalized)))
         object.__setattr__(self, "index", index)
 
@@ -77,6 +64,22 @@ class SignedGraph:
             nbrs[a][b] = sign
             nbrs[b][a] = sign
         return nbrs
+
+    @cached_property
+    def _triangles(self) -> tuple[tuple[tuple[str, str, str], int], ...]:
+        """The memo behind ``all_triangles``; ``_derived`` hands it on."""
+        out = []
+        idx = self.index
+        for a in self.vertices:
+            adj_a = self.adj[a]
+            for b, ab in adj_a.items():
+                if idx[b] <= idx[a]:
+                    continue
+                for c, bc in self.adj[b].items():
+                    if idx[c] <= idx[b] or c not in adj_a:
+                        continue
+                    out.append(((a, b, c), ab * bc * adj_a[c]))
+        return tuple(out)
 
     def has_vertex(self, v: str) -> bool:
         return v in self.index
@@ -95,6 +98,100 @@ class SignedGraph:
         for a, b, sign in self.edges:
             if a in inside and b in inside:
                 yield a, b, sign
+
+
+Edge = tuple[str, str, int]
+
+
+def _normalized_edges(
+    edges: Iterable[Edge], index: dict[str, int], known: dict[str, dict[str, int]] | None = None
+) -> dict[int, Edge]:
+    """Validate ``edges`` and key each one, its endpoints in canonical
+    order, by ``index[a] * n + index[b]``.  ``known`` is the adjacency of
+    edges validated before, on the first ``len(known)`` vertices, which
+    ``edges`` must not repeat."""
+    n = len(index)
+    inherited = len(known) if known else 0
+    normalized: dict[int, Edge] = {}
+    for a, b, sign in edges:
+        if a not in index or b not in index:
+            raise GraphError(f"unknown vertex in edge ({a!r}, {b!r})")
+        if a == b:
+            raise GraphError(f"loop at {a!r} is not allowed")
+        if sign not in (1, -1):
+            raise GraphError(f"edge sign must be +1 or -1, got {sign!r}")
+        ia, ib = index[a], index[b]
+        if ia > ib:
+            a, b, ia, ib = b, a, ib, ia
+        key = ia * n + ib
+        if key in normalized or (ib < inherited and b in known[a]):  # type: ignore[index]
+            raise GraphError(f"duplicate edge ({a!r}, {b!r})")
+        normalized[key] = (a, b, sign)
+    return normalized
+
+
+def _merged(old: tuple, new: list, key: Callable[[object], int]) -> tuple:
+    """Merge ``new`` into ``old``, both sorted by ``key`` and disjoint: one
+    bisection per new item and C-level slices of ``old`` between them."""
+    out: list = []
+    lo = 0
+    for i, item in enumerate(new):
+        if lo == len(old):
+            out += new[i:]
+            break
+        at = bisect_left(old, key(item), lo, key=key)
+        out += old[lo:at]
+        out.append(item)
+        lo = at
+    else:
+        out += old[lo:]
+    return tuple(out)
+
+
+def _assembled(cls: type, **fields: object):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``,
+    without running its validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _derived(
+    parent: SignedGraph,
+    vertices: tuple[str, ...],
+    index: dict[str, int],
+    adj: dict[str, dict[str, int]],
+    added: Iterable[Edge],
+) -> SignedGraph:
+    """``parent`` plus the vertices after its own in ``vertices`` and the
+    edges ``added``, validating only what was added.
+
+    ``index`` and ``adj`` already describe the whole graph and are handed
+    over.  Every neighbour dict must already be in canonical order, and
+    ``adj`` may share the parent's dicts of vertices that no added edge
+    touches.  If the parent's triangle list is memoised, the graph
+    inherits it plus the triangles through the added edges, the only new
+    ones.
+    """
+    normalized = _normalized_edges(added, index, parent.adj)
+    n = len(index)
+    new = [normalized[k] for k in sorted(normalized)]
+    edges = _merged(parent.edges, new, lambda e: index[e[0]] * n + index[e[1]])
+    graph = _assembled(SignedGraph, vertices=vertices, edges=edges, index=index, adj=adj)
+    inherited = parent.__dict__.get("_triangles")
+    if inherited is not None:
+        found = set()
+        for a, b, _ in new:
+            for c in adj[a].keys() & adj[b].keys():
+                found.add(tuple(sorted((a, b, c), key=index.__getitem__)))
+
+        def key(t: tuple[str, str, str]) -> int:
+            return (index[t[0]] * n + index[t[1]]) * n + index[t[2]]
+
+        fresh = [((a, b, c), adj[a][b] * adj[b][c] * adj[a][c]) for a, b, c in sorted(found, key=key)]
+        object.__setattr__(graph, "_triangles", _merged(inherited, fresh, lambda e: key(e[0])))
+    return graph
 
 
 def canonical_set(g: SignedGraph, members: Iterable[str]) -> tuple[str, ...]:
@@ -298,19 +395,13 @@ def switch(g: SignedGraph, members: Iterable[str]) -> SignedGraph:
 
 
 def all_triangles(g: SignedGraph) -> list[tuple[tuple[str, str, str], int]]:
-    """Every 3-clique with the product of its edge signs, in canonical order."""
-    out = []
-    idx = g.index
-    for a in g.vertices:
-        adj_a = g.adj[a]
-        for b, ab in adj_a.items():
-            if idx[b] <= idx[a]:
-                continue
-            for c, bc in g.adj[b].items():
-                if idx[c] <= idx[b] or c not in adj_a:
-                    continue
-                out.append(((a, b, c), ab * bc * adj_a[c]))
-    return out
+    """Every 3-clique with the product of its edge signs, in canonical order.
+
+    The list is computed once per graph and a fresh copy is returned on
+    every call.  A graph a builder derives from one whose list is known
+    inherits that list plus the triangles through its new edges.
+    """
+    return list(g._triangles)
 
 
 def triangle_sign(g: SignedGraph, t: Iterable[str]) -> int:

@@ -86,6 +86,11 @@ def _eliminate(row: list[int], prow: list[int], s: int, d: int) -> list[int]:
     return row
 
 
+def _width(rows: Sequence[list[int]]) -> int:
+    """The largest absolute value of an entry of ``rows``, in C-level scans."""
+    return max(max(map(max, rows)), -min(map(min, rows)))
+
+
 class Tableau:
     """Condensed tableau of  max c.x, A x <= b, x >= 0  over integers
     (b >= 0), optionally resumable.
@@ -98,6 +103,11 @@ class Tableau:
     alive.  Rows are never changed in place (a pivot builds new lists), so
     the path records and the checkpoints share them.  ``executed`` counts
     the pivots actually computed, replays included.
+
+    ``widest``, the largest absolute entry of any state the Bland path
+    passes through, is kept by scanning the rows each pivot or
+    ``append_row`` builds, plus one full scan at construction and after
+    each rewind, whose replayed pivots take no part.
     """
 
     def __init__(
@@ -121,7 +131,7 @@ class Tableau:
         self.path: list[tuple[int, int, list[int], int]] = []
         # before pivot k * _CHECKPOINT_EVERY: (rows, d, basis, nonbasic)
         self.checkpoints: list[tuple[list[list[int]], int, list[int], list[int]]] = []
-        self.widest = 0
+        self.widest = _width(self.t)
         self.executed = 0
 
     def solve(self) -> SimplexResult:
@@ -132,7 +142,6 @@ class Tableau:
         while True:
             t = self.t
             m = len(t) - 1
-            self.widest = max(self.widest, max(map(max, t)), -min(map(min, t)))
             obj = t[m]
             nonbasic = self.nonbasic
             s = None
@@ -186,6 +195,7 @@ class Tableau:
             new = _eliminate(new, prow, s, d)
         self.t.insert(m, new)
         self.basis.append(n + m)
+        self.widest = max(self.widest, _width([new]))
 
     def _rewind(self, k: int) -> None:
         """Rebuild the state before pivot ``k`` of the recorded path from the
@@ -198,17 +208,26 @@ class Tableau:
         del self.path[k:]
         self.pivots = k
         for r, s, _, _ in replay:
-            self._pivot(r, s)
+            self._pivot(r, s, widen=False)
+        self.widest = max(self.widest, _width(self.t))
 
-    def _pivot(self, r: int, s: int) -> None:
+    def _pivot(self, r: int, s: int, widen: bool = True) -> None:
+        """Pivot on row ``r`` and column ``s``; ``widen`` accounts the rows
+        it builds in ``widest``."""
         t, d = self.t, self.d
         prow = t[r]
+        built = []
         for i, row in enumerate(t):
             if i != r:
-                t[i] = _eliminate(row, prow, s, d)
+                t[i] = new = _eliminate(row, prow, s, d)
+                if widen and new is not row:
+                    built.append(new)
+        # the pivot row holds entries seen before: prow's and d, the last pivot
         pivot = list(prow)
         pivot[s] = d
         t[r] = pivot
+        if built:
+            self.widest = max(self.widest, _width(built))
         self.d = prow[s]
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
         self.executed += 1

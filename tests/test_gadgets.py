@@ -3,6 +3,9 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_properties import triple_scan
 
 from fracbal.acceptance import random_trace
 from fracbal.gadgets import (
@@ -11,6 +14,7 @@ from fracbal.gadgets import (
     Op1,
     Op2,
     TraceError,
+    _Builder,
     apply_trace_step,
     build_from_trace,
     complete_negative_face,
@@ -29,6 +33,8 @@ from fracbal.gadgets import (
 )
 from fracbal.sgraph import (
     GraphError,
+    SignedGraph,
+    all_triangles,
     is_balanced,
     is_k4_minus_equivalent,
     serialize_graph,
@@ -313,3 +319,128 @@ def test_constructions_are_deterministic():
 def test_marked_triangle_validation():
     with pytest.raises(GraphError, match="not negative"):
         GadgetGraph(w_hat().graph, {}, (("u", "x1", "x2"),))
+
+
+def _snapshot(g: GadgetGraph):
+    graph = g.graph
+    adj = [list(graph.adj[v].items()) for v in graph.vertices]
+    return graph.vertices, graph.edges, dict(graph.index), adj, g.marked_triangles, dict(g.terminals)
+
+
+def _surgery_checked(g: GadgetGraph, surgery, memo: bool) -> GadgetGraph | None:
+    """Apply ``surgery`` to ``g``, check that ``g`` is untouched, also when
+    the surgery raises, and that the result equals the same graph built
+    from scratch.  With ``memo``, ``g``'s triangle list is computed first,
+    so the result inherits it; without, neither list is computed."""
+    if memo:
+        assert all_triangles(g.graph) == triple_scan(g.graph)
+    before = _snapshot(g)
+    try:
+        out = surgery(g)
+    except (GraphError, TraceError):
+        out = None
+    assert _snapshot(g) == before
+    if memo:
+        assert all_triangles(g.graph) == triple_scan(g.graph)
+    if out is not None:
+        got = out.graph
+        ref = SignedGraph(got.vertices, got.edges)
+        assert got == ref and got.edges == ref.edges and got.index == ref.index
+        assert [list(got.adj[v].items()) for v in got.vertices] == [
+            list(ref.adj[v].items()) for v in ref.vertices
+        ]
+        if memo:
+            assert all_triangles(got) == triple_scan(ref)
+        GadgetGraph(ref, out.terminals, out.marked_triangles)  # the full validation
+    return out
+
+
+def _shuffled(g: GadgetGraph, order) -> GadgetGraph:
+    graph = SignedGraph(tuple(order), g.graph.edges)
+    marked = tuple(tuple(sorted(t, key=graph.index.__getitem__)) for t in g.marked_triangles)
+    return GadgetGraph(graph, dict(g.terminals), marked)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.data())
+def test_derived_freeze_matches_from_scratch(data):
+    # a graph from a random trace, w_hat or w_prime, possibly in a shuffled
+    # declaration order so that canonical order differs from insertion order
+    trace = random_trace(random.Random(data.draw(st.integers(0, 9999))), 40)
+    start = data.draw(st.sampled_from(("trace", "w_hat", "w_prime")))
+    g = {"trace": k3_minus, "w_hat": w_hat, "w_prime": w_prime}[start]()
+    if data.draw(st.booleans()):
+        g = _shuffled(g, data.draw(st.permutations(g.graph.vertices)))
+    steps = iter(enumerate(trace.steps, start=1))
+    for n in range(data.draw(st.integers(1, 6))):
+        # faces from a copy, so that g's own list is computed only with memo
+        triangles = all_triangles(SignedGraph(g.graph.vertices, g.graph.edges))
+        negative = [t for t, s in triangles if s == -1]
+        positive = [t for t, s in triangles if s == 1]
+        kinds = ["apex", "glue", "substitute", "fail"] + ["trace"] * (start == "trace")
+        kind = data.draw(st.sampled_from(kinds + ["mini"] * bool(positive)))
+        if kind == "trace":
+            idx, step = next(steps)
+            surgery = lambda g: apply_trace_step(g, step, idx)[0]  # noqa: E731
+        elif kind == "apex":
+            face = data.draw(st.sampled_from(negative))
+            apex = data.draw(st.sampled_from((None, f"apex{n}")))
+            surgery = lambda g: complete_negative_face(g, face, apex)  # noqa: E731
+        elif kind == "mini":
+            face = data.draw(st.sampled_from(positive))
+            primes = data.draw(st.sampled_from((None, (f"z{n}", f"a{n}", f"m{n}"))))
+            surgery = lambda g: complete_positive_face(g, face, primes)  # noqa: E731
+        elif kind == "substitute":
+            # a positive host edge switches the copy, whose u-v edge is negative
+            edges = g.graph.edges
+            if data.draw(st.booleans()):
+                edges = [e for e in edges if e[2] == 1] or edges
+            a, b, _ = data.draw(st.sampled_from(edges))
+            guest = data.draw(st.sampled_from((w_hat, w_prime)))()
+            surgery = lambda g: substitute_edge(g, (a, b), guest, f"s{n}")  # noqa: E731
+        elif kind == "glue":
+            face = data.draw(st.sampled_from(negative))
+            guest = data.draw(st.sampled_from((k4_minus, w_double_prime)))()
+            t_guest = data.draw(st.sampled_from(guest.marked_triangles))
+            surgery = lambda g: glue_triangle(g, face, guest, t_guest, f"g{n}")  # noqa: E731
+        else:
+            # raises after it has begun to add: the second prime is a duplicate
+            face = data.draw(st.sampled_from(positive or negative))
+            surgery = lambda g: complete_positive_face(g, face, ("q", "q", "r"))  # noqa: E731
+        out = _surgery_checked(g, surgery, memo=data.draw(st.booleans()))
+        if out is not None:
+            g = out
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("v", "u", 1)],  # repeats an inherited edge
+        [("u", "p", 1), ("p", "u", 1)],  # repeats an added one
+        [("p", "p", 1)],
+        [("u", "nobody", 1)],
+        [("u", "p", 0)],
+    ],
+    ids=["inherited-duplicate", "added-duplicate", "loop", "unknown-vertex", "sign"],
+)
+def test_freeze_rejects_added_edges_as_full_validation_does(edges):
+    g = w_hat()
+    b = _Builder(g)
+    b._add_vertex("p")
+    b.added += edges
+    with pytest.raises(GraphError) as got:
+        b.freeze()
+    with pytest.raises(GraphError) as want:
+        SignedGraph(g.graph.vertices + ("p",), g.graph.edges + tuple(edges))
+    assert str(got.value) == str(want.value)
+
+
+def test_freeze_checks_added_marked_triangles_and_terminals():
+    b = _Builder(w_hat())
+    b.marked.append(("x1", "x2", "u"))
+    with pytest.raises(GraphError, match=r"marked triangle \('x1', 'x2', 'u'\) is not negative"):
+        b.freeze()
+    b = _Builder(w_hat())
+    b.terminals["w"] = "nobody"
+    with pytest.raises(GraphError, match="terminal w='nobody' not in graph"):
+        b.freeze()

@@ -91,18 +91,23 @@ def test_balance_agrees_with_cycle_enumeration(case):
     assert is_balanced(g, members) == balance_oracle(g, members)
 
 
+def triple_scan(g: SignedGraph) -> list:
+    """Reference for ``all_triangles``: every vertex triple in canonical
+    order that is a 3-clique, with its sign."""
+    return [
+        ((a, b, c), g.sign(a, b) * g.sign(b, c) * g.sign(a, c))
+        for a, b, c in combinations(g.vertices, 3)
+        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+    ]
+
+
 @given(signed_graphs(), st.data())
 @settings(derandomize=True, max_examples=200)
 def test_all_triangles_matches_triple_scan(g, data):
     # a shuffled declaration order, so canonical order differs from name order
     order = tuple(data.draw(st.permutations(g.vertices)))
     g = SignedGraph(order, g.edges)
-    want = [
-        ((a, b, c), g.sign(a, b) * g.sign(b, c) * g.sign(a, c))
-        for a, b, c in combinations(order, 3)
-        if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-    ]
-    assert all_triangles(g) == want
+    assert all_triangles(g) == triple_scan(g)
 
 
 @given(signed_graphs(), st.data())

@@ -17,7 +17,7 @@ from fracbal.sgraph import (
     switch,
     triangle_sign,
 )
-from fracbal.gadgets import k4_minus, w_hat
+from fracbal.gadgets import GadgetGraph, complete_negative_face, k4_minus, w_hat
 
 
 def brute_force_triangle_signs(g):
@@ -155,6 +155,21 @@ def test_all_triangles_matches_brute_force_on_w_hat():
     g = w_hat().graph
     got = {frozenset(t): s for t, s in all_triangles(g)}
     assert got == brute_force_triangle_signs(g)
+
+
+def test_all_triangles_returns_a_fresh_list():
+    g = w_hat().graph
+    want = all_triangles(g)
+    # a graph derived from g inherits its memoised list
+    derived = complete_negative_face(GadgetGraph(g, {}, ()), ("w", "x1", "x2")).graph
+    derived_want = all_triangles(derived)
+    for graph, expected in ((g, want), (derived, derived_want)):
+        got = all_triangles(graph)
+        assert got is not all_triangles(graph)
+        got.reverse()
+        got.append((("u", "v", "w"), 1))
+        del got[0]
+        assert all_triangles(graph) == expected
 
 
 def test_triangle_free_graph_has_no_triangles():

@@ -1,6 +1,7 @@
 """The exact simplex core: hand-solved programs, a differential test
 against a dense Fraction tableau that takes the same Bland pivots, and
 differential tests of the resumable tableau against from-scratch solves."""
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -280,3 +281,89 @@ def test_appended_rows_resume_along_the_from_scratch_path(every, run):
             b.append(rhs)
             # equal results include equal pivot counts: the same Bland path
             assert resumed(tab) == outcome(simplex_max, rows, b, c)
+
+
+class FullScanTableau(Tableau):
+    """Reference for ``max_bits``: Bland's loop rescanning the whole tableau
+    at every step, as the engine did before it accounted only the rows that
+    pivots and appends build.  It keeps its own maximum in ``scanned``."""
+
+    scanned = 0
+
+    def solve(self) -> SimplexResult:
+        n = self.n
+        while True:
+            t = self.t
+            m = len(t) - 1
+            self.scanned = max(self.scanned, max(map(max, t)), -min(map(min, t)))
+            obj = t[m]
+            nonbasic = self.nonbasic
+            s = None
+            for k in range(n):
+                if obj[k] > 0 and (s is None or nonbasic[k] < nonbasic[s]):
+                    s = k
+            if s is None:
+                return replace(self._result(), max_bits=self.scanned.bit_length())
+            basis = self.basis
+            r = None
+            for i in range(m):
+                coef = t[i][s]
+                if coef > 0:
+                    if r is None:
+                        r = i
+                        continue
+                    lhs = t[i][n] * t[r][s]
+                    rhs = t[r][n] * coef
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                        r = i
+            if r is None:
+                raise SimplexError("unbounded objective")
+            if self.resumable:
+                if self.pivots == simplex._CHECKPOINT_EVERY * len(self.checkpoints):
+                    self.checkpoints.append((list(t), self.d, list(basis), list(nonbasic)))
+                self.path.append((r, s, t[r], self.d))
+            self.pivots += 1
+            self._pivot(r, s)
+
+
+def with_bits(result):
+    return (result, result.max_bits) if isinstance(result, SimplexResult) else result
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(programs())
+def test_max_bits_matches_full_scan(program):
+    rows, b, c = program
+    with mock.patch.object(simplex, "Tableau", FullScanTableau):
+        want = with_bits(outcome(simplex_max, rows, b, c))
+    assert with_bits(outcome(simplex_max, rows, b, c)) == want
+
+
+@pytest.mark.parametrize("every", [2, simplex._CHECKPOINT_EVERY])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(run=packing_runs())
+def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
+    c, start, appended = run
+    rows = [row for row, _ in start]
+    b = [rhs for _, rhs in start]
+    with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
+        tab = Tableau(rows, b, c, resumable=True)
+        ref = FullScanTableau(rows, b, c, resumable=True)
+        assert with_bits(resumed(tab)) == with_bits(resumed(ref))
+        for row, rhs in appended:
+            tab.append_row(row, rhs)
+            ref.append_row(row, rhs)
+            assert with_bits(resumed(tab)) == with_bits(resumed(ref))
+
+
+def test_max_bits_counts_the_row_a_rewind_pivots_on():
+    # 8x <= 1 wins the only recorded ratio test (1/8 against 1/1); its
+    # pivot element 8 becomes the denominator and leaves the tableau, so
+    # only the state after the rewind holds it
+    tab = Tableau([[1]], [1], [1], resumable=True)
+    ref = FullScanTableau([[1]], [1], [1], resumable=True)
+    tab.solve(), ref.solve()
+    tab.append_row([8], 1)
+    ref.append_row([8], 1)
+    assert with_bits(tab.solve()) == with_bits(ref.solve())
+    assert tab.solve().max_bits == 4
