@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .sgraph import GraphError, SignedGraph, any_cycle, load_json, negative_cycle_witness
+from .sgraph import GraphError, SignedGraph, any_cycle, load_json, negative_cycle_witness, sets_hold
 
 
 class CertificateError(ValueError):
@@ -53,7 +53,7 @@ class Certificate:
         for s, rep in self.classes:
             if not s:
                 raise CertificateError("empty color class")
-            if list(s) != sorted(set(s)):
+            if list(s) != sorted(s) or len(set(s)) != len(s):
                 raise CertificateError(f"class {s} is not a sorted set")
             if prev is not None and s <= prev:
                 raise CertificateError("classes not sorted or not merged")
@@ -76,8 +76,8 @@ class Certificate:
         merged: dict[tuple[str, ...], int] = {}
         for raw, rep in classes:
             row = tuple(raw)
-            key = tuple(sorted(set(row)))
-            if len(key) != len(row):
+            key = tuple(sorted(row))
+            if len(set(row)) != len(row):
                 raise CertificateError(f"class {row} repeats a vertex")
             merged[key] = merged.get(key, 0) + rep
         rows = tuple(sorted(merged.items()))
@@ -148,29 +148,26 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
 
     Findings rather than exceptions: every class must induce a balanced set
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
-    the palette, and every vertex must be covered at least q times.
+    the palette, and every vertex must be covered at least q times.  The
+    classes over known vertices are checked together, in one pass over the
+    edges per chunk of classes (``sgraph.sets_hold``); only a class that
+    fails is searched again for its cycle witness.
     """
     violations: list[Violation] = []
-    for s, rep in c.classes:
-        strangers = [v for v in s if not g.has_vertex(v)]
-        if strangers:
-            violations.append(
-                Violation("unknown-vertex", s, None, f"not in graph: {strangers}")
-            )
-            continue
-        if c.mode is Mode.BALANCED:
+    strangers = [[v for v in s if v not in g.index] for s, _ in c.classes]
+    known = [s for (s, _), out in zip(c.classes, strangers) if not out]
+    holds = iter(sets_hold(g, known, acyclic=c.mode is Mode.FOREST))
+    for (s, _), out in zip(c.classes, strangers):
+        if out:
+            violations.append(Violation("unknown-vertex", s, None, f"not in graph: {out}"))
+        elif next(holds):
+            pass
+        elif c.mode is Mode.BALANCED:
             witness = negative_cycle_witness(g, s)
-            if witness is not None:
-                violations.append(
-                    Violation("unbalanced-class", s, witness.vertices,
-                              "induces a negative cycle")
-                )
+            violations.append(Violation("unbalanced-class", s, witness.vertices, "induces a negative cycle"))
         else:
             witness = any_cycle(g, s)
-            if witness is not None:
-                violations.append(
-                    Violation("cyclic-class", s, witness.vertices, "induces a cycle")
-                )
+            violations.append(Violation("cyclic-class", s, witness.vertices, "induces a cycle"))
     if c.total_rep > c.p:
         violations.append(
             Violation("palette-overflow", (), None,

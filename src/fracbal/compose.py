@@ -217,8 +217,9 @@ def compose_8341(trace: BuildTrace) -> Certificate:
             _extend_apex(state, step.face, info, idx)  # type: ignore[arg-type]
         else:
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
+    # by name, so every class comes out sorted and ``build`` sorts in linear time
     classes: list[list[str]] = [[] for _ in range(P)]
-    for v, mask in state.masks.items():
+    for v, mask in sorted(state.masks.items()):
         for i in _bits(mask):
             classes[i].append(v)
     return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .sgraph import (
@@ -306,7 +307,7 @@ class _Builder:
         try:
             if isinstance(step, Op1):
                 return self.add_apex(step.face, f"k{idx}")
-            return self.substitute(step.edge, w_prime(), idx)
+            return self.substitute(step.edge, _w_prime_template(), idx)
         except GraphError as exc:
             raise TraceError(idx, str(exc)) from exc
 
@@ -413,6 +414,13 @@ def w_prime() -> GadgetGraph:
     for face, primes in zip(W_HAT_POSITIVE_FACES, (("a2", "a3", "a1"), ("b2", "b3", "b1"))):
         b.add_mini(face, primes)
     return b.freeze()
+
+
+@lru_cache(maxsize=None)
+def _w_prime_template() -> GadgetGraph:
+    """One ``w_prime()`` for every substitution of a trace replay, which
+    only reads it; it must never be changed."""
+    return w_prime()
 
 
 def w_double_prime() -> GadgetGraph:

@@ -2,9 +2,11 @@
 
 A signed graph is a simple undirected graph with a sign (+1 or -1) on every
 edge.  A vertex set is *balanced* when the subgraph it induces contains no
-cycle whose edge-sign product is -1.  Balance is decided with a
-parity-annotated union-find over the induced edges; a separate BFS pass
-extracts an explicit negative-cycle witness when one exists.
+cycle whose edge-sign product is -1.  ``sets_hold`` decides balance (or
+acyclicity) for many sets at once: one pass over the edge list hands each
+edge to the sets that hold both its endpoints, and a parity union-find per
+set joins that set's induced edges.  Only a set that fails is walked again,
+by a BFS over its induced subgraph, for an explicit cycle witness.
 
 Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).
@@ -15,7 +17,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -280,29 +282,70 @@ class ParityDSU:
                 self.rank[root] -= 1
 
 
-def _unions_hold(g: SignedGraph, members: Iterable[str], acyclic: bool) -> bool:
-    """Union the induced edges of ``members`` in edge order; False at the
-    first edge that closes any cycle (``acyclic``) or a negative one."""
-    s = canonical_set(g, members)
-    pos = {v: i for i, v in enumerate(s)}
-    dsu = ParityDSU(len(s))
-    for a, b, sign in g.induced_edges(s):
-        x, y = pos[a], pos[b]
-        if acyclic and dsu.find(x)[0] == dsu.find(y)[0]:
-            return False
-        if not dsu.union(x, y, sign < 0):
-            return False
+_SETS_PER_PASS = 64  # sets served by one edge pass of ``sets_hold``: the width of its masks
+
+
+def sets_hold(g: SignedGraph, sets: Sequence[Iterable[str]], acyclic: bool) -> list[bool]:
+    """For each of ``sets``, all of whose members are vertices of ``g``,
+    whether it induces a forest (``acyclic``) or no cycle with edge-sign
+    product -1.  One pass over ``g.edges`` per ``_SETS_PER_PASS`` sets
+    hands each edge to the sets whose bit both its endpoints carry."""
+    out: list[bool] = []
+    for lo in range(0, len(sets), _SETS_PER_PASS):
+        chunk = sets[lo:lo + _SETS_PER_PASS]
+        masks = dict.fromkeys(g.vertices, 0)
+        for j, s in enumerate(chunk):
+            bit = 1 << j
+            for v in s:
+                masks[v] |= bit
+        induced: list[list[Edge]] = [[] for _ in chunk]
+        for e in g.edges:
+            both = masks[e[0]] & masks[e[1]]
+            while both:
+                low = both & -both
+                induced[low.bit_length() - 1].append(e)
+                both ^= low
+        out += (_joins_hold(edges, acyclic) for edges in induced)
+    return out
+
+
+def _joins_hold(edges: Iterable[Edge], acyclic: bool) -> bool:
+    """Join ``edges`` in order in a parity union-find; False at the first
+    one that closes a cycle (``acyclic``) or a negative one.  By Harary's
+    switching criterion, none does iff the edges are balanced.  Not
+    ``ParityDSU``: its rollback trail and root masks serve the search core,
+    and here they would double the time."""
+    up: dict[str, tuple[str, int]] = {}  # non-root -> (parent, parity of the link)
+    rank: dict[str, int] = {}
+    for a, b, sign in edges:
+        pa, pb = 0, 1 if sign < 0 else 0
+        while a in up:
+            a, p = up[a]
+            pa ^= p
+        while b in up:
+            b, p = up[b]
+            pb ^= p
+        if a == b:
+            if acyclic or pa != pb:
+                return False
+            continue
+        ra, rb = rank.get(a, 0), rank.get(b, 0)
+        if ra < rb:
+            a, b = b, a
+        elif ra == rb:
+            rank[a] = ra + 1
+        up[b] = (a, pa ^ pb)
     return True
 
 
 def is_balanced(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces no cycle with edge-sign product -1."""
-    return _unions_hold(g, members, acyclic=False)
+    return sets_hold(g, [canonical_set(g, members)], acyclic=False)[0]
 
 
 def is_acyclic(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces a forest (signs ignored)."""
-    return _unions_hold(g, members, acyclic=True)
+    return sets_hold(g, [canonical_set(g, members)], acyclic=True)[0]
 
 
 def _bfs_forest(g: SignedGraph, s: tuple[str, ...]):

@@ -1,15 +1,19 @@
 """Certificate model, verifier findings, audits, and the fixture tables."""
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fracbal import sgraph
 from fracbal.certify import (
     Certificate,
     CertificateError,
     Mode,
     OverlapProfile,
+    VerifyReport,
+    Violation,
     overlap,
     profile,
     triangle_common_count,
@@ -19,7 +23,7 @@ from fracbal.certify import (
 )
 from fracbal.cover import chi_fb, lp_to_certificate
 from fracbal.gadgets import k4_minus, w_hat
-from fracbal.sgraph import GraphError
+from fracbal.sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness
 from fracbal.tables import (
     FixtureError,
     k3_base_colorings,
@@ -275,3 +279,158 @@ def test_mask_audits_match_class_scans(cert, terminals):
             reference_triangle_missing_count, cert, t
         )
     assert _outcome(profile, cert, terminals) == _outcome(reference_profile, cert, terminals)
+
+
+# The verifier as it stood before the batched balance check: one BFS
+# witness search per class.  The oracle side of the differential test below.
+def reference_verify(g, c):
+    violations = []
+    for s, rep in c.classes:
+        strangers = [v for v in s if not g.has_vertex(v)]
+        if strangers:
+            violations.append(
+                Violation("unknown-vertex", s, None, f"not in graph: {strangers}")
+            )
+            continue
+        if c.mode is Mode.BALANCED:
+            witness = negative_cycle_witness(g, s)
+            if witness is not None:
+                violations.append(
+                    Violation("unbalanced-class", s, witness.vertices,
+                              "induces a negative cycle")
+                )
+        else:
+            witness = any_cycle(g, s)
+            if witness is not None:
+                violations.append(
+                    Violation("cyclic-class", s, witness.vertices, "induces a cycle")
+                )
+    if c.total_rep > c.p:
+        violations.append(
+            Violation("palette-overflow", (), None,
+                      f"{c.total_rep} repetitions for {c.p} colors")
+        )
+    counts = dict.fromkeys(g.vertices, 0)
+    for s, rep in c.classes:
+        for v in s:
+            if v in counts:
+                counts[v] += rep
+    coverage = tuple(counts.items())
+    for v, cov in coverage:
+        if cov < c.q:
+            violations.append(
+                Violation("undercovered-vertex", (v,), None, f"coverage {cov} < {c.q}")
+            )
+    return VerifyReport(not violations, coverage, tuple(violations))
+
+
+@st.composite
+def hosts_and_certificates(draw):
+    """A small signed graph, possibly empty or with isolated vertices, and a
+    certificate of either mode whose classes may hold names the graph lacks,
+    induce cycles of either sign, undercover vertices or overflow the
+    palette."""
+    n = draw(st.integers(0, len(_MEMBERS)))
+    names = _MEMBERS[:n]
+    edges = tuple(
+        (names[i], names[j], draw(st.sampled_from((1, -1))))
+        for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    )
+    g = SignedGraph(names, edges)
+    # a stranger in one case of four, so that most classes reach the balance check
+    pool = names + ("ghost",) if not names or draw(st.integers(0, 3)) == 0 else names
+    rows = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(pool), min_size=1, unique=True), st.integers(1, 3)),
+        max_size=7,
+    ))
+    total = sum(rep for _, rep in rows)
+    cert = Certificate.build(max(total, 1), draw(st.integers(1, 3)), draw(st.sampled_from(Mode)), rows)
+    if total > 1 and draw(st.integers(0, 3)) == 0:
+        # a palette the constructor would refuse: verify reports it instead
+        object.__setattr__(cert, "p", draw(st.integers(1, total - 1)))
+    return g, cert
+
+
+@pytest.mark.parametrize("per_pass", [1, 2, sgraph._SETS_PER_PASS])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(hosts_and_certificates())
+def test_verify_matches_per_class_witness_search(per_pass, case):
+    g, cert = case
+    with mock.patch.object(sgraph, "_SETS_PER_PASS", per_pass):
+        assert verify(g, cert) == reference_verify(g, cert)
+
+
+# The class checks as they stood before the linear-time ones, each class
+# compared with ``sorted(set(...))``: the oracle side of the test below.
+def reference_post_init(p, q, classes):
+    if p < 1 or q < 1:
+        raise CertificateError("p and q must be positive")
+    total = 0
+    prev = None
+    for s, rep in classes:
+        if not s:
+            raise CertificateError("empty color class")
+        if list(s) != sorted(set(s)):
+            raise CertificateError(f"class {s} is not a sorted set")
+        if prev is not None and s <= prev:
+            raise CertificateError("classes not sorted or not merged")
+        if rep < 1:
+            raise CertificateError(f"class {s} has repetition {rep}")
+        prev = s
+        total += rep
+    if total > p:
+        raise CertificateError(f"total repetition {total} exceeds palette {p}")
+    return tuple(classes)
+
+
+def reference_build(p, q, classes):
+    merged = {}
+    for raw, rep in classes:
+        row = tuple(raw)
+        key = tuple(sorted(set(row)))
+        if len(key) != len(row):
+            raise CertificateError(f"class {row} repeats a vertex")
+        merged[key] = merged.get(key, 0) + rep
+    return reference_post_init(p, q, tuple(sorted(merged.items())))
+
+
+def _classes_or_error(fn, *args):
+    try:
+        out = fn(*args)
+    except CertificateError as exc:
+        return "error", str(exc)
+    return "value", out if isinstance(out, tuple) else out.classes
+
+
+@st.composite
+def raw_rows(draw):
+    """Rows that may be unsorted, repeat a member, repeat a whole row (which
+    ``build`` merges and the constructor refuses) or have repetition 0; or,
+    half the time, the same rows sorted, made distinct and merged."""
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_MEMBERS[:4]), min_size=1, max_size=5).map(tuple),
+            st.sampled_from((0, 1, 1, 2, 3)),
+        ),
+        max_size=5,
+    ))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    if draw(st.booleans()):
+        rows = sorted({tuple(sorted(set(s))): rep for s, rep in rows}.items())
+    return rows
+
+
+@example(3, 1, [((), 1)])
+@example(0, 1, [(("a",), 1)])
+@example(3, 0, [(("a",), 1)])
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.integers(1, 12), st.integers(1, 3), raw_rows())
+def test_certificate_checks_match_sorted_set_checks(p, q, rows):
+    mode = Mode.BALANCED
+    assert _classes_or_error(Certificate, p, q, mode, tuple(rows)) == _classes_or_error(
+        reference_post_init, p, q, tuple(rows)
+    )
+    assert _classes_or_error(Certificate.build, p, q, mode, rows) == _classes_or_error(
+        reference_build, p, q, rows
+    )

@@ -4,10 +4,19 @@ import random
 
 import pytest
 
+from fracbal import gadgets
 from fracbal.acceptance import random_trace
 from fracbal.certify import overlap, profile, verify
 from fracbal.compose import compose_8341
-from fracbal.gadgets import BuildTrace, Op1, Op2, build_from_trace, k3_minus, w_prime
+from fracbal.gadgets import (
+    BuildTrace,
+    Op1,
+    Op2,
+    apply_trace_step,
+    build_from_trace,
+    k3_minus,
+    w_prime,
+)
 from fracbal.sgraph import serialize_graph
 
 
@@ -136,6 +145,35 @@ def deep_trace(depth: int, seed: int) -> BuildTrace:
 def test_depth_1000_trace_is_certified():
     g, _ = assert_good_coloring(deep_trace(1000, seed=3))
     assert len(g.graph.vertices) == 3 + 500 + 500 * 14
+
+
+def gadget_snapshot(gg):
+    """Everything a reader of ``gg`` sees, dicts in key order."""
+    g = gg.graph
+    return (
+        g.vertices,
+        g.edges,
+        list(g.index.items()),
+        [(v, list(nbrs.items())) for v, nbrs in g.adj.items()],
+        gg.marked_triangles,
+        list(gg.terminals.items()),
+    )
+
+
+def test_trace_replay_leaves_the_w_prime_template_unchanged():
+    # every substitution reads one shared w_prime, which nothing may write
+    # into; checked after each step too, so a write that a later step
+    # happens to undo is caught
+    trace = random_trace(random.Random(7), 200)
+    want = gadget_snapshot(w_prime())
+    g = k3_minus()
+    for idx, step in enumerate(trace.steps, start=1):
+        g, _ = apply_trace_step(g, step, idx)
+        assert gadget_snapshot(gadgets._w_prime_template()) == want, idx
+    build_from_trace(trace)
+    assert gadget_snapshot(gadgets._w_prime_template()) == want
+    compose_8341(trace)
+    assert gadget_snapshot(gadgets._w_prime_template()) == want
 
 
 def test_composition_is_deterministic():
