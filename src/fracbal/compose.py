@@ -33,7 +33,7 @@ pool's first ``count`` colors are its lowest set bits:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Sequence
 
 from .certify import Certificate, Mode
@@ -76,8 +76,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _lowest(pool: int, count: int) -> int:
-    """The ``count`` lowest colors of ``pool``."""
-    return sum(1 << i for i in islice(_bits(pool), count))
+    """The ``count`` lowest colors of ``pool`` (all of it if it has fewer)."""
+    rest = pool
+    for _ in range(count):
+        rest &= rest - 1
+    return pool ^ rest
 
 
 def _base_state(base: str) -> _State:

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .gadgets import GadgetGraph
-from .sgraph import GraphError, ParityDSU, SignedGraph, canonical_set
+from .sgraph import GraphError, ParityDSU, SignedGraph, _assembled, canonical_set, sets_hold
 
 MAXIMAL_SIZE_GUARD = 24
 FULL_SIZE_GUARD = 16
@@ -57,8 +57,12 @@ class SetFamily:
     leaves: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        # looked up per call, so that a wrapper installed on sgraph sees them
+        from .sgraph import is_acyclic, is_balanced
+
+        holds = is_balanced if self.property is SetProperty.BALANCED else is_acyclic
         for s in self.sets:
-            if not _satisfies(self.host, self.property, s):
+            if not holds(self.host, s):
                 raise GraphError(f"set {s} violates {self.property.value}")
 
     @classmethod
@@ -68,20 +72,10 @@ class SetFamily:
     ) -> SetFamily:
         """A family of sets that the search core produced, which hold the
         property by construction, built without re-checking them."""
-        fam = object.__new__(cls)
-        fam.__dict__.update(
-            host=host, property=prop, sets=sets, maximal_only=maximal_only,
+        return _assembled(
+            cls, host=host, property=prop, sets=sets, maximal_only=maximal_only,
             nodes=nodes, leaves=leaves,
         )
-        return fam
-
-
-def _satisfies(g: SignedGraph, prop: SetProperty, members: Iterable[str]) -> bool:
-    from .sgraph import is_acyclic, is_balanced
-
-    if prop is SetProperty.BALANCED:
-        return is_balanced(g, members)
-    return is_acyclic(g, members)
 
 
 class _Core:
@@ -335,12 +329,8 @@ def lemma_case_sets(
         must_contain=(u, v),
         avoid=positive_faces,
     )
-    seen: list[tuple[str, ...]] = []
-    for s in plain.sets + avoiding.sets:
-        if s not in seen:
-            seen.append(s)
-    seen.sort(key=lambda s: tuple(g.graph.index[x] for x in s))
-    return tuple(seen)
+    union = dict.fromkeys(plain.sets + avoiding.sets)
+    return tuple(sorted(union, key=lambda s: tuple(g.graph.index[x] for x in s)))
 
 
 def check_missing_triangle_lemma(g: GadgetGraph) -> tuple[bool, tuple[str, ...] | None]:
@@ -388,18 +378,10 @@ def check_forest_lemmas(g: GadgetGraph) -> ForestLemmaReport:
     v = g.terminal("v")
     hub_set = {"z", "t", "x1"}
     verts = graph.vertices
-    max_order = 0
-    max_uv = 0
-    acyclic_sets: list[tuple[str, ...]] = []
-    for bits in range(1 << n):
-        s = tuple(verts[i] for i in range(n) if bits >> i & 1)
-        if not _satisfies(graph, SetProperty.ACYCLIC, s):
-            continue
-        acyclic_sets.append(s)
-        if len(s) > max_order:
-            max_order = len(s)
-        if u in s and v in s and len(s) > max_uv:
-            max_uv = len(s)
+    subsets = [tuple(verts[i] for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
+    acyclic_sets = [s for s, ok in zip(subsets, sets_hold(graph, subsets, acyclic=True)) if ok]
+    max_order = max(map(len, acyclic_sets))
+    max_uv = max((len(s) for s in acyclic_sets if u in s and v in s), default=0)
     with_u = [s for s in acyclic_sets if len(s) == max_order and u in s]
     hitting = [s for s in with_u if len(hub_set & set(s)) >= 2]
     return ForestLemmaReport(max_order, max_uv, len(with_u), len(hitting))

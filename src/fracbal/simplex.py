@@ -34,7 +34,11 @@ The engine carries the new row through the recorded pivots by the ordinary
 Bareiss row update until that step (adding it to each checkpoint it
 passes), rebuilds the tableau there from the nearest checkpoint, and
 continues with Bland.  The result, pivot count included, is exactly that
-of ``simplex_max`` over all rows.
+of ``simplex_max`` over all rows, and so is the final tableau.
+
+``SimplexResult.max_bits`` is read off that final tableau once, when the
+result is built: the bit length of its largest absolute entry, each entry
+being a minor of the scaled input.  Nothing along the path accounts widths.
 """
 from __future__ import annotations
 
@@ -60,8 +64,9 @@ class SimplexResult:
     x: tuple[Fraction, ...]       # structural variable values
     duals: tuple[Fraction, ...]   # one multiplier per constraint row
     pivots: int                   # Bland pivots taken
-    # Largest int.bit_length() of any tableau entry; a property of the
-    # integer representation, not of the answer, so equality ignores it.
+    # Bit length of the largest absolute entry of the final tableau; a
+    # property of the integer representation, not of the answer, so
+    # equality ignores it.
     max_bits: int = field(default=0, compare=False)
 
 
@@ -102,12 +107,8 @@ class Tableau:
     the checkpoints would keep a tableau per ``_CHECKPOINT_EVERY`` pivots
     alive.  Rows are never changed in place (a pivot builds new lists), so
     the path records and the checkpoints share them.  ``executed`` counts
-    the pivots actually computed, replays included.
-
-    ``widest``, the largest absolute entry of any state the Bland path
-    passes through, is kept by scanning the rows each pivot or
-    ``append_row`` builds, plus one full scan at construction and after
-    each rewind, whose replayed pivots take no part.
+    the pivots actually computed, replays included.  A result's
+    ``max_bits`` is the width of the tableau it was read from.
     """
 
     def __init__(
@@ -131,7 +132,6 @@ class Tableau:
         self.path: list[tuple[int, int, list[int], int]] = []
         # before pivot k * _CHECKPOINT_EVERY: (rows, d, basis, nonbasic)
         self.checkpoints: list[tuple[list[list[int]], int, list[int], list[int]]] = []
-        self.widest = _width(self.t)
         self.executed = 0
 
     def solve(self) -> SimplexResult:
@@ -195,7 +195,6 @@ class Tableau:
             new = _eliminate(new, prow, s, d)
         self.t.insert(m, new)
         self.basis.append(n + m)
-        self.widest = max(self.widest, _width([new]))
 
     def _rewind(self, k: int) -> None:
         """Rebuild the state before pivot ``k`` of the recorded path from the
@@ -208,26 +207,18 @@ class Tableau:
         del self.path[k:]
         self.pivots = k
         for r, s, _, _ in replay:
-            self._pivot(r, s, widen=False)
-        self.widest = max(self.widest, _width(self.t))
+            self._pivot(r, s)
 
-    def _pivot(self, r: int, s: int, widen: bool = True) -> None:
-        """Pivot on row ``r`` and column ``s``; ``widen`` accounts the rows
-        it builds in ``widest``."""
+    def _pivot(self, r: int, s: int) -> None:
+        """Pivot on row ``r`` and column ``s``."""
         t, d = self.t, self.d
         prow = t[r]
-        built = []
         for i, row in enumerate(t):
             if i != r:
-                t[i] = new = _eliminate(row, prow, s, d)
-                if widen and new is not row:
-                    built.append(new)
-        # the pivot row holds entries seen before: prow's and d, the last pivot
+                t[i] = _eliminate(row, prow, s, d)
         pivot = list(prow)
         pivot[s] = d
         t[r] = pivot
-        if built:
-            self.widest = max(self.widest, _width(built))
         self.d = prow[s]
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
         self.executed += 1
@@ -246,7 +237,7 @@ class Tableau:
                 duals[var - n] = Fraction(-obj[k], d)
         return SimplexResult(
             Fraction(-obj[n], d), tuple(x), tuple(duals), self.pivots,
-            self.widest.bit_length(),
+            _width(t).bit_length(),
         )
 
 

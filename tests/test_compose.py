@@ -1,13 +1,16 @@
 """The inductive (83,41)-coloring composer across trace shapes."""
 import hashlib
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracbal import gadgets
 from fracbal.acceptance import random_trace
 from fracbal.certify import overlap, profile, verify
-from fracbal.compose import compose_8341
+from fracbal.compose import _bits, _lowest, compose_8341
 from fracbal.gadgets import (
     BuildTrace,
     Op1,
@@ -179,6 +182,16 @@ def test_trace_replay_leaves_the_w_prime_template_unchanged():
 def test_composition_is_deterministic():
     trace = BuildTrace("K3_MINUS", (Op2(("u1", "u2")), Op1(("u1", "u2", "u3"))))
     assert compose_8341(trace) == compose_8341(trace)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(pool=st.integers(min_value=0, max_value=(1 << 83) - 1), count=st.integers(0, 90))
+@example(pool=0b1011, count=0)
+@example(pool=0b1011, count=3)
+@example(pool=0b1011, count=5)
+@example(pool=0, count=2)
+def test_lowest_takes_the_lowest_set_bits(pool, count):
+    assert _lowest(pool, count) == sum(1 << i for i in islice(_bits(pool), count))
 
 
 def test_invalid_trace_surfaces_step_error():
