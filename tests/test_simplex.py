@@ -305,3 +305,22 @@ def test_max_bits_reads_the_final_tableau(program):
         return
     assert res.max_bits == max(abs(v) for row in tab.t for v in row).bit_length()
     assert simplex_max(rows, b, c).max_bits == res.max_bits
+
+
+@pytest.mark.parametrize("every", [2, simplex._CHECKPOINT_EVERY])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(run=packing_runs())
+def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
+    # a rewind rebuilds the tableau from a checkpoint and replays pivots:
+    # after every resumed solve, max_bits is still a full scan of what is left
+    c, start, appended = run
+    rows = [row for row, _ in start]
+    b = [rhs for _, rhs in start]
+    with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
+        tab = Tableau(rows, b, c, resumable=True)
+        for row, rhs in [(None, None), *appended]:
+            if row is not None:
+                tab.append_row(row, rhs)
+            res = resumed(tab)
+            if isinstance(res, SimplexResult):
+                assert res.max_bits == max(abs(v) for r in tab.t for v in r).bit_length()
