@@ -148,19 +148,32 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
 
     Findings rather than exceptions: every class must induce a balanced set
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
-    the palette, and every vertex must be covered at least q times.  The
-    classes over known vertices are checked together, in one pass over the
-    edges per chunk of classes (``sgraph.sets_hold``); only a class that
-    fails is searched again for its cycle witness.
+    the palette, and every vertex must be covered at least q times.  One
+    loop over the members counts coverage, finds strangers and builds the
+    class bitmasks for one edge pass (``sgraph.sets_hold``); only a class
+    that fails is searched again for its cycle witness.
     """
+    index = g.index
+    counts = [0] * len(index)
+    masks = [0] * len(index)
+    strangers: list[list[str]] = []
+    for j, (s, rep) in enumerate(c.classes):
+        bit = 1 << j
+        out = []
+        for v in s:
+            i = index.get(v)
+            if i is None:
+                out.append(v)
+            else:
+                counts[i] += rep
+                masks[i] |= bit
+        strangers.append(out)
+    holds = sets_hold(g, dict(zip(g.vertices, masks)), len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
-    strangers = [[v for v in s if v not in g.index] for s, _ in c.classes]
-    known = [s for (s, _), out in zip(c.classes, strangers) if not out]
-    holds = iter(sets_hold(g, known, acyclic=c.mode is Mode.FOREST))
-    for (s, _), out in zip(c.classes, strangers):
+    for (s, _), out, ok in zip(c.classes, strangers, holds):
         if out:
             violations.append(Violation("unknown-vertex", s, None, f"not in graph: {out}"))
-        elif next(holds):
+        elif ok:
             pass
         elif c.mode is Mode.BALANCED:
             witness = negative_cycle_witness(g, s)
@@ -173,12 +186,7 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
             Violation("palette-overflow", (), None,
                       f"{c.total_rep} repetitions for {c.p} colors")
         )
-    counts = dict.fromkeys(g.vertices, 0)
-    for s, rep in c.classes:
-        for v in s:
-            if v in counts:
-                counts[v] += rep
-    coverage = tuple(counts.items())
+    coverage = tuple(zip(g.vertices, counts))
     for v, cov in coverage:
         if cov < c.q:
             violations.append(

@@ -39,6 +39,7 @@ from typing import Iterator, Sequence
 from .certify import Certificate, Mode
 from .gadgets import (  # noqa: F401  (perfbench/spans.py wraps compose.apply_trace_step)
     W_HAT_POSITIVE_FACES,
+    W_PRIME_FACE_PRIMES,
     BuildTrace,
     Op1,
     _Builder,
@@ -147,22 +148,17 @@ def _extend_substitution(
         if w not in ("u", "v"):
             state.masks[mapping[w]] = sum(1 << to_host[i] for i in _bits(m))
 
-    for outer, minis in zip(W_HAT_POSITIVE_FACES, (("a1", "a2", "a3"), ("b1", "b2", "b3"))):
-        _extend_mini(state, [mapping[o] for o in outer], [mapping[m] for m in minis], step)
+    # each mapped face is in canonical order: its host endpoint is older than
+    # every copy, and the copies are added in template order
+    for face, primes in zip(W_HAT_POSITIVE_FACES, W_PRIME_FACE_PRIMES):
+        _extend_mini(state, [mapping[v] for v in face], [mapping[m] for m in primes], step)
 
 
-def _extend_mini(state: _State, outer: list[str], minis: list[str], step: int) -> None:
-    """Complete the coloring over one positive-face mini gadget."""
-    g = state.graph
-    o = sorted(outer, key=g.index.__getitem__)
-    # prime of an outer vertex: the mini vertex not adjacent to it
-    prime = {}
-    for v in o:
-        non_adj = [m for m in minis if not g.has_edge(v, m)]
-        if len(non_adj) != 1:
-            raise ComposeError(f"step {step}: bad mini adjacency at {v}")
-        prime[v] = non_adj[0]
-
+def _extend_mini(state: _State, o: list[str], primes: list[str], step: int) -> None:
+    """Complete the coloring over one positive-face mini gadget: ``o`` is
+    the face in canonical order, and ``primes[i]`` is the prime of ``o[i]``,
+    the mini vertex not adjacent to it."""
+    prime = dict(zip(o, primes))
     m = [state.masks[v] for v in o]
     triple = m[0] & m[1] & m[2]
     pair_groups = {
@@ -193,7 +189,7 @@ def _extend_mini(state: _State, outer: list[str], minis: list[str], step: int) -
         env = {"i": o[i], "i+1": o[(i + 1) % 3], "i+2": o[(i + 2) % 3]}
         for fam in scheme["families"]:
             out_pat = [env[tok] for tok in fam["outer"]]
-            primes = [prime[env[tok]] for tok in fam["primes"]]
+            receivers = [prime[env[tok]] for tok in fam["primes"]]
             count = fam["count"]
             if len(out_pat) == 2:
                 pools, key = pair_groups, frozenset(out_pat)
@@ -205,7 +201,7 @@ def _extend_mini(state: _State, outer: list[str], minis: list[str], step: int) -
                     raise ComposeError(f"step {step}: single pool exhausted at {key}")
             chosen = _lowest(pools[key], count)
             pools[key] ^= chosen
-            for p in primes:
+            for p in receivers:
                 state.masks[p] = state.masks.get(p, 0) | chosen
 
 
@@ -221,8 +217,6 @@ def compose_8341(trace: BuildTrace) -> Certificate:
         else:
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
     # by name, so every class comes out sorted and ``build`` sorts in linear time
-    classes: list[list[str]] = [[] for _ in range(P)]
-    for v, mask in sorted(state.masks.items()):
-        for i in _bits(mask):
-            classes[i].append(v)
+    items = sorted(state.masks.items())
+    classes = ([v for v, mask in items if mask >> i & 1] for i in range(P))
     return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))

@@ -402,8 +402,10 @@ def w_hat() -> GadgetGraph:
     return GadgetGraph(g, {"u": "u", "v": "v"}, marked)
 
 
-# the two positive faces of w_hat, completed with mini gadgets in w_prime
+# the two positive faces of w_hat, completed with mini gadgets in w_prime,
+# and the primes of their vertices there (the mini vertex not adjacent to each)
 W_HAT_POSITIVE_FACES = (("u", "x1", "x2"), ("v", "x3", "x4"))
+W_PRIME_FACE_PRIMES = (("a1", "a2", "a3"), ("b1", "b2", "b3"))
 
 
 def w_prime() -> GadgetGraph:

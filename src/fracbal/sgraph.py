@@ -3,10 +3,11 @@
 A signed graph is a simple undirected graph with a sign (+1 or -1) on every
 edge.  A vertex set is *balanced* when the subgraph it induces contains no
 cycle whose edge-sign product is -1.  ``sets_hold`` decides balance (or
-acyclicity) for many sets at once: one pass over the edge list hands each
-edge to the sets that hold both its endpoints, and a parity union-find per
-set joins that set's induced edges.  Only a set that fails is walked again,
-by a BFS over its induced subgraph, for an explicit cycle witness.
+acyclicity) for many sets at once, given as one class bitmask per vertex:
+one pass over the edge list hands each edge to the sets that hold both its
+endpoints, and a parity union-find per set joins that set's induced edges.
+Only a set that fails is walked again, by a BFS over its induced subgraph,
+for an explicit cycle witness.
 
 Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).
@@ -17,7 +18,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -282,31 +283,20 @@ class ParityDSU:
                 self.rank[root] -= 1
 
 
-_SETS_PER_PASS = 64  # sets served by one edge pass of ``sets_hold``: the width of its masks
-
-
-def sets_hold(g: SignedGraph, sets: Sequence[Iterable[str]], acyclic: bool) -> list[bool]:
-    """For each of ``sets``, all of whose members are vertices of ``g``,
-    whether it induces a forest (``acyclic``) or no cycle with edge-sign
-    product -1.  One pass over ``g.edges`` per ``_SETS_PER_PASS`` sets
-    hands each edge to the sets whose bit both its endpoints carry."""
-    out: list[bool] = []
-    for lo in range(0, len(sets), _SETS_PER_PASS):
-        chunk = sets[lo:lo + _SETS_PER_PASS]
-        masks = dict.fromkeys(g.vertices, 0)
-        for j, s in enumerate(chunk):
-            bit = 1 << j
-            for v in s:
-                masks[v] |= bit
-        induced: list[list[Edge]] = [[] for _ in chunk]
-        for e in g.edges:
-            both = masks[e[0]] & masks[e[1]]
-            while both:
-                low = both & -both
-                induced[low.bit_length() - 1].append(e)
-                both ^= low
-        out += (_joins_hold(edges, acyclic) for edges in induced)
-    return out
+def sets_hold(g: SignedGraph, masks: dict[str, int], count: int, acyclic: bool) -> list[bool]:
+    """For each of ``count`` vertex sets, given by ``masks`` (bit j of
+    ``masks[v]`` is set iff v is in set j, and every vertex of ``g`` is a
+    key), whether it induces a forest (``acyclic``) or no cycle with
+    edge-sign product -1.  One pass over ``g.edges`` hands each edge to the
+    sets whose bit both its endpoints carry."""
+    induced: list[list[Edge]] = [[] for _ in range(count)]
+    for e in g.edges:
+        both = masks[e[0]] & masks[e[1]]
+        while both:
+            low = both & -both
+            induced[low.bit_length() - 1].append(e)
+            both ^= low
+    return [_joins_hold(edges, acyclic) for edges in induced]
 
 
 def _joins_hold(edges: Iterable[Edge], acyclic: bool) -> bool:
@@ -340,12 +330,12 @@ def _joins_hold(edges: Iterable[Edge], acyclic: bool) -> bool:
 
 def is_balanced(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces no cycle with edge-sign product -1."""
-    return sets_hold(g, [canonical_set(g, members)], acyclic=False)[0]
+    return _joins_hold(g.induced_edges(canonical_set(g, members)), acyclic=False)
 
 
 def is_acyclic(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces a forest (signs ignored)."""
-    return sets_hold(g, [canonical_set(g, members)], acyclic=True)[0]
+    return _joins_hold(g.induced_edges(canonical_set(g, members)), acyclic=True)
 
 
 def _bfs_forest(g: SignedGraph, s: tuple[str, ...]):

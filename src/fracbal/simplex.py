@@ -247,14 +247,15 @@ def simplex_max(
     c: Sequence[Rational],
 ) -> SimplexResult:
     """Maximize c.x over Ax <= b, x >= 0 (requires b >= 0) on a fresh
-    ``Tableau``, with Bland's rule."""
+    ``Tableau``, with Bland's rule.  Every entry must be a ``Rational``
+    (an int or a Fraction); a float or a Decimal is refused."""
+    for v in chain(b, c, *rows):
+        if not isinstance(v, Rational):
+            raise SimplexError(f"entries must be rational, got {v!r}")
     _check_rows(rows, b, len(c))
-    rows = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
     scale = lcm(*(v.denominator for v in chain(b, c, *rows)))
 
-    def scaled(vals: list[Fraction]) -> list[int]:
+    def scaled(vals: Sequence[Rational]) -> list[int]:
         return [v.numerator * (scale // v.denominator) for v in vals]
 
     res = Tableau([scaled(row) for row in rows], scaled(b), scaled(c)).solve()

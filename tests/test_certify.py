@@ -1,12 +1,12 @@
 """Certificate model, verifier findings, audits, and the fixture tables."""
 from itertools import combinations
-from unittest import mock
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracbal import sgraph
+from fracbal.acceptance import random_trace
 from fracbal.certify import (
     Certificate,
     CertificateError,
@@ -22,7 +22,8 @@ from fracbal.certify import (
     verify,
 )
 from fracbal.cover import chi_fb, lp_to_certificate
-from fracbal.gadgets import k4_minus, w_hat
+from fracbal.compose import compose_8341
+from fracbal.gadgets import build_from_trace, k4_minus, w_hat
 from fracbal.sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness
 from fracbal.tables import (
     FixtureError,
@@ -351,13 +352,34 @@ def hosts_and_certificates(draw):
     return g, cert
 
 
-@pytest.mark.parametrize("per_pass", [1, 2, sgraph._SETS_PER_PASS])
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(hosts_and_certificates())
-def test_verify_matches_per_class_witness_search(per_pass, case):
+def test_verify_matches_per_class_witness_search(case):
     g, cert = case
-    with mock.patch.object(sgraph, "_SETS_PER_PASS", per_pass):
-        assert verify(g, cert) == reference_verify(g, cert)
+    assert verify(g, cert) == reference_verify(g, cert)
+
+
+def test_verify_matches_per_class_witness_search_beyond_64_classes():
+    # the 83 classes of a composed certificate take class bits above 64:
+    # as composed, as forest classes (cyclic, with witnesses) and with a
+    # stranger in one class above bit 64
+    trace = random_trace(Random(7), 100)
+    g = build_from_trace(trace).graph
+    cert = compose_8341(trace)
+    assert len(cert.classes) == 83
+    forest = Certificate(cert.p, cert.q, Mode.FOREST, cert.classes)
+    s, rep = cert.classes[70]
+    rows = [*cert.classes[:70], ((*s, "zz-ghost"), rep), *cert.classes[71:]]
+    stray = Certificate.build(cert.p, cert.q, Mode.BALANCED, rows)
+    assert stray.classes[70] == ((*s, "zz-ghost"), rep)
+    reports = [verify(g, c) for c in (cert, forest, stray)]
+    assert reports == [reference_verify(g, c) for c in (cert, forest, stray)]
+    assert reports[0].ok
+    cyclic = {v.subject for v in reports[1].violations if v.kind == "cyclic-class"}
+    assert any(cert.classes[j][0] in cyclic for j in range(64, 83))
+    assert [(v.kind, v.subject) for v in reports[2].violations] == [
+        ("unknown-vertex", stray.classes[70][0])
+    ]
 
 
 # The class checks as they stood before the linear-time ones, each class

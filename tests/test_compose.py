@@ -12,6 +12,8 @@ from fracbal.acceptance import random_trace
 from fracbal.certify import overlap, profile, verify
 from fracbal.compose import _bits, _lowest, compose_8341
 from fracbal.gadgets import (
+    W_HAT_POSITIVE_FACES,
+    W_PRIME_FACE_PRIMES,
     BuildTrace,
     Op1,
     Op2,
@@ -20,7 +22,7 @@ from fracbal.gadgets import (
     k3_minus,
     w_prime,
 )
-from fracbal.sgraph import serialize_graph
+from fracbal.sgraph import canonical_set, serialize_graph
 
 
 def assert_good_coloring(trace):
@@ -177,6 +179,21 @@ def test_trace_replay_leaves_the_w_prime_template_unchanged():
     assert gadget_snapshot(gadgets._w_prime_template()) == want
     compose_8341(trace)
     assert gadget_snapshot(gadgets._w_prime_template()) == want
+
+
+def test_mini_primes_follow_face_positions():
+    # the composer pairs face vertex i with prime i and relies on every
+    # mapped face being in canonical order already
+    wp = w_prime().graph
+    for face, primes in zip(W_HAT_POSITIVE_FACES, W_PRIME_FACE_PRIMES):
+        for i, p in enumerate(primes):
+            assert [wp.has_edge(v, p) for v in face] == [j != i for j in range(3)]
+    g = k3_minus()
+    for idx, edge in enumerate((("u1", "u2"), ("u3", "u1")), start=1):
+        g, mapping = apply_trace_step(g, Op2(edge), idx)
+        for face in W_HAT_POSITIVE_FACES:
+            mapped = tuple(mapping[v] for v in face)
+            assert canonical_set(g.graph, mapped) == mapped
 
 
 def test_composition_is_deterministic():

@@ -1,6 +1,7 @@
 """The exact simplex core: hand-solved programs, a differential test
 against a dense Fraction tableau that takes the same Bland pivots, and
 differential tests of the resumable tableau against from-scratch solves."""
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -130,6 +131,18 @@ def test_unbounded_detected():
 def test_negative_rhs_rejected():
     with pytest.raises(SimplexError, match="nonnegative"):
         simplex_max([[F(1)]], [F(-1)], [F(1)])
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, Decimal("0.5")], ids=["float", "whole-float", "decimal"])
+def test_non_rational_entries_rejected(entry):
+    # the entry in the constraint rows, the right-hand side, the objective
+    for rows, b, c in (
+        ([[entry, 1]], [1], [1, 1]),
+        ([[F(1), 1]], [entry], [1, 1]),
+        ([[1, 1]], [F(1, 2)], [1, entry]),
+    ):
+        with pytest.raises(SimplexError, match="must be rational"):
+            simplex_max(rows, b, c)
 
 
 def test_zero_objective():
