@@ -24,7 +24,7 @@ from fracbal.certify import (
 from fracbal.cover import chi_fb, lp_to_certificate
 from fracbal.compose import compose_8341
 from fracbal.gadgets import build_from_trace, k4_minus, w_hat
-from fracbal.sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness
+from fracbal.sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness, sets_hold
 from fracbal.tables import (
     FixtureError,
     k3_base_colorings,
@@ -352,11 +352,22 @@ def hosts_and_certificates(draw):
     return g, cert
 
 
+@pytest.mark.parametrize("per_pass", [1, 2, 64])
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(hosts_and_certificates())
-def test_verify_matches_per_class_witness_search(case):
+def test_verify_matches_per_class_witness_search(per_pass, case):
     g, cert = case
     assert verify(g, cert) == reference_verify(g, cert)
+    # sets_hold answers each set on its own: handing it the classes
+    # ``per_pass`` at a time gives the answer of one pass over them all
+    acyclic = cert.mode is Mode.FOREST
+    count = len(cert.classes)
+    masks = {v: sum(1 << j for j, (s, _) in enumerate(cert.classes) if v in s) for v in g.vertices}
+    parts: list[bool] = []
+    for lo in range(0, count, per_pass):
+        n = min(per_pass, count - lo)
+        parts += sets_hold(g, {v: m >> lo & (1 << n) - 1 for v, m in masks.items()}, n, acyclic)
+    assert parts == sets_hold(g, masks, count, acyclic)
 
 
 def test_verify_matches_per_class_witness_search_beyond_64_classes():
