@@ -11,9 +11,13 @@ order without a sorting pass; results are identical across runs.
 Maximal enumeration needs no test at the leaves.  A vertex that cannot join
 the chosen set at its turn never can further down (heredity).  A vertex
 excluded while it could still join stays *pending*, stored with its reach:
-the undecided vertices next to it, next to a chosen component touching it,
-or sharing an avoid set with it.  Only including a vertex of its reach can
-block it, so only then is it re-tested; once blocked it leaves the list.  A
+the vertices next to it or sharing an avoid set with it and, when it touches
+two or more chosen components, the vertices next to any of those.  With at
+most one such component nothing else can block it: its chosen neighbours
+sit in that component at consistent parities (one neighbour if acyclic),
+and growing or merging the component never changes the parities inside it.
+Only including a vertex of its reach can block a pending vertex, so only
+then is it re-tested; once blocked it leaves the list.  A
 pending vertex whose reach holds no undecided vertex can never be blocked,
 so every set below would extend by it and the branch is cut.  Every leaf
 the walk reaches is therefore maximal.
@@ -140,10 +144,19 @@ class _Core:
         return roots
 
     def reach(self, v: int, roots: dict[int, int]) -> int:
-        """The vertices whose inclusion can block v, given ``scan(v)``."""
+        """The vertices whose inclusion can block v, given ``scan(v)``.
+
+        With at most one chosen component next to v, that is ``reach0[v]``:
+        v's chosen neighbours then lie in one component at consistent
+        parities (acyclic: there is one), and growing or merging that
+        component never changes the parities inside it, so only a new
+        neighbour of v or a completed avoid set can close a bad cycle
+        through v.  With two or more, a merge of two of them can, so the
+        neighbour masks of their roots join in."""
         r = self.reach0[v]
-        for x in roots:
-            r |= self.dsu.mask[x]
+        if len(roots) > 1:
+            for x in roots:
+                r |= self.dsu.mask[x]
         return r
 
     def attach(self, v: int, roots: dict[int, int]) -> None:

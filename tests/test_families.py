@@ -30,7 +30,11 @@ PAPER_TEN = [
 
 
 def powerset_maximal(g, prop, must=()):
-    """Oracle: filter the full powerset, then keep inclusion-maximal sets."""
+    """Oracle: filter the full powerset, then keep inclusion-maximal sets.
+
+    A good set with a good proper superset lies in some larger maximal set,
+    so taking the good sets largest first, a set is maximal iff no maximal
+    set kept before it contains it."""
     check = is_balanced if prop is SetProperty.BALANCED else is_acyclic
     good = []
     n = len(g.vertices)
@@ -38,7 +42,11 @@ def powerset_maximal(g, prop, must=()):
         s = frozenset(g.vertices[i] for i in range(n) if bits >> i & 1)
         if set(must) <= s and check(g, s):
             good.append(s)
-    return {s for s in good if not any(s < t for t in good)}
+    top: list[frozenset] = []
+    for s in sorted(good, key=len, reverse=True):
+        if not any(s < t for t in top):
+            top.append(s)
+    return set(top)
 
 
 def test_case_listing_is_the_paper_ten():

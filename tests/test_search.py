@@ -3,6 +3,7 @@ tests against the recursive string-keyed walks it replaced, counters, and
 inputs too deep for recursion."""
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 from typing import Iterable, Sequence
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbal.cover import _price, column_generation
-from fracbal.families import SetFamily, SetProperty, enumerate_sets
-from fracbal.gadgets import w_double_prime, w_hat
-from fracbal.sgraph import GraphError, ParityDSU, SignedGraph, canonical_set
+from fracbal.families import SetFamily, SetProperty, enumerate_sets, lemma_case_sets
+from fracbal.gadgets import w_double_prime, w_hat, w_prime
+from fracbal.sgraph import GraphError, ParityDSU, SignedGraph, all_triangles, canonical_set
+from test_families import powerset_maximal
 
 
 class _ReferenceSearch:
@@ -207,11 +209,71 @@ def test_pricing_matches_reference_walk(g, prop, data):
 
 
 def test_maximal_enumeration_counters_on_w_double_prime():
-    fam = enumerate_sets(w_double_prime().graph, SetProperty.BALANCED, maximal_only=True)
+    g = w_double_prime().graph
+    fam = enumerate_sets(g, SetProperty.BALANCED, maximal_only=True)
     # every leaf the pruned walk reaches is a maximal set
     assert fam.leaves == len(fam.sets) == 3501
-    # the recursive walk with a per-leaf extension scan visited 1,476,086 nodes
-    assert 0 < fam.nodes <= 1_476_086 // 3
+    # the recursive walk with a per-leaf extension scan visited 1,476,086
+    # nodes, and the walk that re-tested a pending vertex beside one chosen
+    # component on its component's neighbours visited 248,722
+    assert 0 < fam.nodes <= 100_000
+    forests = enumerate_sets(g, SetProperty.ACYCLIC, maximal_only=True)
+    assert forests.leaves == len(forests.sets) == 2370
+    # 168,108 with the re-tests on a lone component's neighbours
+    assert 0 < forests.nodes <= 70_000
+
+
+def test_pending_vertex_beside_one_component_waits_for_its_own_neighbours():
+    # p's only neighbour is a.  With a chosen and p excluded, p touches one
+    # chosen component; b borders it but not p, so no later inclusion can
+    # block p, and the branch is cut at once.
+    g = SignedGraph(
+        ("a", "p", "b", "c", "d"),
+        (("a", "p", 1), ("a", "b", 1), ("b", "c", -1), ("c", "d", 1), ("b", "d", 1)),
+    )
+    for prop in SetProperty:
+        fam = enumerate_sets(g, prop, maximal_only=True)
+        assert {frozenset(s) for s in fam.sets} == powerset_maximal(g, prop)
+        assert fam.leaves == len(fam.sets) == 3
+        # a walk that waited on b as well visited 21 nodes
+        assert fam.nodes == 17
+
+
+@pytest.mark.parametrize("prop", SetProperty)
+def test_maximal_enumeration_on_a_clique_sum_in_any_order(prop):
+    # w_prime glues two mini gadgets onto w_hat along triangles, so chosen
+    # components meet pending vertices across clique separators
+    g = w_prime().graph
+    want = powerset_maximal(g, prop)
+    for seed in (None, 1, 2, 3):
+        names = list(g.vertices)
+        if seed is not None:
+            Random(seed).shuffle(names)
+        h = SignedGraph(tuple(names), g.edges)
+        fam = enumerate_sets(h, prop, maximal_only=True)
+        assert {frozenset(s) for s in fam.sets} == want
+        assert fam.sets == reference_enumerate_sets(h, prop, maximal_only=True)
+        assert fam.leaves == len(fam.sets)
+
+
+def test_lemma_case_sets_on_a_clique_sum_match_the_reference_walk():
+    wp = w_prime()
+    g = wp.graph
+    faces = [t for t, sign in all_triangles(g) if sign > 0]
+    terminals = (wp.terminal("u"), wp.terminal("v"))
+    plain = reference_enumerate_sets(
+        g, SetProperty.BALANCED, maximal_only=True, must_contain=terminals
+    )
+    avoiding = reference_enumerate_sets(
+        g, SetProperty.BALANCED, maximal_only=True, must_contain=terminals, avoid=faces
+    )
+    # the face-avoiding sets are maximal only within their family, so check
+    # that walk on its own as well as the union
+    assert enumerate_sets(
+        g, SetProperty.BALANCED, maximal_only=True, must_contain=terminals, avoid=faces
+    ).sets == avoiding
+    want = sorted(dict.fromkeys(plain + avoiding), key=lambda s: [g.index[x] for x in s])
+    assert list(lemma_case_sets(wp, faces)) == want
 
 
 def test_counters_stay_out_of_equality():
