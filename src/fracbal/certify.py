@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
+from operator import eq, lt
 from typing import Iterable, Sequence
 
 from .sgraph import GraphError, SignedGraph, any_cycle, load_json, negative_cycle_witness, sets_hold
@@ -53,7 +55,7 @@ class Certificate:
         for s, rep in self.classes:
             if not s:
                 raise CertificateError("empty color class")
-            if list(s) != sorted(s) or len(set(s)) != len(s):
+            if not all(map(lt, s, s[1:])):
                 raise CertificateError(f"class {s} is not a sorted set")
             if prev is not None and s <= prev:
                 raise CertificateError("classes not sorted or not merged")
@@ -75,10 +77,11 @@ class Certificate:
         """Canonicalize raw rows: sort each set, merge duplicate sets."""
         merged: dict[tuple[str, ...], int] = {}
         for raw, rep in classes:
-            row = tuple(raw)
-            key = tuple(sorted(row))
-            if len(set(row)) != len(row):
-                raise CertificateError(f"class {row} repeats a vertex")
+            key = row = tuple(raw)
+            if not all(map(lt, row, row[1:])):
+                key = tuple(sorted(row))
+                if any(map(eq, key, key[1:])):
+                    raise CertificateError(f"class {row} repeats a vertex")
             merged[key] = merged.get(key, 0) + rep
         rows = tuple(sorted(merged.items()))
         return cls(p, q, mode, rows)
@@ -150,8 +153,8 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
     the palette, and every vertex must be covered at least q times.  One
     loop over the members counts coverage, finds strangers and builds the
-    class bitmasks for one edge pass (``sgraph.sets_hold``); only a class
-    that fails is searched again for its cycle witness.
+    class bitmasks in vertex order for one edge pass (``sgraph.sets_hold``);
+    only a class that fails is searched again for its cycle witness.
     """
     index = g.index
     counts = [0] * len(index)
@@ -168,7 +171,7 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
                 counts[i] += rep
                 masks[i] |= bit
         strangers.append(out)
-    holds = sets_hold(g, dict(zip(g.vertices, masks)), len(c.classes), acyclic=c.mode is Mode.FOREST)
+    holds = sets_hold(g, masks, len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
     for (s, _), out, ok in zip(c.classes, strangers, holds):
         if out:
@@ -257,10 +260,7 @@ def profile(c: Certificate, terminals: Sequence[str]) -> OverlapProfile:
     common-color count, and for each terminal the count of colors it holds
     exclusively among the terminals."""
     terms = list(terminals)
-    pairs = []
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            pairs.append(((terms[i], terms[j]), overlap(c, terms[i], terms[j])))
+    pairs = [((x, y), overlap(c, x, y)) for x, y in combinations(terms, 2)]
     m = c.masks
     singles = []
     for v in terms:

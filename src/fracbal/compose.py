@@ -33,7 +33,8 @@ pool's first ``count`` colors are its lowest set bits:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import chain, compress, product
 from typing import Iterator, Sequence
 
 from .certify import Certificate, Mode
@@ -56,6 +57,7 @@ from .tables import (
 
 P, Q = 83, 41
 PALETTE = (1 << P) - 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class ComposeError(RuntimeError):
@@ -68,12 +70,14 @@ class _State:
     masks: dict[str, int]  # bit i of masks[v] set iff v holds color i
 
 
+def _row(mask: int) -> bytes:
+    """``mask`` as ``P`` bytes, lowest color first: byte i is 1 iff bit i is set."""
+    return format(mask, f"0{P}b").encode().translate(_DIGITS)[::-1]
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return compress(range(P), _row(mask))
 
 
 def _lowest(pool: int, count: int) -> int:
@@ -119,34 +123,35 @@ def _groups(mx: int, my: int) -> tuple[int, int, int, int]:
     return mx & my, mx & ~my, my & ~mx, PALETTE & ~(mx | my)
 
 
+@cache
+def _template(overlap: int) -> tuple[tuple[int, ...], list[tuple[str, tuple[int, ...]]]]:
+    """The gadget coloring for an edge of ``overlap`` 13 or 14: its terminal
+    group sizes, and every other vertex with the positions of its colors
+    when the groups' colors are listed in turn."""
+    t = (w_coloring_83_41_uv13() if overlap == 13 else w_coloring_83_41_uv14()).masks
+    groups = _groups(t["u"], t["v"])
+    order = [*chain.from_iterable(map(_bits, groups))]
+    rows = [(w, tuple(map(order.index, _bits(m)))) for w, m in t.items() if w not in ("u", "v")]
+    return tuple(g.bit_count() for g in groups), rows
+
+
 def _extend_substitution(
     state: _State, edge: tuple[str, str], mapping: dict[str, str], step: int
 ) -> None:
     """Graft a reference gadget coloring onto the fresh copy along ``edge``."""
     mx, my = (state.masks[v] for v in edge)
     a = (mx & my).bit_count()
-    if a == 13:
-        template = w_coloring_83_41_uv13().masks
-    elif a == 14:
-        template = w_coloring_83_41_uv14().masks
-    else:
+    if a not in (13, 14):
         raise ComposeError(f"step {step}: edge {edge} has overlap {a}, not 13 or 14")
-
+    sizes, rows = _template(a)
     host_groups = _groups(mx, my)
-    template_groups = _groups(template["u"], template["v"])
-    for p, h, t in zip(_PATTERNS, host_groups, template_groups):
-        if h.bit_count() != t.bit_count():
-            raise ComposeError(
-                f"step {step}: group {p} mismatch {h.bit_count()} vs {t.bit_count()}"
-            )
+    for p, h, t in zip(_PATTERNS, host_groups, sizes):
+        if h.bit_count() != t:
+            raise ComposeError(f"step {step}: group {p} mismatch {h.bit_count()} vs {t}")
     # the k-th template color of a group becomes the k-th host color of it
-    to_host = [0] * P
-    for h, t in zip(host_groups, template_groups):
-        for hi, ti in zip(_bits(h), _bits(t)):
-            to_host[ti] = hi
-    for w, m in template.items():
-        if w not in ("u", "v"):
-            state.masks[mapping[w]] = sum(1 << to_host[i] for i in _bits(m))
+    host_bit = list(map((1).__lshift__, chain.from_iterable(map(_bits, host_groups))))
+    for w, colors in rows:
+        state.masks[mapping[w]] = sum(map(host_bit.__getitem__, colors))
 
     # each mapped face is in canonical order: its host endpoint is older than
     # every copy, and the copies are added in template order
@@ -216,7 +221,8 @@ def compose_8341(trace: BuildTrace) -> Certificate:
             _extend_apex(state, step.face, info, idx)  # type: ignore[arg-type]
         else:
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
-    # by name, so every class comes out sorted and ``build`` sorts in linear time
-    items = sorted(state.masks.items())
-    classes = ([v for v, mask in items if mask >> i & 1] for i in range(P))
+    # by name, so every class comes out sorted; the columns of the byte rows
+    # are the colors, made one at a time
+    names, masks = zip(*sorted(state.masks.items()))
+    classes = (tuple(compress(names, col)) for col in zip(*map(_row, masks)))
     return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))

@@ -392,8 +392,8 @@ def check_forest_lemmas(g: GadgetGraph) -> ForestLemmaReport:
     hub_set = {"z", "t", "x1"}
     verts = graph.vertices
     subsets = [tuple(verts[i] for i in range(n) if bits >> i & 1) for bits in range(1 << n)]
-    # bit j of a vertex's mask is set iff the vertex is in subsets[j]
-    masks = {v: sum(1 << bits for bits in range(1 << n) if bits >> i & 1) for i, v in enumerate(verts)}
+    # bit j of vertex i's mask is set iff the vertex is in subsets[j]
+    masks = [sum(1 << bits for bits in range(1 << n) if bits >> i & 1) for i in range(n)]
     acyclic_sets = [s for s, ok in zip(subsets, sets_hold(graph, masks, 1 << n, acyclic=True)) if ok]
     max_order = max(map(len, acyclic_sets))
     max_uv = max((len(s) for s in acyclic_sets if u in s and v in s), default=0)

@@ -3,9 +3,9 @@
 A signed graph is a simple undirected graph with a sign (+1 or -1) on every
 edge.  A vertex set is *balanced* when the subgraph it induces contains no
 cycle whose edge-sign product is -1.  ``sets_hold`` decides balance (or
-acyclicity) for many sets at once, given as one class bitmask per vertex:
+acyclicity) for many sets at once, given as class bitmasks in vertex order:
 one pass over the edge list hands each edge to the sets that hold both its
-endpoints, and a parity union-find per set joins that set's induced edges.
+endpoints, and a parity union-find over vertex indices joins them per set.
 Only a set that fails is walked again, by a BFS over its induced subgraph,
 for an explicit cycle witness.
 
@@ -283,59 +283,73 @@ class ParityDSU:
                 self.rank[root] -= 1
 
 
-def sets_hold(g: SignedGraph, masks: dict[str, int], count: int, acyclic: bool) -> list[bool]:
-    """For each of ``count`` vertex sets, given by ``masks`` (bit j of
-    ``masks[v]`` is set iff v is in set j, and every vertex of ``g`` is a
-    key), whether it induces a forest (``acyclic``) or no cycle with
-    edge-sign product -1.  One pass over ``g.edges`` hands each edge to the
-    sets whose bit both its endpoints carry."""
-    induced: list[list[Edge]] = [[] for _ in range(count)]
-    for e in g.edges:
-        both = masks[e[0]] & masks[e[1]]
+def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> list[bool]:
+    """For each of ``count`` vertex sets, whether it induces a forest
+    (``acyclic``) or no cycle with edge-sign product -1.  Bit j of
+    ``masks[i]``, a list in ``g.vertices`` order, is set iff vertex i is in
+    set j.  One pass over ``g.edges`` hands each edge to the sets holding
+    both its endpoints; each set joins its edges in a parity union-find
+    over vertex indices, shared by all sets and reset after each, until one
+    closes a cycle (``acyclic``) or a negative one; by Harary's criterion,
+    none does iff the set holds.  Not ``ParityDSU``, whose rollback
+    trail and root masks would double the time."""
+    n = len(g.vertices)
+    if isinstance(masks, dict) or len(masks) != n:
+        raise ValueError(f"masks must be a list of {n} class bitmasks in vertex order")
+    index = g.index
+    induced: list[list[tuple[int, int, bool]]] = [[] for _ in range(count)]
+    for a, b, sign in g.edges:
+        ia, ib = index[a], index[b]
+        both = masks[ia] & masks[ib]
+        e = (ia, ib, sign < 0)
         while both:
             low = both & -both
             induced[low.bit_length() - 1].append(e)
             both ^= low
-    return [_joins_hold(edges, acyclic) for edges in induced]
-
-
-def _joins_hold(edges: Iterable[Edge], acyclic: bool) -> bool:
-    """Join ``edges`` in order in a parity union-find; False at the first
-    one that closes a cycle (``acyclic``) or a negative one.  By Harary's
-    switching criterion, none does iff the edges are balanced.  Not
-    ``ParityDSU``: its rollback trail and root masks serve the search core,
-    and here they would double the time."""
-    up: dict[str, tuple[str, int]] = {}  # non-root -> (parent, parity of the link)
-    rank: dict[str, int] = {}
-    for a, b, sign in edges:
-        pa, pb = 0, 1 if sign < 0 else 0
-        while a in up:
-            a, p = up[a]
-            pa ^= p
-        while b in up:
-            b, p = up[b]
-            pb ^= p
-        if a == b:
-            if acyclic or pa != pb:
-                return False
-            continue
-        ra, rb = rank.get(a, 0), rank.get(b, 0)
-        if ra < rb:
-            a, b = b, a
-        elif ra == rb:
-            rank[a] = ra + 1
-        up[b] = (a, pa ^ pb)
-    return True
+    up = list(range(n))
+    parity = [0] * n  # parity of the link to ``up``
+    rank = [0] * n
+    out = []
+    for edges in induced:
+        holds = True
+        touched = []
+        for a, b, pb in edges:
+            pa = 0
+            while up[a] != a:
+                pa ^= parity[a]
+                a = up[a]
+            while up[b] != b:
+                pb ^= parity[b]
+                b = up[b]
+            if a == b:
+                if acyclic or pa != pb:
+                    holds = False
+                    break
+                continue
+            if rank[a] < rank[b]:
+                a, b = b, a
+            elif rank[a] == rank[b]:
+                rank[a] += 1
+                touched.append(a)
+            up[b], parity[b] = a, pa ^ pb
+            touched.append(b)
+        for v in touched:  # a root's parity is never read
+            up[v] = v
+            rank[v] = 0
+        out.append(holds)
+    return out
 
 
 def is_balanced(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces no cycle with edge-sign product -1."""
-    return _joins_hold(g.induced_edges(canonical_set(g, members)), acyclic=False)
+    inside = set(canonical_set(g, members))
+    return sets_hold(g, [int(v in inside) for v in g.vertices], 1, acyclic=False)[0]
 
 
 def is_acyclic(g: SignedGraph, members: Iterable[str]) -> bool:
     """True iff ``members`` induces a forest (signs ignored)."""
-    return _joins_hold(g.induced_edges(canonical_set(g, members)), acyclic=True)
+    inside = set(canonical_set(g, members))
+    return sets_hold(g, [int(v in inside) for v in g.vertices], 1, acyclic=True)[0]
 
 
 def _bfs_forest(g: SignedGraph, s: tuple[str, ...]):

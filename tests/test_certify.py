@@ -24,7 +24,14 @@ from fracbal.certify import (
 from fracbal.cover import chi_fb, lp_to_certificate
 from fracbal.compose import compose_8341
 from fracbal.gadgets import build_from_trace, k4_minus, w_hat
-from fracbal.sgraph import GraphError, SignedGraph, any_cycle, negative_cycle_witness, sets_hold
+from fracbal.sgraph import (
+    GraphError,
+    SignedGraph,
+    all_triangles,
+    any_cycle,
+    negative_cycle_witness,
+    sets_hold,
+)
 from fracbal.tables import (
     FixtureError,
     k3_base_colorings,
@@ -362,11 +369,11 @@ def test_verify_matches_per_class_witness_search(per_pass, case):
     # ``per_pass`` at a time gives the answer of one pass over them all
     acyclic = cert.mode is Mode.FOREST
     count = len(cert.classes)
-    masks = {v: sum(1 << j for j, (s, _) in enumerate(cert.classes) if v in s) for v in g.vertices}
+    masks = [sum(1 << j for j, (s, _) in enumerate(cert.classes) if v in s) for v in g.vertices]
     parts: list[bool] = []
     for lo in range(0, count, per_pass):
         n = min(per_pass, count - lo)
-        parts += sets_hold(g, {v: m >> lo & (1 << n) - 1 for v, m in masks.items()}, n, acyclic)
+        parts += sets_hold(g, [m >> lo & (1 << n) - 1 for m in masks], n, acyclic)
     assert parts == sets_hold(g, masks, count, acyclic)
 
 
@@ -391,6 +398,49 @@ def test_verify_matches_per_class_witness_search_beyond_64_classes():
     assert [(v.kind, v.subject) for v in reports[2].violations] == [
         ("unknown-vertex", stray.classes[70][0])
     ]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_class_that_fails_early_leaves_no_links_for_the_next(mode):
+    # sets_hold reuses one union-find array for every class and stops a
+    # class at its first bad edge.  Each failing class here holds a bad
+    # triangle a < b < c and vertices after a; the holding classes after it
+    # in class order hold b and c and vertices after a, so links left over
+    # from the failing class would close a false cycle through a.  There
+    # are 90 classes, so bits above 64 take part, and isolated vertices.
+    rng = Random(11)
+    names = tuple(f"v{i:02d}" for i in range(24)) + ("z1", "z2")
+    edges = tuple(
+        (names[i], names[j], rng.choice((1, -1)))
+        for i in range(24) for j in range(i + 1, 24) if rng.random() < 0.3
+    )
+    g = SignedGraph(names, edges)
+    bad = negative_cycle_witness if mode is Mode.BALANCED else any_cycle
+    closers = [t for t, sign in all_triangles(g) if mode is Mode.FOREST or sign == -1]
+    rows = []
+    for k in range(30):
+        a, b, c = closers[k % len(closers)]
+        later = names[names.index(a) + 1:]
+        rows.append(({a, b, c, *rng.sample(later, 3)}, 1))
+        for _ in range(2):
+            held = [b, c, "z1"]
+            for v in rng.sample(later, len(later)):
+                if v not in held and bad(g, (*held, v)) is None:
+                    held.append(v)
+            rows.append((held, 1))
+    cert = Certificate.build(len(rows), 1, mode, rows)
+    assert len(cert.classes) > 64
+    report = verify(g, cert)
+    assert report == reference_verify(g, cert)
+    failing = {v.subject for v in report.violations}
+    assert 0 < len(failing) < len(cert.classes)
+    index = g.index
+    masks = [0] * len(names)
+    for j, (members, _) in enumerate(cert.classes):
+        for v in members:
+            masks[index[v]] |= 1 << j
+    holds = sets_hold(g, masks, len(cert.classes), mode is Mode.FOREST)
+    assert holds == [members not in failing for members, _ in cert.classes]
 
 
 # The class checks as they stood before the linear-time ones, each class

@@ -9,8 +9,18 @@ from hypothesis import strategies as st
 
 from fracbal import gadgets
 from fracbal.acceptance import random_trace
-from fracbal.certify import overlap, profile, verify
-from fracbal.compose import _bits, _lowest, compose_8341
+from fracbal.certify import Certificate, Mode, overlap, profile, verify
+from fracbal.compose import (
+    P,
+    Q,
+    _base_state,
+    _bits,
+    _extend_apex,
+    _extend_mini,
+    _groups,
+    _lowest,
+    compose_8341,
+)
 from fracbal.gadgets import (
     W_HAT_POSITIVE_FACES,
     W_PRIME_FACE_PRIMES,
@@ -23,6 +33,7 @@ from fracbal.gadgets import (
     w_prime,
 )
 from fracbal.sgraph import canonical_set, serialize_graph
+from fracbal.tables import w_coloring_83_41_uv13, w_coloring_83_41_uv14
 
 
 def assert_good_coloring(trace):
@@ -209,6 +220,52 @@ def test_composition_is_deterministic():
 @example(pool=0, count=2)
 def test_lowest_takes_the_lowest_set_bits(pool, count):
     assert _lowest(pool, count) == sum(1 << i for i in islice(_bits(pool), count))
+
+
+# The substitution remap and the final transpose as they stood before the
+# C-level ones: a generator step per color bit, a shift per copied color and
+# one scan of every vertex per color.  The oracle side of the test below.
+def reference_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_extend_substitution(state, edge, mapping, step):
+    mx, my = (state.masks[v] for v in edge)
+    a = (mx & my).bit_count()
+    template = (w_coloring_83_41_uv13() if a == 13 else w_coloring_83_41_uv14()).masks
+    to_host = [0] * P
+    for h, t in zip(_groups(mx, my), _groups(template["u"], template["v"])):
+        assert h.bit_count() == t.bit_count()
+        for hi, ti in zip(reference_bits(h), reference_bits(t)):
+            to_host[ti] = hi
+    for w, m in template.items():
+        if w not in ("u", "v"):
+            state.masks[mapping[w]] = sum(1 << to_host[i] for i in reference_bits(m))
+    for face, primes in zip(W_HAT_POSITIVE_FACES, W_PRIME_FACE_PRIMES):
+        _extend_mini(state, [mapping[v] for v in face], [mapping[m] for m in primes], step)
+
+
+def reference_compose(trace):
+    state = _base_state(trace.base)
+    for idx, step in enumerate(trace.steps, start=1):
+        info = state.graph.apply(step, idx)
+        if isinstance(step, Op1):
+            _extend_apex(state, step.face, info, idx)
+        else:
+            reference_extend_substitution(state, step.edge, info, idx)
+    items = sorted(state.masks.items())
+    classes = ([v for v, mask in items if mask >> i & 1] for i in range(P))
+    return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))
+
+
+def test_composer_matches_per_bit_remap_and_scan_transpose():
+    traces = [BuildTrace("K4_MINUS"), BuildTrace("K4_MINUS", (Op2(("u1", "u4")),))]
+    traces += [random_trace(random.Random(seed), seed * 60 // 49) for seed in range(50)]
+    for trace in traces:
+        assert compose_8341(trace).to_json() == reference_compose(trace).to_json()
 
 
 def test_invalid_trace_surfaces_step_error():

@@ -14,6 +14,7 @@ from fracbal.sgraph import (
     negative_cycle_witness,
     parse_graph,
     serialize_graph,
+    sets_hold,
     switch,
     triangle_sign,
 )
@@ -87,6 +88,29 @@ def test_k4_minus_full_set_unbalanced():
 
 def test_empty_set_balanced():
     assert is_balanced(w_hat().graph, ())
+
+
+def test_sets_hold_takes_one_mask_per_vertex_in_vertex_order():
+    g = k4_minus().graph
+    full = [1] * len(g.vertices)
+    assert sets_hold(g, full, 1, acyclic=False) == [False]
+    by_name = dict(zip(g.vertices, full))
+    for masks in (full[:-1], [*full, 1], by_name, dict(list(by_name.items())[1:])):
+        with pytest.raises(ValueError, match="list of 4 class bitmasks"):
+            sets_hold(g, masks, 1, acyclic=False)
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_sets_hold_with_no_sets_and_isolated_vertices(acyclic):
+    assert sets_hold(w_hat().graph, [0] * len(w_hat().graph.vertices), 0, acyclic) == []
+    # a negative triangle a-b-c, the edge c-d and two isolated vertices
+    g = SignedGraph(
+        ("a", "b", "c", "d", "i", "j"),
+        (("a", "b", -1), ("b", "c", -1), ("a", "c", -1), ("c", "d", 1)),
+    )
+    sets = [("a", "b", "c"), ("i",), ("i", "j"), ("c", "d", "i", "j"), (), ("a", "b", "d", "i")]
+    masks = [sum(1 << k for k, s in enumerate(sets) if v in s) for v in g.vertices]
+    assert sets_hold(g, masks, len(sets), acyclic) == [False, True, True, True, True, True]
 
 
 def test_positive_five_cycle_balanced():
