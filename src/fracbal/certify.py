@@ -22,7 +22,15 @@ from itertools import combinations
 from operator import eq, lt
 from typing import Iterable, Sequence
 
-from .sgraph import GraphError, SignedGraph, any_cycle, load_json, negative_cycle_witness, sets_hold
+from .sgraph import (
+    GraphError,
+    SignedGraph,
+    _assembled,
+    any_cycle,
+    load_json,
+    negative_cycle_witness,
+    sets_hold,
+)
 
 
 class CertificateError(ValueError):
@@ -32,6 +40,33 @@ class CertificateError(ValueError):
 class Mode(Enum):
     BALANCED = "balanced"
     FOREST = "forest"
+
+
+def _check_classes(
+    p: int, q: int, classes: Sequence[tuple[tuple[str, ...], int]], *, canonical: bool
+) -> None:
+    """Raise CertificateError unless ``classes`` meets the invariants of a
+    ``Certificate`` over a palette of ``p``.  ``canonical`` classes are
+    known to be sorted sets in strictly increasing order, so only their
+    emptiness and repetitions are checked."""
+    if p < 1 or q < 1:
+        raise CertificateError("p and q must be positive")
+    total = 0
+    prev: tuple[str, ...] | None = None
+    for s, rep in classes:
+        if not s:
+            raise CertificateError("empty color class")
+        if not canonical:
+            if not all(map(lt, s, s[1:])):
+                raise CertificateError(f"class {s} is not a sorted set")
+            if prev is not None and s <= prev:
+                raise CertificateError("classes not sorted or not merged")
+            prev = s
+        if rep < 1:
+            raise CertificateError(f"class {s} has repetition {rep}")
+        total += rep
+    if total > p:
+        raise CertificateError(f"total repetition {total} exceeds palette {p}")
 
 
 @dataclass(frozen=True)
@@ -48,23 +83,7 @@ class Certificate:
     classes: tuple[tuple[tuple[str, ...], int], ...]
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise CertificateError("p and q must be positive")
-        total = 0
-        prev: tuple[str, ...] | None = None
-        for s, rep in self.classes:
-            if not s:
-                raise CertificateError("empty color class")
-            if not all(map(lt, s, s[1:])):
-                raise CertificateError(f"class {s} is not a sorted set")
-            if prev is not None and s <= prev:
-                raise CertificateError("classes not sorted or not merged")
-            if rep < 1:
-                raise CertificateError(f"class {s} has repetition {rep}")
-            prev = s
-            total += rep
-        if total > self.p:
-            raise CertificateError(f"total repetition {total} exceeds palette {self.p}")
+        _check_classes(self.p, self.q, self.classes, canonical=False)
 
     @classmethod
     def build(
@@ -84,7 +103,10 @@ class Certificate:
                     raise CertificateError(f"class {row} repeats a vertex")
             merged[key] = merged.get(key, 0) + rep
         rows = tuple(sorted(merged.items()))
-        return cls(p, q, mode, rows)
+        # each row was scanned once above: its sorted, merged keys need no
+        # second pass in the constructor
+        _check_classes(p, q, rows, canonical=True)
+        return _assembled(cls, p=p, q=q, mode=mode, classes=rows)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":

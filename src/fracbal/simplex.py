@@ -18,13 +18,34 @@ rescales the slacks and the objective but neither the pivot path nor the
 optimal ``x`` and duals.  No floating point enters the computation, which
 is what lets the covering optima downstream be exact.
 
+Each row of ``n + 1`` entries is stored as one Python int: entry ``k`` is
+a signed lane of ``W`` bits at bit ``W * k``, and the row is the integer
+``sum(entry_k << W * k)``.  Every stored entry, ``d`` included, is plus or
+minus a minor of at most ``n + 1`` columns of ``[A b; c 0]``, so by
+Hadamard's inequality its absolute value is at most
+``H = (sqrt(n + 1) * peak)^(n + 1)``, where ``peak`` is the largest
+absolute input entry; ``W = bits(H) + 2`` leaves every lane strictly
+inside ``(-2^(W-1), 2^(W-1))``.  A pivot updates a whole row at once:
+
+    new = (x * p - f * (prow + (d << W * s))) // d
+
+where ``f`` is the row's entry in the pivot column ``s``.  Lane ``k`` of
+the numerator is ``x[k] * p - f * prow[k]``, except lane ``s``, which is
+``-f * d``; each is a multiple of ``d``, so the numerator is ``d`` times
+the packed row of the quotients, and one exact integer division yields it
+whatever carries the products left between lanes.  Products are never
+unpacked.  A lane is read with one biased shift and mask: adding ``2^(W-1)``
+to every lane makes them all nonnegative without carries.  Appending a row
+with an entry above ``peak`` can raise ``W``; the tableau, its path and
+its checkpoints are then repacked.
+
 ``Tableau`` is the one engine and ``solve`` its one pivot loop:
 ``simplex_max`` builds a tableau and runs Bland's rule to the end, and
 column generation keeps a resumable one across its iterations and appends
 an integer row per priced column.  An appended row adds a basic slack, not
 a column, so the engine can resume instead of solving again.  A resumable
-tableau records each pivot of its path as ``(r, s, pivot row, d)`` and
-keeps a checkpoint of the whole tableau before every
+tableau records each pivot of its path as ``(r, s, packed pivot row, d)``
+and keeps a checkpoint of the whole tableau before every
 ``_CHECKPOINT_EVERY``-th pivot.  Bland's entering choice reads only the
 objective row, which no row that never pivots can change, and the new
 slack has the largest label, so it loses every ratio tie.  A from-scratch
@@ -37,15 +58,15 @@ continues with Bland.  The result, pivot count included, is exactly that
 of ``simplex_max`` over all rows, and so is the final tableau.
 
 ``SimplexResult.max_bits`` is read off that final tableau once, when the
-result is built: the bit length of its largest absolute entry, each entry
-being a minor of the scaled input.  Nothing along the path accounts widths.
+result is built, by unpacking its rows: the bit length of its largest
+absolute entry.  Nothing along the path accounts widths.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import isqrt, lcm
 from numbers import Rational
 from typing import Sequence
 
@@ -77,23 +98,51 @@ def _check_rows(rows: Sequence[Sequence[Rational]], b: Sequence[Rational], n: in
         raise SimplexError("requires nonnegative right-hand sides")
 
 
-def _eliminate(row: list[int], prow: list[int], s: int, d: int) -> list[int]:
-    """The Bareiss update of a non-pivot row for pivot row ``prow`` and
-    column ``s`` at denominator ``d``, as a new list."""
-    p = prow[s]
-    f = row[s]
+def _eliminate(x: int, f: int, lifted: int, p: int, d: int) -> int:
+    """The Bareiss update of the packed non-pivot row ``x``, whose entry in
+    the pivot column is ``f``, for pivot ``p`` at denominator ``d``.
+    ``lifted`` is the packed pivot row plus ``d`` in the pivot column, so
+    the numerator's pivot-column lane is ``f * p - f * (p + d) = -f * d``
+    and the one exact division leaves ``-f`` there."""
     if f:
-        out = [(v * p - f * w) // d for v, w in zip(row, prow)]
-        out[s] = -f
-        return out
+        return (x * p - f * lifted) // d
     if p != d:
-        return [v * p // d for v in row]
-    return row
+        return x * p // d
+    return x
 
 
 def _width(rows: Sequence[list[int]]) -> int:
     """The largest absolute value of an entry of ``rows``, in C-level scans."""
     return max(max(map(max, rows)), -min(map(min, rows)))
+
+
+class _Lanes:
+    """The packing of a tableau row of ``n + 1`` entries into one int, for
+    inputs whose entries are at most ``peak`` in absolute value: entry
+    ``k`` is the signed lane of ``width`` bits at bit ``shifts[k]``, with
+    ``width`` from the Hadamard bound of the module docstring.  Adding
+    ``bias`` lifts every lane by ``half`` into ``[0, 2^width)`` without a
+    carry between lanes, so one shift and ``mask`` read any lane.
+    """
+
+    __slots__ = ("width", "mask", "half", "bias", "shifts")
+
+    def __init__(self, n: int, peak: int):
+        k = n + 1
+        # H = ceil(sqrt(h2)), h2 >= 1
+        h2 = k**k * max(peak, 1) ** (2 * k)
+        self.width = w = (isqrt(h2 - 1) + 1).bit_length() + 2
+        self.mask = (1 << w) - 1
+        self.half = 1 << (w - 1)
+        self.shifts = [w * j for j in range(k)]
+        self.bias = sum(self.half << sh for sh in self.shifts)
+
+    def pack(self, vals: Sequence[int]) -> int:
+        return sum(v << sh for v, sh in zip(vals, self.shifts))
+
+    def unpack(self, x: int) -> list[int]:
+        u, mask, half = x + self.bias, self.mask, self.half
+        return [((u >> sh) & mask) - half for sh in self.shifts]
 
 
 class Tableau:
@@ -105,9 +154,10 @@ class Tableau:
     constraint and moves the state to where a from-scratch solve of all
     rows leaves the recorded path; a one-shot solve records nothing, as
     the checkpoints would keep a tableau per ``_CHECKPOINT_EVERY`` pivots
-    alive.  Rows are never changed in place (a pivot builds new lists), so
-    the path records and the checkpoints share them.  ``executed`` counts
-    the pivots actually computed, replays included.  A result's
+    alive.  ``t`` holds the rows packed by ``lanes``, constraint rows then
+    the objective row, and ``rows`` unpacks them.  Packed rows are ints,
+    so the path records and the checkpoints share them.  ``executed``
+    counts the pivots actually computed, replays included.  A result's
     ``max_bits`` is the width of the tableau it was read from.
     """
 
@@ -121,48 +171,58 @@ class Tableau:
     ):
         self.n = n = len(c)
         m = len(rows)
+        # the largest absolute input entry, which sets the lane width
+        self.peak = max(map(abs, chain(b, c, *rows)), default=0)
+        self.lanes = lanes = _Lanes(n, self.peak)
         # m constraint rows, then the objective row of reduced costs and -value
-        self.t = [list(row) + [bi] for row, bi in zip(rows, b)]
-        self.t.append(list(c) + [0])
+        self.t = [lanes.pack([*row, bi]) for row, bi in zip(rows, b)]
+        self.t.append(lanes.pack([*c, 0]))
         self.basis = [n + i for i in range(m)]
         self.nonbasic = list(range(n))
         self.d = 1
         self.resumable = resumable
         self.pivots = 0  # length of the current Bland path
-        self.path: list[tuple[int, int, list[int], int]] = []
+        self.path: list[tuple[int, int, int, int]] = []
         # before pivot k * _CHECKPOINT_EVERY: (rows, d, basis, nonbasic)
-        self.checkpoints: list[tuple[list[list[int]], int, list[int], list[int]]] = []
+        self.checkpoints: list[tuple[list[int], int, list[int], list[int]]] = []
         self.executed = 0
+
+    def rows(self) -> list[list[int]]:
+        """The tableau unpacked: constraint rows, then the objective row."""
+        return [self.lanes.unpack(x) for x in self.t]
 
     def solve(self) -> SimplexResult:
         """Run Bland's rule to the optimum: the least-label nonbasic variable
         with positive reduced cost enters, and the leaving row breaks ratio
         ties by least basic label.  This terminates without perturbation."""
         n = self.n
+        lanes = self.lanes
+        mask, half, bias, shifts = lanes.mask, lanes.half, lanes.bias, lanes.shifts
+        top = shifts[n]
         while True:
             t = self.t
             m = len(t) - 1
-            obj = t[m]
+            obj = t[m] + bias
             nonbasic = self.nonbasic
-            s = None
-            for k in range(n):
-                if obj[k] > 0 and (s is None or nonbasic[k] < nonbasic[s]):
-                    s = k
-            if s is None:
+            entering = [k for k in range(n) if (obj >> shifts[k]) & mask > half]
+            if not entering:
                 return self._result()
+            s = min(entering, key=nonbasic.__getitem__)
+            col = self._column(s)
             basis = self.basis
             r = None
             for i in range(m):
-                coef = t[i][s]
+                coef = col[i]
                 if coef > 0:
+                    b_i = ((t[i] + bias) >> top) - half
                     if r is None:
-                        r = i
+                        r, b_r = i, b_i
                         continue
-                    # t[i][n] / coef against t[r][n] / t[r][s]; both divisors > 0
-                    lhs = t[i][n] * t[r][s]
-                    rhs = t[r][n] * coef
+                    # b_i / coef against b_r / col[r]; both divisors > 0
+                    lhs = b_i * col[r]
+                    rhs = b_r * coef
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                        r = i
+                        r, b_r = i, b_i
             if r is None:
                 raise SimplexError("unbounded objective")
             if self.resumable:
@@ -170,7 +230,7 @@ class Tableau:
                     self.checkpoints.append((list(t), self.d, list(basis), list(nonbasic)))
                 self.path.append((r, s, t[r], self.d))
             self.pivots += 1
-            self._pivot(r, s)
+            self._pivot(r, s, col)
 
     def append_row(self, row: Sequence[int], rhs: int) -> None:
         """Add the constraint ``row . x <= rhs`` and rewind to the first
@@ -180,21 +240,49 @@ class Tableau:
         _check_rows([row], [rhs], self.n)
         n = self.n
         m = len(self.t) - 1
-        new = list(row) + [rhs]
+        peak = max(map(abs, [*row, rhs]))
+        if peak > self.peak:
+            self._widen(peak)
+        lanes = self.lanes
+        mask, half, bias, shifts = lanes.mask, lanes.half, lanes.bias, lanes.shifts
+        top = shifts[n]
+        new = lanes.pack([*row, rhs])
         for k, (_, s, prow, d) in enumerate(self.path):
             if k % _CHECKPOINT_EVERY == 0:
                 rows, _, basis, _ = self.checkpoints[k // _CHECKPOINT_EVERY]
                 rows.insert(m, new)
                 basis.append(n + m)
-            f = new[s]
-            # strictly smaller ratio new[n] / f < prow[n] / prow[s]; a tie
-            # keeps the recorded row, whose basic label is smaller
-            if f > 0 and new[n] * prow[s] < prow[n] * f:
+            sh = shifts[s]
+            u, pu = new + bias, prow + bias
+            f = ((u >> sh) & mask) - half
+            p = ((pu >> sh) & mask) - half
+            # strictly smaller ratio new[n] / f < prow[n] / p; a tie keeps
+            # the recorded row, whose basic label is smaller
+            if f > 0 and ((u >> top) - half) * p < ((pu >> top) - half) * f:
                 self._rewind(k)
                 return
-            new = _eliminate(new, prow, s, d)
+            new = _eliminate(new, f, prow + (d << sh), p, d)
         self.t.insert(m, new)
         self.basis.append(n + m)
+
+    def _widen(self, peak: int) -> None:
+        """Raise the input peak to ``peak`` and repack the tableau, the path
+        records and the checkpoints if the lane width grows with it."""
+        self.peak = peak
+        old, new = self.lanes, _Lanes(self.n, peak)
+        if new.width == old.width:
+            return
+        self.lanes = new
+
+        def repack(x: int) -> int:
+            return new.pack(old.unpack(x))
+
+        self.t = [repack(x) for x in self.t]
+        self.path = [(r, s, repack(prow), d) for r, s, prow, d in self.path]
+        self.checkpoints = [
+            ([repack(x) for x in rows], d, basis, nonbasic)
+            for rows, d, basis, nonbasic in self.checkpoints
+        ]
 
     def _rewind(self, k: int) -> None:
         """Rebuild the state before pivot ``k`` of the recorded path from the
@@ -207,37 +295,48 @@ class Tableau:
         del self.path[k:]
         self.pivots = k
         for r, s, _, _ in replay:
-            self._pivot(r, s)
+            self._pivot(r, s, self._column(s))
 
-    def _pivot(self, r: int, s: int) -> None:
-        """Pivot on row ``r`` and column ``s``."""
+    def _column(self, s: int) -> list[int]:
+        """Entry ``s`` of every row, objective row last."""
+        lanes = self.lanes
+        mask, half, bias, sh = lanes.mask, lanes.half, lanes.bias, lanes.shifts[s]
+        return [(((x + bias) >> sh) & mask) - half for x in self.t]
+
+    def _pivot(self, r: int, s: int, col: list[int]) -> None:
+        """Pivot on row ``r`` and column ``s``, whose entries are ``col``."""
         t, d = self.t, self.d
-        prow = t[r]
-        for i, row in enumerate(t):
-            if i != r:
-                t[i] = _eliminate(row, prow, s, d)
-        pivot = list(prow)
-        pivot[s] = d
-        t[r] = pivot
-        self.d = prow[s]
+        prow, p = t[r], col[r]
+        sh = self.lanes.shifts[s]
+        lifted = prow + (d << sh)
+        same = p == d
+        # _eliminate on every row, inlined: a call per row costs more than
+        # the update of a small row
+        new = [
+            (x * p - f * lifted) // d if f else (x if same else x * p // d)
+            for x, f in zip(t, col)
+        ]
+        new[r] = prow + ((d - p) << sh)
+        self.t = new
+        self.d = p
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
         self.executed += 1
 
     def _result(self) -> SimplexResult:
-        t, n, d = self.t, self.n, self.d
-        m = len(t) - 1
-        obj = t[m]
+        rows, n, d = self.rows(), self.n, self.d
+        m = len(rows) - 1
+        obj = rows[m]
         x = [Fraction(0)] * n
         for i, var in enumerate(self.basis):
             if var < n:
-                x[var] = Fraction(t[i][n], d)
+                x[var] = Fraction(rows[i][n], d)
         duals = [Fraction(0)] * m
         for k, var in enumerate(self.nonbasic):
             if var >= n:
                 duals[var - n] = Fraction(-obj[k], d)
         return SimplexResult(
             Fraction(-obj[n], d), tuple(x), tuple(duals), self.pivots,
-            _width(t).bit_length(),
+            _width(rows).bit_length(),
         )
 
 

@@ -1,6 +1,7 @@
 """The exact simplex core: hand-solved programs, a differential test
 against a dense Fraction tableau that takes the same Bland pivots, and
 differential tests of the resumable tableau against from-scratch solves."""
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -20,7 +21,10 @@ F = Fraction
 def dense_simplex_max(rows, b, c) -> SimplexResult:
     """Reference oracle: the full m x (n + m + 1) Fraction tableau with
     Bland's rule (least-index entering column, ratio ties broken by least
-    basic index), counting its pivots."""
+    basic index), counting its pivots.  On integer input its ``max_bits``
+    is that of the condensed integer tableau: the basis determinant, the
+    product of the pivots, times each entry of a nonbasic column or of the
+    right-hand side."""
     m = len(rows)
     n = len(c)
     if any(len(r) != n for r in rows) or len(b) != m:
@@ -39,6 +43,7 @@ def dense_simplex_max(rows, b, c) -> SimplexResult:
     basis = [n + i for i in range(m)]
     total = n + m
     pivots = 0
+    det = Fraction(1)
 
     while True:
         enter = next((j for j in range(total) if obj[j] > 0), None)
@@ -58,6 +63,7 @@ def dense_simplex_max(rows, b, c) -> SimplexResult:
         if leave is None:
             raise SimplexError("unbounded objective")
         piv = t[leave][enter]
+        det *= piv
         t[leave] = [v / piv for v in t[leave]]
         for i in range(m):
             if i != leave and t[i][enter] != 0:
@@ -78,7 +84,9 @@ def dense_simplex_max(rows, b, c) -> SimplexResult:
             x[var] = t[i][total]
     value = -obj[total]
     duals = tuple(-obj[n + i] for i in range(m))
-    return SimplexResult(value, tuple(x), duals, pivots)
+    keep = [j for j in range(total) if j not in basis] + [total]
+    width = max(abs(det * row[j]) for row in (*t, obj) for j in keep)
+    return SimplexResult(value, tuple(x), duals, pivots, int(width).bit_length())
 
 
 def outcome(solver, rows, b, c):
@@ -214,6 +222,40 @@ def test_condensed_tableau_matches_dense_oracle(program):
     assert got == want
 
 
+@st.composite
+def wide_programs(draw):
+    """Small LPs whose entries are integers up to about 2^80 or fractions
+    with denominators up to 2^40: after scaling, lanes hundreds of bits
+    wide.  Returned with the integer program ``simplex_max`` solves."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=0, max_value=4))
+    wide = st.one_of(
+        st.integers(min_value=-(2**80), max_value=2**81),
+        st.fractions(min_value=-4, max_value=8, max_denominator=2**40),
+        st.integers(min_value=-1, max_value=2),
+    )
+    rows = [[F(draw(wide)) for _ in range(n)] for _ in range(m)]
+    b = [F(draw(st.one_of(st.just(0), wide.map(abs)))) for _ in range(m)]
+    c = [F(draw(wide)) for _ in range(n)]
+    scale = lcm(*(v.denominator for v in chain(b, c, *rows)))
+
+    def scaled(vals):
+        return [int(v * scale) for v in vals]
+
+    return (rows, b, c), ([scaled(row) for row in rows], scaled(b), scaled(c)), scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(wide_programs())
+def test_wide_entries_match_dense_oracle(program):
+    (rows, b, c), (int_rows, int_b, int_c), scale = program
+    want = outcome(dense_simplex_max, int_rows, int_b, int_c)
+    if isinstance(want, SimplexResult):
+        want = replace(want, value=want.value / scale)
+    # equal pivots and max_bits: the same Bland path to the same tableau
+    assert with_bits(outcome(simplex_max, rows, b, c)) == with_bits(want)
+
+
 def test_appended_row_the_optimum_satisfies_keeps_the_path():
     # max x + y s.t. x <= 1, y <= 1: two pivots to (1, 1); x + y <= 2 loses
     # the first ratio test (2/1 against 1/1) and ties the second (1/1 against
@@ -316,7 +358,7 @@ def test_max_bits_reads_the_final_tableau(program):
         res = tab.solve()
     except SimplexError:
         return
-    assert res.max_bits == max(abs(v) for row in tab.t for v in row).bit_length()
+    assert res.max_bits == max(abs(v) for row in tab.rows() for v in row).bit_length()
     assert simplex_max(rows, b, c).max_bits == res.max_bits
 
 
@@ -336,4 +378,69 @@ def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
                 tab.append_row(row, rhs)
             res = resumed(tab)
             if isinstance(res, SimplexResult):
-                assert res.max_bits == max(abs(v) for r in tab.t for v in r).bit_length()
+                assert res.max_bits == max(abs(v) for r in tab.rows() for v in r).bit_length()
+
+
+def assert_lanes_hold(tab):
+    """Every packed row of the tableau, the path and the checkpoints
+    round-trips through unpack and pack: no lane overflowed."""
+    lanes = tab.lanes
+    packed = [*tab.t, *(prow for _, _, prow, _ in tab.path)]
+    packed += [x for rows, _, _, _ in tab.checkpoints for x in rows]
+    assert all(lanes.pack(lanes.unpack(x)) == x for x in packed)
+
+
+@st.composite
+def widening_runs(draw):
+    """A small LP and rows to append whose entries grow past every earlier
+    entry, up to about 2^60, so that appending widens the lanes."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    c = [draw(st.integers(min_value=-1, max_value=3)) for _ in range(n)]
+
+    def row(bits):
+        big = st.integers(min_value=-(2**bits), max_value=2**bits)
+        return [draw(big) for _ in range(n)], abs(draw(big))
+
+    start = [row(1) for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+    if draw(st.booleans()):
+        start[:0] = [([int(j == k) for j in range(n)], 1) for k in range(n)]
+    grow = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8))
+    appended = [row(1 + sum(grow[:k + 1])) for k in range(len(grow))]
+    return c, start, appended
+
+
+@pytest.mark.parametrize("every", [2, simplex._CHECKPOINT_EVERY])
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(run=widening_runs())
+def test_widening_appends_match_from_scratch_solves(every, run):
+    c, start, appended = run
+    rows = [row for row, _ in start]
+    b = [rhs for _, rhs in start]
+    with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
+        tab = Tableau(rows, b, c, resumable=True)
+        resumed(tab)
+        for row, rhs in appended:
+            tab.append_row(row, rhs)
+            rows.append(row)
+            b.append(rhs)
+            assert with_bits(resumed(tab)) == with_bits(outcome(simplex_max, rows, b, c))
+            assert_lanes_hold(tab)
+            fresh = Tableau(rows, b, c)
+            assert tab.lanes.width == fresh.lanes.width
+            if isinstance(resumed(fresh), SimplexResult):
+                assert tab.rows() == fresh.rows()
+
+
+def test_widening_repacks_the_path_and_checkpoints():
+    # x + y <= 1 ties the first ratio test and wins the second, as in
+    # test_violated_row_rewinds_to_where_it_wins, but scaled by 2^40: the
+    # lanes widen and the rewind replays from a repacked checkpoint
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    tab.solve()
+    width = tab.lanes.width
+    tab.append_row([2**40, 2**40], 2**40)
+    assert tab.lanes.width > width
+    res = tab.solve()
+    assert with_bits(res) == with_bits(simplex_max([[1, 0], [0, 1], [2**40, 2**40]], [1, 1, 2**40], [1, 1]))
+    assert (res.value, res.x, res.pivots, tab.executed) == (1, (1, 0), 2, 4)
+    assert_lanes_hold(tab)
