@@ -21,6 +21,26 @@ then is it re-tested; once blocked it leaves the list.  A
 pending vertex whose reach holds no undecided vertex can never be blocked,
 so every set below would extend by it and the branch is cut.  Every leaf
 the walk reaches is therefore maximal.
+
+A vertex z whose neighbourhood is a clique (a simplicial vertex, such as an
+apex on a triangle) is its own atom of the clique-separator decomposition,
+so whether it can join a good set S depends on S ∩ N(z) alone.  A cycle
+through z leaves it by two neighbours x and y, which are adjacent; the chord
+xy splits the cycle into the triangle z, x, y and a cycle inside S, and the
+sign of the whole is the product of the two.  So z can join a balanced S
+iff no two chosen neighbours close a negative triangle with it, and a
+forest iff at most one neighbour is chosen.  When the last candidates are
+pairwise non-adjacent simplicial vertices in no avoid set with another
+vertex (the *simplicial tail*), none of them changes whether another can
+join, and any one left out while it could join stays unblockable, so below
+a complete choice of the earlier candidates the include-first walk reaches
+at most one leaf: that choice plus every tail vertex that can join.  A
+maximal walk therefore branches only on the earlier candidates and settles
+the tail in one step.  The set is maximal iff every pending vertex p is now
+blocked, and by the same chord argument a cycle through p that is bad only
+with the tail added passes through a joined tail vertex z next to p that
+blocks p: p and a chosen neighbour of z close a negative triangle with z,
+or (acyclic) z has another chosen neighbour.
 """
 from __future__ import annotations
 
@@ -50,7 +70,11 @@ class SetFamily:
 
     ``nodes`` and ``leaves`` count the search-tree nodes and leaves of the
     enumeration that produced the family (0 for families built by callers);
-    equality ignores them.
+    equality ignores them.  A node is a state the walk visits: a partial
+    choice about to decide its next candidate, or a complete one.  A
+    maximal walk settles the whole simplicial tail in the node of a complete
+    choice of the other candidates, and that node is a leaf only when it
+    yields a set.
     """
 
     host: SignedGraph
@@ -87,9 +111,9 @@ class _Core:
     rollback parity union-find.
 
     Vertex i is ``g.vertices[i]``, and ascending bit order is canonical
-    order.  Each vertex has its neighbours as ``(j, negative)`` pairs, and
-    ``reach0`` holds its neighbour mask plus the other members of every
-    avoid set containing it.  Each union-find root carries the union of its
+    order.  Each vertex has its neighbours as ``(j, negative)`` pairs and
+    as the mask ``near``, and ``reach0`` holds that mask plus the other
+    members of every avoid set containing it.  Each union-find root carries the union of its
     members' neighbour masks.  A walk saves ``(chosen, dsu.mark())`` before
     a branch and ``restore``s it after.
     """
@@ -110,7 +134,8 @@ class _Core:
             near[i] |= 1 << j
             near[j] |= 1 << i
         self.dsu = ParityDSU(n, near)
-        self.reach0 = near  # the union-find keeps its own copy
+        self.near = near
+        self.reach0 = near[:]
         self.partners: list[list[int]] = [[] for _ in range(n)]
         for a in avoid:
             members = {idx.get(v, -1) for v in a}
@@ -121,6 +146,8 @@ class _Core:
                 self.partners[i].append(whole & ~(1 << i))
                 self.reach0[i] |= whole & ~(1 << i)
         self.chosen = 0
+        # per-byte name tables for ``members``
+        self.tables: list[list] = [[()] + [None] * 255 for _ in range(0, n, 8)]
 
     def scan(self, v: int) -> dict[int, int] | None:
         """The roots of the chosen components next to v, each with v's parity
@@ -169,22 +196,100 @@ class _Core:
         self.dsu.rollback(mark)
 
     def members(self, mask: int) -> tuple[str, ...]:
-        """The names of a vertex mask, in canonical order."""
-        out = []
+        """The names of a vertex mask, in canonical order, read a byte at a
+        time.  Entry b of a byte's table is the entry for b with its top bit
+        cleared plus the name of that bit's vertex, filled on first use: one
+        lookup costs a few tuple joins, a whole enumeration at most 255 per
+        byte."""
+        out: tuple[str, ...] = ()
+        lo = 0
         while mask:
-            low = mask & -mask
-            out.append(self.names[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+            table = self.tables[lo >> 3]
+            b = mask & 255
+            if table[b] is None:
+                self._fill(table, b, lo)
+            out += table[b]
+            mask >>= 8
+            lo += 8
+        return out
+
+    def _fill(self, table: list, b: int, lo: int) -> None:
+        top = b.bit_length() - 1
+        rest = b ^ 1 << top
+        if table[rest] is None:
+            self._fill(table, rest, lo)
+        table[b] = table[rest] + (self.names[lo + top],)
+
+    def simplicial_tail(self, cand: list[int]) -> int:
+        """The length of the longest suffix of ``cand`` whose vertices are
+        pairwise non-adjacent, share no avoid set with another vertex and
+        each have a clique as neighbourhood."""
+        near, tail = self.near, 0
+        for k in range(len(cand) - 1, -1, -1):
+            z = cand[k]
+            if self.partners[z] or near[z] & tail or any(
+                near[z] & ~near[x] != 1 << x for x, _ in self.nbrs[z]
+            ):
+                return len(cand) - 1 - k
+            tail |= 1 << z
+        return len(cand)
+
+    def _tail_rules(self, tail: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
+        """Per vertex z of a simplicial tail, its bit and, for each neighbour
+        x, the bit of x with the neighbours y of z such that x and y chosen
+        together block z: every other neighbour if acyclic, else those that
+        close a negative triangle z, x, y."""
+        rules = []
+        for z in tail:
+            pairs = []
+            for x, zx in self.nbrs[z]:
+                if self.acyclic:
+                    bad = self.near[z] & ~(1 << x)
+                else:
+                    xy = dict(self.nbrs[x])
+                    bad = sum(1 << y for y, zy in self.nbrs[z] if y != x and zx ^ zy ^ xy[y])
+                pairs.append((1 << x, bad))
+            rules.append((1 << z, pairs))
+        return rules
+
+    def _settle(self, rules: list[tuple[int, list[tuple[int, int]]]], pending: tuple) -> int | None:
+        """The chosen set plus every tail vertex of ``rules`` that can join
+        it, or None when that set leaves a pending vertex unblocked.
+
+        A tail vertex joins iff no blocking pair of its neighbours is
+        chosen; it then blocks a pending neighbour p iff p with a chosen
+        neighbour of it would be such a pair."""
+        chosen = self.chosen
+        final, blocked = chosen, 0
+        for zbit, pairs in rules:
+            hit = 0
+            for xbit, bad in pairs:
+                if bad & chosen:
+                    if xbit & chosen:
+                        break
+                    hit |= xbit
+            else:
+                final |= zbit
+                blocked |= hit
+        for p, _ in pending:
+            if not blocked >> p & 1:
+                return None
+        return final
 
     def walk_sets(self, cand: list[int], maximal: bool) -> tuple[list[int], int, int]:
         """Every good set (every maximal one if ``maximal``) of the chosen set
         plus vertices of ``cand`` (ascending), as masks in include-first
-        order, with the numbers of search nodes and leaves visited."""
+        order, with the numbers of search nodes and leaves visited.
+
+        A maximal walk branches only on the vertices before the simplicial
+        tail of ``cand`` and settles the tail in one node per complete
+        prefix; that node is a leaf only when it yields a set."""
         m = len(cand)
         undecided = [0] * (m + 1)  # mask of cand[i:]
         for i in range(m - 1, -1, -1):
             undecided[i] = undecided[i + 1] | 1 << cand[i]
+        tail = self._tail_rules(cand[m - self.simplicial_tail(cand):]) if maximal else []
+        m -= len(tail)
         scan, reach, attach, mark = self.scan, self.reach, self.attach, self.dsu.mark
         out: list[int] = []
         nodes = leaves = 0
@@ -194,9 +299,11 @@ class _Core:
             if alive:
                 nodes += 1
                 if i == m:
-                    leaves += 1
-                    if self.chosen:
-                        out.append(self.chosen)
+                    s = self._settle(tail, pending) if tail else self.chosen
+                    if s is not None:
+                        leaves += 1
+                        if s:
+                            out.append(s)
                     alive = False
                     continue
                 v = cand[i]

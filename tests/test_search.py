@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbal.cover import _price, column_generation
-from fracbal.families import SetFamily, SetProperty, enumerate_sets, lemma_case_sets
+from fracbal.families import SetFamily, SetProperty, _Core, enumerate_sets, lemma_case_sets
 from fracbal.gadgets import w_double_prime, w_hat, w_prime
 from fracbal.sgraph import GraphError, ParityDSU, SignedGraph, all_triangles, canonical_set
 from test_families import powerset_maximal
@@ -154,11 +154,40 @@ def signed_graphs(draw, max_n=9):
 
 
 @st.composite
-def constrained_searches(draw):
+def apex_tailed_graphs(draw):
+    """A random signed core followed by apexes, each on a random triangle,
+    edge or single vertex of the graph so far (now and then on an earlier
+    apex), so that the last vertices are mostly simplicial."""
+    core = draw(signed_graphs(max_n=7))
+    names = list(core.vertices)
+    edges = list(core.edges)
+    adj = {v: set() for v in names}
+    for a, b, _ in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for k in range(draw(st.integers(min_value=0, max_value=5))):
+        hosts = names if draw(st.integers(0, 4)) == 0 else list(core.vertices)
+        clique = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            room = [v for v in hosts if v not in clique and all(v in adj[c] for c in clique)]
+            if not room:
+                break
+            clique.append(draw(st.sampled_from(room)))
+        apex = f"c{k}"
+        adj[apex] = set(clique)
+        for c in clique:
+            adj[c].add(apex)
+            edges.append((c, apex, draw(st.sampled_from((1, -1)))))
+        names.append(apex)
+    return SignedGraph(tuple(names), tuple(edges))
+
+
+@st.composite
+def constrained_searches(draw, graphs=signed_graphs()):
     """A graph, a property and must_contain / forbid / avoid constraints;
     avoid sets may be empty, singletons, overlap the other constraints or
     name a vertex outside the graph."""
-    g = draw(signed_graphs())
+    g = draw(graphs)
     verts = list(g.vertices)
     prop = draw(st.sampled_from(SetProperty))
     role = [draw(st.sampled_from(("free",) * 6 + ("need", "ban"))) for _ in verts]
@@ -185,6 +214,43 @@ def test_enumeration_matches_reference_walk(case, maximal):
         # every leaf reached is emitted, except the empty set when every
         # candidate is blocked from the start
         assert fam.leaves == len(fam.sets) or (fam.sets, fam.leaves) == ((), 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(constrained_searches(apex_tailed_graphs()))
+def test_maximal_enumeration_on_apex_tails_matches_reference_walk(case):
+    # the walk settles the simplicial tail in one step; the reference walk
+    # branches on every vertex and tries every extension at each leaf
+    g, prop, need, ban, avoid = case
+    fam = enumerate_sets(
+        g, prop, maximal_only=True, must_contain=need, forbid=ban, avoid=avoid
+    )
+    assert fam.sets == reference_enumerate_sets(
+        g, prop, maximal_only=True, must_contain=need, forbid=ban, avoid=avoid
+    )
+    assert fam.leaves == len(fam.sets) or (fam.sets, fam.leaves) == ((), 1)
+
+
+def test_simplicial_tail_stops_at_avoid_members_and_adjacent_vertices():
+    def tail(h, avoid=(), prop=SetProperty.BALANCED, cand=None):
+        cand = list(range(len(h.vertices))) if cand is None else cand
+        k = _Core(h, prop, avoid).simplicial_tail(cand)
+        return tuple(h.vertices[i] for i in cand[len(cand) - k:])
+
+    g = w_double_prime().graph
+    apexes = ("c1", "c2", "c3", "c4", "c5", "c6", "c7")
+    assert tail(g) == tail(g, prop=SetProperty.ACYCLIC) == apexes
+    assert tail(w_prime().graph) == ()
+    # the tail is a suffix of the candidates, here all but c7
+    assert tail(g, cand=list(range(len(g.vertices) - 1))) == apexes[:-1]
+    # an avoid set through c5 ends the tail after it
+    assert tail(g, avoid=[("c5", "u")]) == ("c6", "c7")
+    # d and c7 are adjacent, and each has a clique (b1, b2, b3 and the
+    # other) as its neighbourhood: the tail is d alone
+    d = SignedGraph(
+        g.vertices + ("d",), g.edges + tuple((x, "d", -1) for x in ("b1", "b2", "b3", "c7"))
+    )
+    assert tail(d) == ("d",)
 
 
 duals = st.one_of(
@@ -214,13 +280,15 @@ def test_maximal_enumeration_counters_on_w_double_prime():
     # every leaf the pruned walk reaches is a maximal set
     assert fam.leaves == len(fam.sets) == 3501
     # the recursive walk with a per-leaf extension scan visited 1,476,086
-    # nodes, and the walk that re-tested a pending vertex beside one chosen
-    # component on its component's neighbours visited 248,722
-    assert 0 < fam.nodes <= 100_000
+    # nodes, the walk that re-tested a pending vertex beside one chosen
+    # component on its component's neighbours visited 248,722, and the walk
+    # that branched on the apexes c1..c7 one at a time visited 89,197
+    assert 0 < fam.nodes <= 30_000
     forests = enumerate_sets(g, SetProperty.ACYCLIC, maximal_only=True)
     assert forests.leaves == len(forests.sets) == 2370
-    # 168,108 with the re-tests on a lone component's neighbours
-    assert 0 < forests.nodes <= 70_000
+    # 168,108 with the re-tests on a lone component's neighbours, 64,936
+    # with the apexes walked one at a time
+    assert 0 < forests.nodes <= 25_000
 
 
 def test_pending_vertex_beside_one_component_waits_for_its_own_neighbours():
@@ -235,8 +303,9 @@ def test_pending_vertex_beside_one_component_waits_for_its_own_neighbours():
         fam = enumerate_sets(g, prop, maximal_only=True)
         assert {frozenset(s) for s in fam.sets} == powerset_maximal(g, prop)
         assert fam.leaves == len(fam.sets) == 3
-        # a walk that waited on b as well visited 21 nodes
-        assert fam.nodes == 17
+        # a walk that waited on b as well visited 21 nodes, and one that
+        # branched on d instead of settling it as a simplicial tail 17
+        assert fam.nodes == 14
 
 
 @pytest.mark.parametrize("prop", SetProperty)
@@ -257,7 +326,16 @@ def test_maximal_enumeration_on_a_clique_sum_in_any_order(prop):
 
 
 def test_lemma_case_sets_on_a_clique_sum_match_the_reference_walk():
-    wp = w_prime()
+    assert_lemma_case_sets_match_the_reference_walk(w_prime())
+
+
+def test_lemma_case_sets_on_apex_triangles_match_the_reference_walk():
+    # w_double_prime ends in the simplicial tail c1..c7, which the
+    # face-avoiding walk settles beside avoid sets on their neighbours
+    assert_lemma_case_sets_match_the_reference_walk(w_double_prime())
+
+
+def assert_lemma_case_sets_match_the_reference_walk(wp):
     g = wp.graph
     faces = [t for t, sign in all_triangles(g) if sign > 0]
     terminals = (wp.terminal("u"), wp.terminal("v"))
