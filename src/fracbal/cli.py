@@ -70,6 +70,14 @@ def _read_file(path: str) -> str:
         raise GraphError(f"cannot read {path}: {exc}") from exc
 
 
+def _budget(text: str) -> float:
+    """A ``--budget-seconds`` value: a number of seconds, not NaN or negative."""
+    seconds = float(text)
+    if not seconds >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number of seconds, got {text!r}")
+    return seconds
+
+
 def cmd_build(args) -> int:
     if args.name == "g-seq":
         gadget = g_sequence(args.i)
@@ -239,7 +247,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=["chi-fb", "a-f"])
     p.add_argument("graph")
     p.add_argument("--column-generation", action="store_true")
-    p.add_argument("--budget-seconds", type=float, default=None)
+    p.add_argument("--budget-seconds", type=_budget, default=None)
     p.add_argument("--guard", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)

@@ -14,8 +14,9 @@ anything is returned, so a returned LpResult is itself a proof of
 optimality independent of the pivoting path.
 
 ``column_generation`` scales the same LP past full enumeration: a
-restricted master over known columns plus an exact branch-and-bound pricer
-that searches for a balanced/acyclic set of dual weight above 1.  The
+restricted master over known columns plus an exact pricer that finds a
+balanced/acyclic set of largest dual weight, by a DP over the graph's
+clique-separator tree, and stops when that weight is at most 1.  The
 master is one ``simplex.Tableau`` kept across iterations: each priced
 column is appended as a packing row and the tableau resumes along the
 Bland path that a from-scratch solve of all columns would take, so every
@@ -30,11 +31,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Sequence
+from operator import add
+from typing import Iterable, NamedTuple, Sequence
 
 from .certify import Certificate, Mode
 from .families import SetFamily, SetProperty, enumerate_sets, _Core
-from .sgraph import SignedGraph, all_triangles
+from .sgraph import SignedGraph, all_triangles, clique_tree
 from .simplex import SimplexResult, Tableau, simplex_max
 
 
@@ -179,7 +181,8 @@ class ColumnGenResult:
     result: LpResult | None
     iterations: int
     columns: int
-    # search nodes over all pricing calls and master pivots actually
+    # over all pricing calls, the DP rows evaluated (walk nodes when an
+    # atom is too large for rows), and the master pivots actually
     # computed; equality ignores both
     price_nodes: int = field(default=0, compare=False)
     master_pivots: int = field(default=0, compare=False)
@@ -189,28 +192,168 @@ class ColumnGenResult:
         return self.result.optimum if self.completed and self.result else None
 
 
+# Pricing is a DP over the clique-separator tree only when no atom has more
+# vertices than this, since an atom of k vertices has up to 2**k rows;
+# otherwise it is one branch-and-bound walk over the whole graph.
+_ATOM_LIMIT = 12
+
+
+class _AtomRows(NamedTuple):
+    """An atom's good subsets as rows, grouped by the subset t of the
+    separator they hold.  A row's low bits are that subset, its vertices
+    in the separator in vertex order, and its high bits are its part in
+    ``own``, the atom's other vertices, each counted in no other atom."""
+
+    own: list[int]
+    half: int  # the rows' own bits split into own[:half] and own[half:]
+    low: list[int]  # per row, its part in own[:half]
+    high: list[int]  # per row, its part in own[half:]
+    groups: list[tuple[int, int]]  # the rows holding subset t are [i, j) = groups[t]
+    kids: list[tuple[int, list[int]]]  # per child atom, its ``up``
+    up: list[int]  # per row of the parent atom, the subset of this atom's separator it holds
+    parent: int
+    glob: list[int]  # per row, its vertices as a mask over the graph
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _pricing_plan(g: SignedGraph, prop: SetProperty) -> tuple[list[_AtomRows], _Core] | None:
+    """The rows of every atom of ``clique_tree(g)``, in tree order, and the
+    core that enumerated them; None when an atom exceeds ``_ATOM_LIMIT``.
+    Built once per graph and property."""
+    memo = g._memo
+    if (_pricing_plan, prop) not in memo:
+        memo[_pricing_plan, prop] = _rows_by_atom(g, prop)
+    return memo[_pricing_plan, prop]
+
+
+def _rows_by_atom(g: SignedGraph, prop: SetProperty) -> tuple[list[_AtomRows], _Core] | None:
+    atoms = clique_tree(g)
+    if any(a.mask.bit_count() > _ATOM_LIMIT for a in atoms):
+        return None
+    core = _Core(g, prop)
+    kids_of: list[list[int]] = [[] for _ in atoms]
+    for c, a in enumerate(atoms[:-1]):
+        kids_of[a.parent].append(c)
+    plan: list[_AtomRows] = []
+    for a, kids_a in zip(atoms, kids_of):
+        sep, own = _bits(a.separator), _bits(a.mask & ~a.separator)
+        bit = {v: b for b, v in enumerate(sep + own)}
+        buckets: list[list[tuple[int, int]]] = [[] for _ in range(1 << len(sep))]
+        for r in [0] + core.walk_sets(_bits(a.mask), False)[0]:
+            local = sum(1 << bit[v] for v in _bits(r))
+            buckets[local & len(buckets) - 1].append((local, r))
+        rows: list[tuple[int, int]] = []
+        groups = []
+        for bucket in buckets:
+            groups.append((len(rows), len(rows) + len(bucket)))
+            rows += bucket
+        kids = []
+        for c in kids_a:
+            where = [bit[v] for v in _bits(atoms[c].separator)]
+            up = [sum((r >> b & 1) << k for k, b in enumerate(where)) for r, _ in rows]
+            plan[c] = plan[c]._replace(up=up)
+            kids.append((c, up))
+        half, at = len(own) // 2, len(sep)
+        plan.append(_AtomRows(
+            own, half,
+            [r >> at & (1 << half) - 1 for r, _ in rows],
+            [r >> at + half for r, _ in rows],
+            groups, kids, [], a.parent, [r for _, r in rows],
+        ))
+    return plan, core
+
+
+def _subset_sums(keys: Iterable[int]) -> list[int]:
+    """Entry m is the sum of the keys at the set bits of m."""
+    sums = [0]
+    for k in keys:
+        sums += [x + k for x in sums]
+    return sums
+
+
+def _best_rows(atoms: list[_AtomRows], key: list[int]) -> tuple[int, int]:
+    """The largest key sum of a set that is good in every atom, and that
+    set as a mask.  Bottom up, each atom's table holds, per subset t of its
+    separator, the best value of a row holding t: its own vertices' keys
+    plus its children's entries; the best rows are then read top down."""
+    tables: list[list] = []
+    values: list[list[int]] = []
+    for own, half, low, high, groups, kids, _, _, _ in atoms:
+        lo = _subset_sums(key[v] for v in own[:half])
+        hi = _subset_sums(key[v] for v in own[half:])
+        vals = list(map(add, map(lo.__getitem__, low), map(hi.__getitem__, high)))
+        for c, up in kids:
+            vals = list(map(add, vals, map(tables[c].__getitem__, up)))
+        # a subset no row holds is not good, so no parent row holds it
+        tables.append([max(vals[i:j]) if i < j else None for i, j in groups])
+        values.append(vals)
+    mask = 0
+    pick = [0] * len(atoms)
+    for a in range(len(atoms) - 1, -1, -1):
+        rows = atoms[a]
+        t = 0 if rows.parent < 0 else rows.up[pick[rows.parent]]
+        pick[a] = values[a].index(tables[a][t], *rows.groups[t])
+        mask |= rows.glob[pick[a]]
+    return (tables[-1][0] if atoms else 0), mask
+
+
 def _price(
     g: SignedGraph, prop: SetProperty, y: dict[str, Fraction]
 ) -> tuple[Fraction, tuple[str, ...], int]:
-    """Maximum-dual-weight set with the property, by branch and bound, and
-    the number of search nodes visited.
+    """Maximum-dual-weight set with the property, and the work done: the
+    rows the DP evaluated, or the nodes the walk visited.
 
     The positive duals are scaled once by the lcm of their denominators, so
-    the walk of the shared integer search core adds Python ints.  Vertices
-    are scanned in canonical order with the include branch first, and a
-    branch is cut when the weight so far plus a bound on the rest cannot
-    beat the best.  The bound is the remaining weight less, for each
-    triangle of a greedy disjoint packing that lies in the rest, its
-    lightest vertex: a good set holds at most two vertices of a negative
-    triangle (of any triangle when acyclic).  Among equal-weight maximizers
-    the first one found is kept, which is the lexicographically least
-    improving column; a tighter bound only cuts branches that cannot beat
-    it.
+    every sum adds Python ints, and vertices with zero dual never join.
+    Among equal-weight maximizers the one returned is the first that an
+    include-first walk over the positive-dual vertices in canonical order
+    finds, which is the lexicographically least improving column.
+
+    A set is good iff its part in every atom of ``clique_tree(g)`` is, so
+    pricing is a DP over that tree (Arnborg and Proskurowski 1989) on each
+    atom's good subsets, enumerated once per graph and property as rows.
+    The vertex of rank r among the N positive-dual ones has the key
+    ``w * 2**N + 2**(N - 1 - r)``, so key sums order sets by weight and
+    then lexicographically, and the DP's unique best set is the walk's.  A
+    zero-dual vertex has a key below minus the sum of all the others.
+
+    When an atom has more than ``_ATOM_LIMIT`` vertices, the walk of the
+    shared integer search core runs over the whole graph instead.  It cuts
+    a branch when the weight so far plus a bound on the rest cannot beat
+    the best.  The bound is the remaining weight less, for each triangle of
+    a greedy disjoint packing that lies in the rest, its lightest vertex: a
+    good set holds at most two vertices of a negative triangle (of any
+    triangle when acyclic).
     """
     verts = g.vertices
     cand = [i for i, v in enumerate(verts) if y.get(v, 0) > 0]
     scale = lcm(*(y[verts[i]].denominator for i in cand))
     weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
+    plan = _pricing_plan(g, prop)
+    if plan is None:
+        return _walk_price(g, prop, cand, weights, scale)
+    atoms, core = plan
+    n = len(cand)
+    key = [0] * len(verts)
+    for r, (i, w) in enumerate(zip(cand, weights)):
+        key[i] = w << n | 1 << (n - 1 - r)
+    never = -1 - sum(key)
+    best, mask = _best_rows(atoms, [k or never for k in key])
+    return Fraction(best >> n, scale), core.members(mask), sum(len(a.low) for a in atoms)
+
+
+def _walk_price(
+    g: SignedGraph, prop: SetProperty, cand: list[int], weights: list[int], scale: int
+) -> tuple[Fraction, tuple[str, ...], int]:
+    """``_price`` by one branch-and-bound walk over the whole graph."""
     at = {c: k for k, c in enumerate(cand)}
     # cut[k]: the lightest weight of each packed triangle whose first vertex is cand[k]
     cut = [0] * len(cand)
@@ -241,8 +384,11 @@ def column_generation(
     adds the maximum-dual-weight violating set until pricing proves no set
     has dual weight above 1.  On budget exhaustion, returns the certified
     interval [master dual value / best pricing weight, master optimum],
-    which always contains the true optimum.
+    which always contains the true optimum.  A NaN ``time_budget`` raises
+    ValueError, since no elapsed time would ever exceed it.
     """
+    if time_budget is not None and time_budget != time_budget:
+        raise ValueError("time_budget must be a number of seconds, not NaN")
     columns: list[tuple[str, ...]] = [(v,) for v in g.vertices]
     col = {v: j for j, v in enumerate(g.vertices)}
     ones = [1] * len(columns)

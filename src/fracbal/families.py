@@ -2,8 +2,10 @@
 
 Both properties are hereditary (every subset of a good set is good), and so
 are the ``avoid`` constraints.  One integer search core serves enumeration
-here and pricing in ``cover``: vertices are indices in canonical order, a
-set is a bitmask over them, and the chosen set sits on a rollback parity
+here and, in ``cover``, enumerates the good subsets of each clique-separator
+atom as the rows of the pricing DP and runs the pricing walk on hosts with
+an atom too large for rows: vertices are indices in canonical order, a set
+is a bitmask over them, and the chosen set sits on a rollback parity
 union-find.  The walk is an explicit-stack loop over include/exclude
 decisions in canonical order, include branch first, which fixes the output
 order without a sorting pass; results are identical across runs.

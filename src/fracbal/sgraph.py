@@ -84,6 +84,17 @@ class SignedGraph:
                     out.append(((a, b, c), ab * bc * adj_a[c]))
         return tuple(out)
 
+    @cached_property
+    def _clique_tree(self) -> tuple[Atom, ...]:
+        """The memo behind ``clique_tree``."""
+        return _atoms(self)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Structures that the layers above derive from the graph once,
+        each under its own key; never compared, printed or inherited."""
+        return {}
+
     def has_vertex(self, v: str) -> bool:
         return v in self.index
 
@@ -449,6 +460,141 @@ def all_triangles(g: SignedGraph) -> list[tuple[tuple[str, str, str], int]]:
     inherits that list plus the triangles through its new edges.
     """
     return list(g._triangles)
+
+
+@dataclass(frozen=True)
+class Atom:
+    """One atom of a clique-separator tree, with vertex sets as masks over
+    vertex indices: its vertices, the clique it shares with its parent
+    atom, and that parent's position in the tree (-1 at the root)."""
+
+    mask: int
+    separator: int
+    parent: int
+
+
+def clique_tree(g: SignedGraph) -> tuple[Atom, ...]:
+    """The decomposition of ``g`` by its clique minimal separators, as a
+    tree of atoms listed children first, the root last.
+
+    The atoms are the maximal connected vertex sets that no clique
+    separates, and they are unique (Leimer 1993).  Across a clique
+    separator a set is balanced (a forest) iff its part on each side is: a
+    cycle that crosses the clique meets it in two adjacent vertices, and
+    the chord between them splits the cycle into one on each side whose
+    signs multiply to its own.  So a set is good iff its part in every
+    atom is.  Computed once per graph, when first asked for.
+    """
+    return g._clique_tree
+
+
+def _atoms(g: SignedGraph) -> tuple[Atom, ...]:
+    """MCS-M (Berry, Blair, Heggernes and Peyton 2004) numbers the vertices
+    for a minimal triangulation H of ``g`` and marks the vertices x whose
+    earlier-numbered H-neighbours madj(x) form a minimal separator.  Taking
+    those x last-numbered first, each madj(x) that is a clique of ``g``
+    splits off x's component with it as an atom (Berry, Pogorelcnik and
+    Simonet 2010, after Tarjan 1985); the rest is the root.  An atom hangs
+    below the first later atom that holds its separator.  Loops only, no
+    recursion."""
+    n = len(g.vertices)
+    index = g.index
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    near = [0] * n
+    for a, b, _ in g.edges:
+        i, j = index[a], index[b]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        near[i] |= 1 << j
+        near[j] |= 1 << i
+    weight = [0] * n
+    numbered = [False] * n
+    seen = [-1] * n
+    madj: list[list[int]] = [[] for _ in range(n)]
+    generator = [False] * n
+    order = []
+    buckets = [list(range(n))]  # by weight; an entry is stale once its vertex moves on
+    top, last = 0, -1
+    for step in range(n):
+        x = buckets[top].pop()
+        generator[x] = top <= last
+        last = top
+        numbered[x] = True
+        order.append(x)
+        while True:  # until the top bucket ends in a live vertex, or all are numbered
+            bucket = buckets[top]
+            if bucket and (numbered[bucket[-1]] or weight[bucket[-1]] != top):
+                bucket.pop()
+            elif not bucket and top:
+                top -= 1
+            else:
+                break
+        # every unnumbered y reached from x through vertices lighter than y;
+        # none is heavier than ``top``, so paths through level ``top`` raise nothing
+        raised = []
+        levels: list[list[int]] = [[] for _ in range(last + 1)]
+        for y in nbrs[x]:
+            if not numbered[y]:
+                seen[y] = step
+                raised.append(y)
+                levels[weight[y]].append(y)
+        for j, level in enumerate(levels[:top]):
+            while level:
+                for y in nbrs[level.pop()]:
+                    if numbered[y] or seen[y] == step:
+                        continue
+                    seen[y] = step
+                    if weight[y] > j:
+                        raised.append(y)
+                        levels[weight[y]].append(y)
+                    else:
+                        level.append(y)
+        for y in raised:
+            weight[y] += 1
+            madj[y].append(x)
+            if weight[y] == len(buckets):
+                buckets.append([])
+            buckets[weight[y]].append(y)
+            top = max(top, weight[y])
+
+    split: list[tuple[list[int], int]] = []  # (vertices, separator mask)
+    gone = [False] * n
+    for x in reversed(order):
+        sep = madj[x]
+        clique = sum(1 << s for s in sep)
+        if not generator[x] or any(clique & ~near[s] != 1 << s for s in sep):
+            continue
+        for s in sep:
+            gone[s] = True  # fenced off for the search, released below
+        comp = [x]
+        gone[x] = True
+        for v in comp:
+            for y in nbrs[v]:
+                if not gone[y]:
+                    gone[y] = True
+                    comp.append(y)
+        for s in sep:
+            gone[s] = False
+        split.append((comp + sep, clique))
+    if n:
+        split.append(([v for v in range(n) if not gone[v]], 0))
+
+    masks = [sum(1 << v for v in members) for members, _ in split]
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for k, (members, _) in enumerate(split):
+        for v in members:
+            holders[v].append(k)
+    atoms = []
+    for k, (_, clique) in enumerate(split):
+        if k == len(split) - 1:
+            parent = -1
+        elif not clique:
+            parent = k + 1
+        else:
+            some = (clique & -clique).bit_length() - 1
+            parent = next(j for j in holders[some] if j > k and masks[j] & clique == clique)
+        atoms.append(Atom(masks[k], clique, parent))
+    return tuple(atoms)
 
 
 def triangle_sign(g: SignedGraph, t: Iterable[str]) -> int:

@@ -220,6 +220,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_budget_that_cannot_be_honoured_exits_2(tmp_path, capsys, budget):
+    # elapsed time is never greater than NaN, so a NaN budget would be
+    # silently ignored; a negative one is no budget either
+    graph = tmp_path / "k3.json"
+    assert run(capsys, "build", "k3-minus", "--out", str(graph))[0] == 0
+    code, out, err = run(
+        capsys, "solve", "a-f", str(graph), "--column-generation", "--budget-seconds", budget
+    )
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"argument --budget-seconds: must be a non-negative number of seconds, got {budget!r}"
+    )
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "chi-fb", str(tmp_path / "nope.json"))
     assert code == 2

@@ -10,10 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbal.cover import _price, column_generation
+from fracbal import cover
+from fracbal.cover import _ATOM_LIMIT, _price, column_generation
 from fracbal.families import SetFamily, SetProperty, _Core, enumerate_sets, lemma_case_sets
-from fracbal.gadgets import w_double_prime, w_hat, w_prime
-from fracbal.sgraph import GraphError, ParityDSU, SignedGraph, all_triangles, canonical_set
+from fracbal.gadgets import g_hat_k3, w_double_prime, w_hat, w_prime
+from fracbal.sgraph import (
+    GraphError,
+    ParityDSU,
+    SignedGraph,
+    all_triangles,
+    canonical_set,
+    clique_tree,
+    is_acyclic,
+    is_balanced,
+    negative_cycle_witness,
+)
 from test_families import powerset_maximal
 
 
@@ -180,6 +191,89 @@ def apex_tailed_graphs(draw):
             edges.append((c, apex, draw(st.sampled_from((1, -1)))))
         names.append(apex)
     return SignedGraph(tuple(names), tuple(edges))
+
+
+@st.composite
+def clique_sums(draw, pieces=st.integers(min_value=1, max_value=3)):
+    """A random signed graph with pieces glued on one after another, each
+    along a random clique of the graph so far (none, a vertex, an edge or a
+    triangle, with its signs), in a shuffled declaration order.  Also the
+    vertices before the last piece and those of the last piece, which
+    share just that clique."""
+    g = draw(signed_graphs(max_n=6))
+    names, edges = list(g.vertices), list(g.edges)
+    adj = {v: set() for v in names}
+    for a, b, _ in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for k in range(draw(pieces)):
+        clique: list[str] = []
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            room = [v for v in names if v not in clique and all(v in adj[c] for c in clique)]
+            if not room:
+                break
+            clique.append(draw(st.sampled_from(room)))
+        fresh = [f"p{k}_{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+        side = fresh + clique
+        before = set(names)
+        for v in fresh:
+            adj[v] = set()
+        for i, a in enumerate(fresh):
+            for b in side[i + 1:]:
+                if draw(st.booleans()):
+                    edges.append((a, b, draw(st.sampled_from((1, -1)))))
+                    adj[a].add(b)
+                    adj[b].add(a)
+        names += fresh
+    order = draw(st.permutations(names))
+    return SignedGraph(tuple(order), tuple(edges)), before, set(side)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(clique_sums(pieces=st.just(1)), st.data())
+def test_a_set_is_good_iff_its_part_on_each_side_of_a_clique_is(glued, data):
+    g, left, right = glued
+    s = data.draw(st.sets(st.sampled_from(g.vertices)))
+    for holds in (is_balanced, is_acyclic):
+        assert holds(g, s) == (holds(g, s & left) and holds(g, s & right))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(clique_sums(), st.sampled_from(SetProperty), st.data())
+def test_pricing_on_clique_sums_matches_reference_walk(glued, prop, data):
+    g = glued[0]
+    y = {v: data.draw(duals) for v in g.vertices}
+    weight, best, _ = _price(g, prop, y)
+    assert (weight, best) == reference_price(g, prop, y)
+
+
+@pytest.mark.parametrize("prop", SetProperty)
+def test_pricing_a_host_with_an_atom_above_the_limit_walks(prop):
+    # the square of a 14-cycle is 4-connected, so no clique of at most 3
+    # vertices separates it: one atom of 14 vertices
+    n = 14
+    names = tuple(f"q{i}" for i in range(n))
+    rng = Random(11)
+    edges = tuple(
+        (names[i], names[(i + d) % n], rng.choice((1, -1))) for i in range(n) for d in (1, 2)
+    )
+    g = SignedGraph(names, edges)
+    assert [a.mask.bit_count() for a in clique_tree(g)] == [n] > [_ATOM_LIMIT]
+    assert cover._pricing_plan(g, prop) is None
+    for _ in range(20):
+        y = {v: Fraction(rng.randint(0, 4), rng.randint(1, 3)) for v in names}
+        weight, best, _ = _price(g, prop, y)
+        assert (weight, best) == reference_price(g, prop, y)
+
+
+def test_pricing_g_hat_k3_with_every_dual_one():
+    # a single call of the walk over all 66 vertices did not finish in 120 s
+    g = g_hat_k3().graph
+    weight, best, rows = _price(g, SetProperty.BALANCED, dict.fromkeys(g.vertices, Fraction(1)))
+    assert weight == len(best) == 37
+    assert negative_cycle_witness(g, best) is None
+    # the rows are the balanced subsets of its 31 atoms, the empty ones included
+    assert rows == 1624
 
 
 @st.composite

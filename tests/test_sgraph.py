@@ -3,12 +3,14 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from fracbal.sgraph import (
     GraphError,
     SignedGraph,
     all_triangles,
     any_cycle,
+    clique_tree,
     is_balanced,
     is_k4_minus_equivalent,
     negative_cycle_witness,
@@ -18,7 +20,17 @@ from fracbal.sgraph import (
     switch,
     triangle_sign,
 )
-from fracbal.gadgets import GadgetGraph, complete_negative_face, k4_minus, w_hat
+from fracbal.gadgets import (
+    GadgetGraph,
+    complete_negative_face,
+    g_hat_k3,
+    k4_minus,
+    w1_underlying,
+    w_double_prime,
+    w_hat,
+    w_prime,
+)
+from test_search import signed_graphs
 
 
 def brute_force_triangle_signs(g):
@@ -222,3 +234,94 @@ def test_negative_four_cycles_from_the_core_graph():
 def test_triangle_sign_requires_triangle():
     with pytest.raises(GraphError):
         triangle_sign(w_hat().graph, ("u", "v", "w"))  # u-w is not an edge
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _connected(vertices, near):
+    """Whether ``vertices`` induce a connected subgraph (True when empty)."""
+    left = set(vertices)
+    stack = [left.pop()] if left else []
+    while stack:
+        v = stack.pop()
+        for w in _members(near[v]):
+            if w in left:
+                left.remove(w)
+                stack.append(w)
+    return not left
+
+
+def assert_clique_tree(g):
+    """Check ``clique_tree(g)`` by brute force: a tree decomposition whose
+    separators are cliques and whose atoms are connected, pairwise
+    incomparable and cut by no clique of their own; those are exactly the
+    atoms of the decomposition by clique minimal separators."""
+    idx = g.index
+    near = [0] * len(g.vertices)
+    for a, b, _ in g.edges:
+        near[idx[a]] |= 1 << idx[b]
+        near[idx[b]] |= 1 << idx[a]
+
+    def clique(mask):
+        return all(mask & ~near[v] == 1 << v for v in _members(mask))
+
+    atoms = clique_tree(g)
+    assert [a.parent for a in atoms[-1:]] == ([-1] if g.vertices else [])
+    for k, a in enumerate(atoms[:-1]):
+        assert a.parent > k and a.mask & atoms[a.parent].mask == a.separator
+        assert clique(a.separator)
+    for a, b, _ in g.edges:
+        edge = 1 << idx[a] | 1 << idx[b]
+        assert any(atom.mask & edge == edge for atom in atoms)
+    for v in range(len(g.vertices)):
+        holding = [k for k, atom in enumerate(atoms) if atom.mask >> v & 1]
+        # the atoms holding v form a subtree: one fewer tree edge than atoms
+        assert sum(atoms[k].parent in holding for k in holding) == len(holding) - 1
+    for a in atoms:
+        assert all(b is a or a.mask & b.mask != a.mask for b in atoms)
+        inside = _members(a.mask)
+        assert _connected(inside, near)
+        for size in range(len(inside)):
+            for cut in combinations(inside, size):
+                mask = sum(1 << v for v in cut)
+                if clique(mask):
+                    assert _connected([v for v in inside if not mask >> v & 1], near)
+    return atoms
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(signed_graphs(max_n=11))
+def test_clique_tree_matches_brute_force(g):
+    assert_clique_tree(g)
+
+
+def test_clique_tree_of_the_paper_hosts():
+    def sizes(g):
+        return sorted((a.mask.bit_count() for a in assert_clique_tree(g)), reverse=True)
+
+    assert sizes(w_hat().graph) == [10]
+    assert sizes(w_prime().graph) == [10, 6, 6]
+    assert sizes(w_double_prime().graph) == [10, 6, 6] + [4] * 7
+    w1 = w1_underlying().graph
+    assert sizes(w1) == [10] * 4
+    assert [a.separator.bit_count() for a in clique_tree(w1)] == [2, 2, 2, 0]
+    big = sizes(g_hat_k3().graph)
+    assert len(big) == 31 and big[0] == 10
+
+
+def test_clique_tree_of_a_long_path_needs_no_recursion():
+    n = 1200
+    names = tuple(f"p{i}" for i in range(n))
+    g = SignedGraph(names, tuple((names[i], names[i + 1], -1) for i in range(n - 1)))
+    atoms = clique_tree(g)
+    assert len(atoms) == n - 1
+    assert all(a.mask.bit_count() == 2 for a in atoms)
+    assert all(a.separator.bit_count() == 1 for a in atoms[:-1])
+
+
+def test_clique_tree_is_built_lazily_once_per_graph():
+    g = w_prime().graph
+    assert "_clique_tree" not in vars(g)
+    assert clique_tree(g) is clique_tree(g)
