@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .certify import Certificate, Mode
 from .families import SetFamily, SetProperty, enumerate_sets, _Core
-from .sgraph import SignedGraph, all_triangles, clique_tree
+from .sgraph import SignedGraph, all_triangles, clique_tree, names_of
 from .simplex import SimplexResult, Tableau, simplex_max
 
 
@@ -224,17 +224,16 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _pricing_plan(g: SignedGraph, prop: SetProperty) -> tuple[list[_AtomRows], _Core] | None:
-    """The rows of every atom of ``clique_tree(g)``, in tree order, and the
-    core that enumerated them; None when an atom exceeds ``_ATOM_LIMIT``.
-    Built once per graph and property."""
+def _pricing_plan(g: SignedGraph, prop: SetProperty) -> list[_AtomRows] | None:
+    """The rows of every atom of ``clique_tree(g)`` in tree order, built once
+    per graph and property; None when an atom exceeds ``_ATOM_LIMIT``."""
     memo = g._memo
     if (_pricing_plan, prop) not in memo:
         memo[_pricing_plan, prop] = _rows_by_atom(g, prop)
     return memo[_pricing_plan, prop]
 
 
-def _rows_by_atom(g: SignedGraph, prop: SetProperty) -> tuple[list[_AtomRows], _Core] | None:
+def _rows_by_atom(g: SignedGraph, prop: SetProperty) -> list[_AtomRows] | None:
     atoms = clique_tree(g)
     if any(a.mask.bit_count() > _ATOM_LIMIT for a in atoms):
         return None
@@ -268,7 +267,7 @@ def _rows_by_atom(g: SignedGraph, prop: SetProperty) -> tuple[list[_AtomRows], _
             [r >> at + half for r, _ in rows],
             groups, kids, [], a.parent, [r for _, r in rows],
         ))
-    return plan, core
+    return plan
 
 
 def _subset_sums(keys: Iterable[int]) -> list[int]:
@@ -337,17 +336,16 @@ def _price(
     cand = [i for i, v in enumerate(verts) if y.get(v, 0) > 0]
     scale = lcm(*(y[verts[i]].denominator for i in cand))
     weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
-    plan = _pricing_plan(g, prop)
-    if plan is None:
+    atoms = _pricing_plan(g, prop)
+    if atoms is None:
         return _walk_price(g, prop, cand, weights, scale)
-    atoms, core = plan
     n = len(cand)
     key = [0] * len(verts)
     for r, (i, w) in enumerate(zip(cand, weights)):
         key[i] = w << n | 1 << (n - 1 - r)
     never = -1 - sum(key)
     best, mask = _best_rows(atoms, [k or never for k in key])
-    return Fraction(best >> n, scale), core.members(mask), sum(len(a.low) for a in atoms)
+    return Fraction(best >> n, scale), names_of(g, mask), sum(len(a.low) for a in atoms)
 
 
 def _walk_price(
@@ -366,9 +364,8 @@ def _walk_price(
     bound = [0] * (len(cand) + 1)
     for k in range(len(cand) - 1, -1, -1):
         bound[k] = bound[k + 1] + weights[k] - cut[k]
-    core = _Core(g, prop)
-    best, best_set, nodes = core.walk_price(cand, weights, bound)
-    return Fraction(best, scale), core.members(best_set), nodes
+    best, best_set, nodes = _Core(g, prop).walk_price(cand, weights, bound)
+    return Fraction(best, scale), names_of(g, best_set), nodes
 
 
 def column_generation(
@@ -385,10 +382,13 @@ def column_generation(
     has dual weight above 1.  On budget exhaustion, returns the certified
     interval [master dual value / best pricing weight, master optimum],
     which always contains the true optimum.  A NaN ``time_budget`` raises
-    ValueError, since no elapsed time would ever exceed it.
+    ValueError, since no elapsed time would ever exceed it, and so does a
+    ``max_iterations`` below 1, since every run prices at least once.
     """
     if time_budget is not None and time_budget != time_budget:
         raise ValueError("time_budget must be a number of seconds, not NaN")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     columns: list[tuple[str, ...]] = [(v,) for v in g.vertices]
     col = {v: j for j, v in enumerate(g.vertices)}
     ones = [1] * len(columns)

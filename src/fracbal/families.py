@@ -51,7 +51,8 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .gadgets import GadgetGraph
-from .sgraph import GraphError, ParityDSU, SignedGraph, _assembled, canonical_set, sets_hold
+from .sgraph import GraphError, ParityDSU, SignedGraph, _assembled, canonical_set
+from .sgraph import names_of, sets_hold
 
 MAXIMAL_SIZE_GUARD = 24
 FULL_SIZE_GUARD = 16
@@ -113,11 +114,12 @@ class _Core:
     rollback parity union-find.
 
     Vertex i is ``g.vertices[i]``, and ascending bit order is canonical
-    order.  Each vertex has its neighbours as ``(j, negative)`` pairs and
-    as the mask ``near``, and ``reach0`` holds that mask plus the other
-    members of every avoid set containing it.  Each union-find root carries the union of its
-    members' neighbour masks.  A walk saves ``(chosen, dsu.mark())`` before
-    a branch and ``restore``s it after.
+    order.  ``nbrs`` and ``near`` are the graph's shared index form: per
+    vertex, its ``(j, negative)`` pairs and neighbour mask.  ``reach0`` adds
+    to that mask the other members of every avoid set containing the vertex.
+    Each union-find root carries the union of its members' neighbour masks.
+    A walk saves ``(chosen, dsu.mark())`` before a branch and ``restore``s
+    it after.  Sets come out as masks, which ``sgraph.names_of`` names.
     """
 
     def __init__(
@@ -125,19 +127,10 @@ class _Core:
     ) -> None:
         n = len(g.vertices)
         idx = g.index
-        self.names = g.vertices
         self.acyclic = prop is SetProperty.ACYCLIC
-        self.nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-        near = [0] * n
-        for a, b, sign in g.edges:
-            i, j = idx[a], idx[b]
-            self.nbrs[i].append((j, sign < 0))
-            self.nbrs[j].append((i, sign < 0))
-            near[i] |= 1 << j
-            near[j] |= 1 << i
-        self.dsu = ParityDSU(n, near)
-        self.near = near
-        self.reach0 = near[:]
+        self.nbrs, self.near = g._neighbours
+        self.dsu = ParityDSU(n, self.near)
+        self.reach0 = list(self.near)
         self.partners: list[list[int]] = [[] for _ in range(n)]
         for a in avoid:
             members = {idx.get(v, -1) for v in a}
@@ -148,8 +141,6 @@ class _Core:
                 self.partners[i].append(whole & ~(1 << i))
                 self.reach0[i] |= whole & ~(1 << i)
         self.chosen = 0
-        # per-byte name tables for ``members``
-        self.tables: list[list] = [[()] + [None] * 255 for _ in range(0, n, 8)]
 
     def scan(self, v: int) -> dict[int, int] | None:
         """The roots of the chosen components next to v, each with v's parity
@@ -196,31 +187,6 @@ class _Core:
     def restore(self, chosen: int, mark: int) -> None:
         self.chosen = chosen
         self.dsu.rollback(mark)
-
-    def members(self, mask: int) -> tuple[str, ...]:
-        """The names of a vertex mask, in canonical order, read a byte at a
-        time.  Entry b of a byte's table is the entry for b with its top bit
-        cleared plus the name of that bit's vertex, filled on first use: one
-        lookup costs a few tuple joins, a whole enumeration at most 255 per
-        byte."""
-        out: tuple[str, ...] = ()
-        lo = 0
-        while mask:
-            table = self.tables[lo >> 3]
-            b = mask & 255
-            if table[b] is None:
-                self._fill(table, b, lo)
-            out += table[b]
-            mask >>= 8
-            lo += 8
-        return out
-
-    def _fill(self, table: list, b: int, lo: int) -> None:
-        top = b.bit_length() - 1
-        rest = b ^ 1 << top
-        if table[rest] is None:
-            self._fill(table, rest, lo)
-        table[b] = table[rest] + (self.names[lo + top],)
 
     def simplicial_tail(self, cand: list[int]) -> int:
         """The length of the longest suffix of ``cand`` whose vertices are
@@ -418,7 +384,7 @@ def enumerate_sets(
         if not core.chosen >> i & 1 and v not in banned
     ]
     masks, nodes, leaves = core.walk_sets(cand, maximal_only)
-    sets = tuple(core.members(s) for s in masks)
+    sets = tuple(names_of(g, s) for s in masks)
     return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)
 
 

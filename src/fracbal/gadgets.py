@@ -241,24 +241,11 @@ class _Builder:
             raise GraphError(f"host triangle {th} is not negative")
         if triangle_sign(guest.graph, tg) != -1:
             raise GraphError(f"guest triangle {tg} is not negative")
-        correspondence = dict(zip(tg, th))
-
+        # switching these matches the edges to tg[2], and then the third
+        # edge too, since both triangles are negative
         gsign = guest.graph.sign
-        pairs = [(tg[0], tg[1]), (tg[0], tg[2]), (tg[1], tg[2])]
-        switched = None
-        for bits in range(8):
-            subset = {tg[i] for i in range(3) if bits >> i & 1}
-            if all(
-                (-gsign(a, b) if (a in subset) != (b in subset) else gsign(a, b))
-                == self.sign(correspondence[a], correspondence[b])
-                for a, b in pairs
-            ):
-                switched = subset
-                break
-        if switched is None:  # unreachable for two negative triangles
-            raise GraphError("cannot match shared edge signs by switching")
-
-        mapping = self._graft(guest.graph, correspondence, switched, suffix)
+        switched = {tg[i] for i in (0, 1) if gsign(tg[i], tg[2]) != self.sign(th[i], th[2])}
+        mapping = self._graft(guest.graph, dict(zip(tg, th)), switched, suffix)
         known = set(self.marked)
         for t in guest.marked_triangles:
             mt = canonical_set(self, tuple(mapping[v] for v in t))  # type: ignore[arg-type]

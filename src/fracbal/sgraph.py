@@ -10,7 +10,10 @@ Only a set that fails is walked again, by a BFS over its induced subgraph,
 for an explicit cycle witness.
 
 Vertex declaration order is the canonical order used for all deterministic
-output (sorted sets, sorted edge lists, witness extraction).
+output (sorted sets, sorted edge lists, witness extraction).  The layers
+that work on vertex masks over indices share one index form per graph,
+built on first use and not inherited: the index edges, each vertex's
+neighbours and neighbour mask, and the tables behind ``names_of``.
 """
 from __future__ import annotations
 
@@ -67,6 +70,33 @@ class SignedGraph:
             nbrs[a][b] = sign
             nbrs[b][a] = sign
         return nbrs
+
+    @cached_property
+    def _index_edges(self) -> tuple[tuple[int, int, bool], ...]:
+        """Each edge as ``(i, j, negative)``, in ``edges`` order."""
+        index = self.index
+        return tuple((index[a], index[b], sign < 0) for a, b, sign in self.edges)
+
+    @cached_property
+    def _neighbours(self) -> tuple[tuple[tuple[tuple[int, bool], ...], ...], tuple[int, ...]]:
+        """Per vertex index, its ``(j, negative)`` pairs in ascending j, as
+        the sorted edge list yields them, and its neighbour mask; tuples,
+        since every reader shares them."""
+        n = len(self.vertices)
+        nbrs: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+        near = [0] * n
+        for i, j, negative in self._index_edges:
+            nbrs[i].append((j, negative))
+            nbrs[j].append((i, negative))
+            near[i] |= 1 << j
+            near[j] |= 1 << i
+        return tuple(map(tuple, nbrs)), tuple(near)
+
+    @cached_property
+    def _name_tables(self) -> list[list]:
+        """The memo behind ``names_of``: per byte of a vertex mask, a table
+        whose entry b is the names of b's bits, or None until first used."""
+        return [[()] + [None] * 255 for _ in range(0, len(self.vertices), 8)]
 
     @cached_property
     def _triangles(self) -> tuple[tuple[tuple[str, str, str], int], ...]:
@@ -208,6 +238,32 @@ def _derived(
     return graph
 
 
+def names_of(g: SignedGraph, mask: int) -> tuple[str, ...]:
+    """The names of a vertex mask in canonical order, read a byte at a time.
+    Entry b of a byte's table is the entry for b with its top bit cleared
+    plus that bit's name, filled on first use: a lookup costs a few tuple
+    joins, and all lookups on a graph fill at most 255 entries per byte."""
+    out: tuple[str, ...] = ()
+    lo = 0
+    while mask:
+        table = g._name_tables[lo >> 3]
+        b = mask & 255
+        if table[b] is None:
+            _fill(table, b, g.vertices, lo)
+        out += table[b]
+        mask >>= 8
+        lo += 8
+    return out
+
+
+def _fill(table: list, b: int, names: tuple[str, ...], lo: int) -> None:
+    top = b.bit_length() - 1
+    rest = b ^ 1 << top
+    if table[rest] is None:
+        _fill(table, rest, names, lo)
+    table[b] = table[rest] + (names[lo + top],)
+
+
 def canonical_set(g: SignedGraph, members: Iterable[str]) -> tuple[str, ...]:
     """Sort ``members`` by canonical vertex order, rejecting strangers and dups."""
     out = []
@@ -298,7 +354,7 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     """For each of ``count`` vertex sets, whether it induces a forest
     (``acyclic``) or no cycle with edge-sign product -1.  Bit j of
     ``masks[i]``, a list in ``g.vertices`` order, is set iff vertex i is in
-    set j.  One pass over ``g.edges`` hands each edge to the sets holding
+    set j.  One pass over the index edges hands each edge to the sets holding
     both its endpoints; each set joins its edges in a parity union-find
     over vertex indices, shared by all sets and reset after each, until one
     closes a cycle (``acyclic``) or a negative one; by Harary's criterion,
@@ -307,12 +363,9 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     n = len(g.vertices)
     if isinstance(masks, dict) or len(masks) != n:
         raise ValueError(f"masks must be a list of {n} class bitmasks in vertex order")
-    index = g.index
     induced: list[list[tuple[int, int, bool]]] = [[] for _ in range(count)]
-    for a, b, sign in g.edges:
-        ia, ib = index[a], index[b]
-        both = masks[ia] & masks[ib]
-        e = (ia, ib, sign < 0)
+    for e in g._index_edges:
+        both = masks[e[0]] & masks[e[1]]
         while both:
             low = both & -both
             induced[low.bit_length() - 1].append(e)
@@ -498,15 +551,7 @@ def _atoms(g: SignedGraph) -> tuple[Atom, ...]:
     below the first later atom that holds its separator.  Loops only, no
     recursion."""
     n = len(g.vertices)
-    index = g.index
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    near = [0] * n
-    for a, b, _ in g.edges:
-        i, j = index[a], index[b]
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-        near[i] |= 1 << j
-        near[j] |= 1 << i
+    nbrs, near = g._neighbours
     weight = [0] * n
     numbered = [False] * n
     seen = [-1] * n
@@ -533,14 +578,14 @@ def _atoms(g: SignedGraph) -> tuple[Atom, ...]:
         # none is heavier than ``top``, so paths through level ``top`` raise nothing
         raised = []
         levels: list[list[int]] = [[] for _ in range(last + 1)]
-        for y in nbrs[x]:
+        for y, _ in nbrs[x]:
             if not numbered[y]:
                 seen[y] = step
                 raised.append(y)
                 levels[weight[y]].append(y)
         for j, level in enumerate(levels[:top]):
             while level:
-                for y in nbrs[level.pop()]:
+                for y, _ in nbrs[level.pop()]:
                     if numbered[y] or seen[y] == step:
                         continue
                     seen[y] = step
@@ -569,7 +614,7 @@ def _atoms(g: SignedGraph) -> tuple[Atom, ...]:
         comp = [x]
         gone[x] = True
         for v in comp:
-            for y in nbrs[v]:
+            for y, _ in nbrs[v]:
                 if not gone[y]:
                     gone[y] = True
                     comp.append(y)

@@ -237,7 +237,9 @@ def test_resumed_master_matches_from_scratch_loop():
 
 def test_master_pivots_counts_executed_pivots(monkeypatch):
     # the from-scratch loop takes 1,118 Bland pivots on w_prime; resuming
-    # computes fewer, replays included, and returns the same result
+    # computes 494, replays included, and returns the same result.  The pin
+    # is exact so that a rewind that replays more than it needs to fails here
+    # (a single checkpoint at pivot 0 executes all 1,118)
     from_scratch = []
 
     def counting(rows, b, c):
@@ -252,6 +254,8 @@ def test_master_pivots_counts_executed_pivots(monkeypatch):
     assert got == want
     assert len(from_scratch) == got.iterations
     assert 0 < got.master_pivots < sum(from_scratch)
+    assert (got.iterations, got.columns, got.master_pivots) == (41, 56, 494)
+    assert sum(from_scratch) == 1118
 
 
 @pytest.mark.stretch
@@ -270,6 +274,12 @@ def test_column_generation_interval_on_large_arboricity_instance():
 def test_column_generation_rejects_a_nan_budget():
     with pytest.raises(ValueError, match="NaN"):
         column_generation(k3_minus().graph, SetProperty.BALANCED, time_budget=float("nan"))
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_column_generation_rejects_an_iteration_cap_below_one(cap):
+    with pytest.raises(ValueError, match="at least 1"):
+        column_generation(k3_minus().graph, SetProperty.BALANCED, max_iterations=cap)
 
 
 def fraction_cover_check(family, optimum, primal, dual):

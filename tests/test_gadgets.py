@@ -1,6 +1,7 @@
 """Constructors, graph surgery, and build traces."""
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,41 @@ def test_glue_matches_switched_guest_signs():
     glued = glue_triangle(host, t, switched, ("u1", "u2", "u3"), suffix="y")
     sub = block_subgraph(glued.graph, tuple(t) + ("u4#y",))
     assert is_k4_minus_equivalent(sub)
+
+
+def test_glue_switches_the_guest_where_the_subset_search_did(monkeypatch):
+    from fracbal.sgraph import switch
+
+    def reference(host, guest, identified):
+        """The first of the eight subsets of the guest triangle, in bit
+        order, whose switching matches all three shared edge signs."""
+        tg = tuple(identified)
+        for bits in range(8):
+            subset = {tg[i] for i in range(3) if bits >> i & 1}
+            if all(
+                (-guest.sign(a, b) if (a in subset) != (b in subset) else guest.sign(a, b))
+                == host.sign(identified[a], identified[b])
+                for a, b in combinations(tg, 2)
+            ):
+                return subset
+        raise AssertionError("no switching matches")
+
+    graft = _Builder._graft
+    seen = []
+
+    def checked(self, guest, identified, switched, suffix):
+        assert switched == reference(self, guest, identified)
+        seen.append(frozenset(switched))
+        return graft(self, guest, identified, switched, suffix)
+
+    monkeypatch.setattr(_Builder, "_graft", checked)
+    t = ("u1", "u2", "u3")
+    for host_bits in range(8):
+        host = GadgetGraph(switch(k4_minus().graph, [t[i] for i in range(3) if host_bits >> i & 1]))
+        for guest_bits in range(8):
+            guest = switch(k4_minus().graph, [t[i] for i in range(3) if guest_bits >> i & 1])
+            glue_triangle(host, t, GadgetGraph(guest), t, suffix="s")
+    assert len(seen) == 64 and len(set(seen)) == 4
 
 
 def test_w1_underlying_shape():

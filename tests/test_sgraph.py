@@ -1,6 +1,8 @@
 """Core signed-graph operations: parsing, balance, witnesses, switching."""
 import json
+from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from fracbal.sgraph import (
     clique_tree,
     is_balanced,
     is_k4_minus_equivalent,
+    names_of,
     negative_cycle_witness,
     parse_graph,
     serialize_graph,
@@ -325,3 +328,77 @@ def test_clique_tree_is_built_lazily_once_per_graph():
     g = w_prime().graph
     assert "_clique_tree" not in vars(g)
     assert clique_tree(g) is clique_tree(g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(signed_graphs(max_n=11))
+def test_index_form_matches_the_named_adjacency(g):
+    idx = g.index
+    assert g._index_edges == tuple((idx[a], idx[b], sign < 0) for a, b, sign in g.edges)
+    pairs, near = g._neighbours
+    assert len(pairs) == len(near) == len(g.vertices)
+    for v, nbrs in g.adj.items():
+        assert pairs[idx[v]] == tuple(sorted((idx[w], sign < 0) for w, sign in nbrs.items()))
+        assert near[idx[v]] == sum(1 << idx[w] for w in nbrs)
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 21])
+def test_names_of_matches_a_comprehension(n):
+    # declared in reverse name order, so canonical order is not name order
+    names = tuple(f"x{k:02}" for k in reversed(range(n)))
+    g = SignedGraph(names, ())
+    rng = Random(n)
+    for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(100)]:
+        assert names_of(g, mask) == tuple(v for i, v in enumerate(names) if mask >> i & 1)
+
+
+def test_index_form_is_not_built_by_the_trace_pipeline(monkeypatch):
+    from fracbal.acceptance import random_trace
+    from fracbal.certify import verify
+    from fracbal.compose import compose_8341
+    from fracbal.gadgets import build_from_trace
+
+    def unbuilt(self):
+        raise AssertionError("the trace pipeline built a mask-level view")
+
+    for view in ("_neighbours", "_name_tables"):
+        monkeypatch.setattr(SignedGraph, view, property(unbuilt))
+    trace = random_trace(Random(7), 200)
+    g = build_from_trace(trace).graph
+    assert verify(g, compose_8341(trace)).ok
+    assert "_index_edges" in vars(g)
+
+
+def test_a_derived_graph_builds_its_own_index_form():
+    views = {"_index_edges", "_neighbours", "_name_tables"}
+    host = w_prime()
+    for view in views:
+        getattr(host.graph, view)  # built on the parent first
+    g = complete_negative_face(host, host.marked_triangles[0]).graph
+    assert not views & vars(g).keys()
+    assert g._neighbours[1][-1] == sum(1 << g.index[v] for v in host.marked_triangles[0])
+
+
+def test_the_search_layers_share_one_index_form(monkeypatch):
+    from fracbal import cover, families
+    from fracbal.families import SetProperty, enumerate_sets
+
+    g = w_prime().graph
+    clique_tree(g)
+    form = vars(g)["_neighbours"]
+    cores = []
+    init = families._Core.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        cores.append(self)
+
+    monkeypatch.setattr(families._Core, "__init__", recorded)
+    enumerate_sets(g, SetProperty.BALANCED, maximal_only=True)
+    enumerate_sets(g, SetProperty.ACYCLIC, maximal_only=True)
+    cover._price(g, SetProperty.BALANCED, dict.fromkeys(g.vertices, Fraction(1)))
+    assert len(cores) == 3  # the pricing rows are enumerated by one core
+    assert all(c.nbrs is form[0] and c.near is form[1] for c in cores)
+    assert vars(g)["_neighbours"] is form
+    (plan,) = g._memo.values()
+    assert all(isinstance(rows, cover._AtomRows) for rows in plan)
