@@ -106,6 +106,29 @@ def test_solve_output_is_pinned(tmp_path, capsys, name, argv, digest):
     assert _digest(out) == digest
 
 
+# sha256 prefixes of the exact standard output of ``enumerate``, with the
+# number of sets; any change to the sets or their order moves them
+@pytest.mark.parametrize(
+    "name, flags, digest, count",
+    [
+        ("w-double-prime", ("--maximal",), "95ff3c023269ff52", 3501),
+        ("w-double-prime", ("--maximal", "--property", "acyclic"), "c8b0e72ae52047f4", 2370),
+        (
+            "w-double-prime", ("--maximal", "--contains", "u,v", "--forbid", "c3"),
+            "ad7340db504f40f8", 201,
+        ),
+        ("w-prime", (), "861b632e008236da", 13729),
+        ("w-prime", ("--property", "acyclic"), "c0e371d5acfea951", 9810),
+    ],
+)
+def test_enumerate_output_is_pinned(tmp_path, capsys, name, flags, digest, count):
+    graph = tmp_path / f"{name}.json"
+    assert run(capsys, "build", name, "--out", str(graph))[0] == 0
+    code, out, _ = run(capsys, "enumerate", str(graph), *flags)
+    assert code == 0
+    assert (_digest(out), len(json.loads(out))) == (digest, count)
+
+
 # sha256 prefixes of the exact standard output of the report commands; CERT
 # stands for the (172, 85) fixture written out with to_json()
 _PINNED_REPORTS = {
