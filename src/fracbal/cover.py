@@ -16,13 +16,14 @@ optimality independent of the pivoting path.
 ``column_generation`` scales the same LP past full enumeration: a
 restricted master over known columns plus an exact pricer that finds a
 balanced/acyclic set of largest dual weight, by a DP over the graph's
-clique-separator tree, and stops when that weight is at most 1.  The
-master is one ``simplex.Tableau`` kept across iterations: each priced
-column is appended as a packing row and the tableau resumes along the
-Bland path that a from-scratch solve of all columns would take, so every
-master equals ``fractional_cover_optimum`` on the same columns, byte for
-byte.  Each master's certificates are re-verified before pricing reads
-its duals.
+clique-separator tree on the atom rows that ``families`` keeps once per
+graph and property, the same rows that enumeration joins, and stops when
+that weight is at most 1.  The master is one ``simplex.Tableau`` kept
+across iterations: each priced column is appended as a packing row and the
+tableau resumes along the Bland path that a from-scratch solve of all
+columns would take, so every master equals ``fractional_cover_optimum``
+on the same columns, byte for byte.  Each master's certificates are
+re-verified before pricing reads its duals.
 """
 from __future__ import annotations
 
@@ -32,11 +33,12 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import add
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .certify import Certificate, Mode
-from .families import SetFamily, SetProperty, enumerate_sets, _Core
-from .sgraph import SignedGraph, all_triangles, clique_tree, names_of
+from .families import _AtomRows, _Core, _atom_rows, _subset_sums
+from .families import SetFamily, SetProperty, enumerate_sets
+from .sgraph import SignedGraph, all_triangles, names_of
 from .simplex import SimplexResult, Tableau, simplex_max
 
 
@@ -192,92 +194,6 @@ class ColumnGenResult:
         return self.result.optimum if self.completed and self.result else None
 
 
-# Pricing is a DP over the clique-separator tree only when no atom has more
-# vertices than this, since an atom of k vertices has up to 2**k rows;
-# otherwise it is one branch-and-bound walk over the whole graph.
-_ATOM_LIMIT = 12
-
-
-class _AtomRows(NamedTuple):
-    """An atom's good subsets as rows, grouped by the subset t of the
-    separator they hold.  A row's low bits are that subset, its vertices
-    in the separator in vertex order, and its high bits are its part in
-    ``own``, the atom's other vertices, each counted in no other atom."""
-
-    own: list[int]
-    half: int  # the rows' own bits split into own[:half] and own[half:]
-    low: list[int]  # per row, its part in own[:half]
-    high: list[int]  # per row, its part in own[half:]
-    groups: list[tuple[int, int]]  # the rows holding subset t are [i, j) = groups[t]
-    kids: list[tuple[int, list[int]]]  # per child atom, its ``up``
-    up: list[int]  # per row of the parent atom, the subset of this atom's separator it holds
-    parent: int
-    glob: list[int]  # per row, its vertices as a mask over the graph
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _pricing_plan(g: SignedGraph, prop: SetProperty) -> list[_AtomRows] | None:
-    """The rows of every atom of ``clique_tree(g)`` in tree order, built once
-    per graph and property; None when an atom exceeds ``_ATOM_LIMIT``."""
-    memo = g._memo
-    if (_pricing_plan, prop) not in memo:
-        memo[_pricing_plan, prop] = _rows_by_atom(g, prop)
-    return memo[_pricing_plan, prop]
-
-
-def _rows_by_atom(g: SignedGraph, prop: SetProperty) -> list[_AtomRows] | None:
-    atoms = clique_tree(g)
-    if any(a.mask.bit_count() > _ATOM_LIMIT for a in atoms):
-        return None
-    core = _Core(g, prop)
-    kids_of: list[list[int]] = [[] for _ in atoms]
-    for c, a in enumerate(atoms[:-1]):
-        kids_of[a.parent].append(c)
-    plan: list[_AtomRows] = []
-    for a, kids_a in zip(atoms, kids_of):
-        sep, own = _bits(a.separator), _bits(a.mask & ~a.separator)
-        bit = {v: b for b, v in enumerate(sep + own)}
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(1 << len(sep))]
-        for r in [0] + core.walk_sets(_bits(a.mask), False)[0]:
-            local = sum(1 << bit[v] for v in _bits(r))
-            buckets[local & len(buckets) - 1].append((local, r))
-        rows: list[tuple[int, int]] = []
-        groups = []
-        for bucket in buckets:
-            groups.append((len(rows), len(rows) + len(bucket)))
-            rows += bucket
-        kids = []
-        for c in kids_a:
-            where = [bit[v] for v in _bits(atoms[c].separator)]
-            up = [sum((r >> b & 1) << k for k, b in enumerate(where)) for r, _ in rows]
-            plan[c] = plan[c]._replace(up=up)
-            kids.append((c, up))
-        half, at = len(own) // 2, len(sep)
-        plan.append(_AtomRows(
-            own, half,
-            [r >> at & (1 << half) - 1 for r, _ in rows],
-            [r >> at + half for r, _ in rows],
-            groups, kids, [], a.parent, [r for _, r in rows],
-        ))
-    return plan
-
-
-def _subset_sums(keys: Iterable[int]) -> list[int]:
-    """Entry m is the sum of the keys at the set bits of m."""
-    sums = [0]
-    for k in keys:
-        sums += [x + k for x in sums]
-    return sums
-
-
 def _best_rows(atoms: list[_AtomRows], key: list[int]) -> tuple[int, int]:
     """The largest key sum of a set that is good in every atom, and that
     set as a mask.  Bottom up, each atom's table holds, per subset t of its
@@ -285,7 +201,7 @@ def _best_rows(atoms: list[_AtomRows], key: list[int]) -> tuple[int, int]:
     plus its children's entries; the best rows are then read top down."""
     tables: list[list] = []
     values: list[list[int]] = []
-    for own, half, low, high, groups, kids, _, _, _ in atoms:
+    for own, half, low, high, groups, kids, *_ in atoms:
         lo = _subset_sums(key[v] for v in own[:half])
         hi = _subset_sums(key[v] for v in own[half:])
         vals = list(map(add, map(lo.__getitem__, low), map(hi.__getitem__, high)))
@@ -318,16 +234,16 @@ def _price(
 
     A set is good iff its part in every atom of ``clique_tree(g)`` is, so
     pricing is a DP over that tree (Arnborg and Proskurowski 1989) on each
-    atom's good subsets, enumerated once per graph and property as rows.
-    The vertex of rank r among the N positive-dual ones has the key
+    atom's good subsets, the rows of ``families._atom_rows``.  The vertex
+    of rank r among the N positive-dual ones has the key
     ``w * 2**N + 2**(N - 1 - r)``, so key sums order sets by weight and
     then lexicographically, and the DP's unique best set is the walk's.  A
     zero-dual vertex has a key below minus the sum of all the others.
 
-    When an atom has more than ``_ATOM_LIMIT`` vertices, the walk of the
-    shared integer search core runs over the whole graph instead.  It cuts
-    a branch when the weight so far plus a bound on the rest cannot beat
-    the best.  The bound is the remaining weight less, for each triangle of
+    When an atom has more than ``families._ATOM_LIMIT`` vertices, the walk
+    of the shared integer search core runs over the whole graph instead.
+    It cuts a branch when the weight so far plus a bound on the rest cannot
+    beat the best.  The bound is the remaining weight less, for each triangle of
     a greedy disjoint packing that lies in the rest, its lightest vertex: a
     good set holds at most two vertices of a negative triangle (of any
     triangle when acyclic).
@@ -336,7 +252,7 @@ def _price(
     cand = [i for i, v in enumerate(verts) if y.get(v, 0) > 0]
     scale = lcm(*(y[verts[i]].denominator for i in cand))
     weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
-    atoms = _pricing_plan(g, prop)
+    atoms = _atom_rows(g, prop)
     if atoms is None:
         return _walk_price(g, prop, cand, weights, scale)
     n = len(cand)
@@ -364,7 +280,7 @@ def _walk_price(
     bound = [0] * (len(cand) + 1)
     for k in range(len(cand) - 1, -1, -1):
         bound[k] = bound[k + 1] + weights[k] - cut[k]
-    best, best_set, nodes = _Core(g, prop).walk_price(cand, weights, bound)
+    best, best_set, nodes = _Core(g._neighbours, prop).walk_price(cand, weights, bound)
     return Fraction(best, scale), names_of(g, best_set), nodes
 
 

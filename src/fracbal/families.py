@@ -1,17 +1,40 @@
 """Exhaustive and maximal enumeration of balanced / acyclic vertex sets.
 
 Both properties are hereditary (every subset of a good set is good), and so
-are the ``avoid`` constraints.  One integer search core serves enumeration
-here and, in ``cover``, enumerates the good subsets of each clique-separator
-atom as the rows of the pricing DP and runs the pricing walk on hosts with
-an atom too large for rows: vertices are indices in canonical order, a set
-is a bitmask over them, and the chosen set sits on a rollback parity
+are the ``avoid`` constraints.  A set is good iff its part in every atom of
+the graph's clique-separator tree is (``sgraph.clique_tree``), so the good
+subsets of each atom, its *rows*, are enumerated once per graph and property
+into the one row store that enumeration here and pricing in ``cover`` both
+read.  Enumeration joins the rows bottom up over the tree (Arnborg and
+Proskurowski 1989): a parent row takes, from each child, the partial sets
+that hold the same part of the separator they share.  The sets are then
+sorted into the include-first order of a walk over the vertices in canonical
+order, which is descending order of the bit-reversed mask, so results are
+identical across runs.
+
+Maximality is decided atom by atom.  Adding a vertex v to a good set S
+changes only its parts in the atoms that hold v, so v is blocked (S plus v
+is not good, or holds an avoid set) iff some atom holding v blocks it: the
+row S ∩ atom plus v is not a row.  Each row carries the vertices it blocks
+in this way.  The atoms holding v form a subtree, and its top is the one
+atom where v is not in the separator, so when the join reaches that atom
+every atom that could block v has been joined.  A partial join is therefore
+keyed by its part of the atom's separator and the separator vertices it
+already blocks, and it is dropped as soon as one of the atom's other
+vertices is left out unblocked; the sets that reach the root are exactly
+the maximal ones.
+
+A host with an atom of more than ``_ATOM_LIMIT`` vertices, or an avoid set
+that lies in no one atom, is enumerated by a walk of the integer search
+core instead, which also enumerates each atom's rows over the atom's own
+induced subgraph and runs the pricing walk: vertices are indices, a set is
+a bitmask over them, and the chosen set sits on a rollback parity
 union-find.  The walk is an explicit-stack loop over include/exclude
 decisions in canonical order, include branch first, which fixes the output
-order without a sorting pass; results are identical across runs.
+order without a sorting pass.
 
-Maximal enumeration needs no test at the leaves.  A vertex that cannot join
-the chosen set at its turn never can further down (heredity).  A vertex
+A maximal walk needs no test at the leaves.  A vertex that cannot join the
+chosen set at its turn never can further down (heredity).  A vertex
 excluded while it could still join stays *pending*, stored with its reach:
 the vertices next to it or sharing an avoid set with it and, when it touches
 two or more chosen components, the vertices next to any of those.  With at
@@ -23,36 +46,16 @@ then is it re-tested; once blocked it leaves the list.  A
 pending vertex whose reach holds no undecided vertex can never be blocked,
 so every set below would extend by it and the branch is cut.  Every leaf
 the walk reaches is therefore maximal.
-
-A vertex z whose neighbourhood is a clique (a simplicial vertex, such as an
-apex on a triangle) is its own atom of the clique-separator decomposition,
-so whether it can join a good set S depends on S ∩ N(z) alone.  A cycle
-through z leaves it by two neighbours x and y, which are adjacent; the chord
-xy splits the cycle into the triangle z, x, y and a cycle inside S, and the
-sign of the whole is the product of the two.  So z can join a balanced S
-iff no two chosen neighbours close a negative triangle with it, and a
-forest iff at most one neighbour is chosen.  When the last candidates are
-pairwise non-adjacent simplicial vertices in no avoid set with another
-vertex (the *simplicial tail*), none of them changes whether another can
-join, and any one left out while it could join stays unblockable, so below
-a complete choice of the earlier candidates the include-first walk reaches
-at most one leaf: that choice plus every tail vertex that can join.  A
-maximal walk therefore branches only on the earlier candidates and settles
-the tail in one step.  The set is maximal iff every pending vertex p is now
-blocked, and by the same chord argument a cycle through p that is bad only
-with the tail added passes through a joined tail vertex z next to p that
-blocks p: p and a chosen neighbour of z close a negative triangle with z,
-or (acyclic) z has another chosen neighbour.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .gadgets import GadgetGraph
 from .sgraph import GraphError, ParityDSU, SignedGraph, _assembled, canonical_set
-from .sgraph import names_of, sets_hold
+from .sgraph import clique_tree, names_of, sets_hold
 
 MAXIMAL_SIZE_GUARD = 24
 FULL_SIZE_GUARD = 16
@@ -71,13 +74,13 @@ class SetProperty(Enum):
 class SetFamily:
     """Vertex sets with a property, each checked on construction.
 
-    ``nodes`` and ``leaves`` count the search-tree nodes and leaves of the
-    enumeration that produced the family (0 for families built by callers);
-    equality ignores them.  A node is a state the walk visits: a partial
-    choice about to decide its next candidate, or a complete one.  A
-    maximal walk settles the whole simplicial tail in the node of a complete
-    choice of the other candidates, and that node is a leaf only when it
-    yields a set.
+    ``nodes`` and ``leaves`` count the work of the enumeration that produced
+    the family (0 for families built by callers); equality ignores them.  On
+    the separator join, ``nodes`` is the atom rows evaluated (those that meet
+    the constraints and leave no vertex unblocked that no child can block)
+    and ``leaves`` the sets emitted.  On the walk, a node is a state it
+    visits: a partial choice about to decide its next candidate, or a
+    complete one, which is a leaf.
     """
 
     host: SignedGraph
@@ -110,34 +113,30 @@ class SetFamily:
 
 
 class _Core:
-    """Integer search state over ``g``: the chosen set as a bitmask over a
-    rollback parity union-find.
+    """Integer search state over one vertex-index form: the chosen set as a
+    bitmask over a rollback parity union-find.
 
-    Vertex i is ``g.vertices[i]``, and ascending bit order is canonical
-    order.  ``nbrs`` and ``near`` are the graph's shared index form: per
-    vertex, its ``(j, negative)`` pairs and neighbour mask.  ``reach0`` adds
-    to that mask the other members of every avoid set containing the vertex.
-    Each union-find root carries the union of its members' neighbour masks.
-    A walk saves ``(chosen, dsu.mark())`` before a branch and ``restore``s
-    it after.  Sets come out as masks, which ``sgraph.names_of`` names.
+    ``form`` is ``(nbrs, near)``: per vertex, its ``(j, negative)`` pairs
+    and its neighbour mask, as ``SignedGraph._neighbours`` holds them for a
+    whole graph and ``_induced_form`` builds them for an atom.  ``avoid``
+    holds vertex masks that must not be chosen whole, and ``reach0`` adds to
+    each neighbour mask the other members of every avoid set containing the
+    vertex.  Each union-find root carries the union of its members'
+    neighbour masks.  A walk saves ``(chosen, dsu.mark())`` before a branch
+    and ``restore``s it after.  Sets come out as masks.
     """
 
     def __init__(
-        self, g: SignedGraph, prop: SetProperty, avoid: Iterable[Iterable[str]] = ()
+        self, form: tuple[tuple, tuple[int, ...]], prop: SetProperty, avoid: Iterable[int] = ()
     ) -> None:
-        n = len(g.vertices)
-        idx = g.index
         self.acyclic = prop is SetProperty.ACYCLIC
-        self.nbrs, self.near = g._neighbours
+        self.nbrs, self.near = form
+        n = len(self.near)
         self.dsu = ParityDSU(n, self.near)
         self.reach0 = list(self.near)
         self.partners: list[list[int]] = [[] for _ in range(n)]
-        for a in avoid:
-            members = {idx.get(v, -1) for v in a}
-            if not members or -1 in members:
-                continue  # an empty set or a stranger can never be swallowed
-            whole = sum(1 << i for i in members)
-            for i in members:
+        for whole in avoid:
+            for i in _bits(whole):
                 self.partners[i].append(whole & ~(1 << i))
                 self.reach0[i] |= whole & ~(1 << i)
         self.chosen = 0
@@ -188,76 +187,14 @@ class _Core:
         self.chosen = chosen
         self.dsu.rollback(mark)
 
-    def simplicial_tail(self, cand: list[int]) -> int:
-        """The length of the longest suffix of ``cand`` whose vertices are
-        pairwise non-adjacent, share no avoid set with another vertex and
-        each have a clique as neighbourhood."""
-        near, tail = self.near, 0
-        for k in range(len(cand) - 1, -1, -1):
-            z = cand[k]
-            if self.partners[z] or near[z] & tail or any(
-                near[z] & ~near[x] != 1 << x for x, _ in self.nbrs[z]
-            ):
-                return len(cand) - 1 - k
-            tail |= 1 << z
-        return len(cand)
-
-    def _tail_rules(self, tail: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
-        """Per vertex z of a simplicial tail, its bit and, for each neighbour
-        x, the bit of x with the neighbours y of z such that x and y chosen
-        together block z: every other neighbour if acyclic, else those that
-        close a negative triangle z, x, y."""
-        rules = []
-        for z in tail:
-            pairs = []
-            for x, zx in self.nbrs[z]:
-                if self.acyclic:
-                    bad = self.near[z] & ~(1 << x)
-                else:
-                    xy = dict(self.nbrs[x])
-                    bad = sum(1 << y for y, zy in self.nbrs[z] if y != x and zx ^ zy ^ xy[y])
-                pairs.append((1 << x, bad))
-            rules.append((1 << z, pairs))
-        return rules
-
-    def _settle(self, rules: list[tuple[int, list[tuple[int, int]]]], pending: tuple) -> int | None:
-        """The chosen set plus every tail vertex of ``rules`` that can join
-        it, or None when that set leaves a pending vertex unblocked.
-
-        A tail vertex joins iff no blocking pair of its neighbours is
-        chosen; it then blocks a pending neighbour p iff p with a chosen
-        neighbour of it would be such a pair."""
-        chosen = self.chosen
-        final, blocked = chosen, 0
-        for zbit, pairs in rules:
-            hit = 0
-            for xbit, bad in pairs:
-                if bad & chosen:
-                    if xbit & chosen:
-                        break
-                    hit |= xbit
-            else:
-                final |= zbit
-                blocked |= hit
-        for p, _ in pending:
-            if not blocked >> p & 1:
-                return None
-        return final
-
     def walk_sets(self, cand: list[int], maximal: bool) -> tuple[list[int], int, int]:
         """Every good set (every maximal one if ``maximal``) of the chosen set
         plus vertices of ``cand`` (ascending), as masks in include-first
-        order, with the numbers of search nodes and leaves visited.
-
-        A maximal walk branches only on the vertices before the simplicial
-        tail of ``cand`` and settles the tail in one node per complete
-        prefix; that node is a leaf only when it yields a set."""
+        order, with the numbers of search nodes and leaves visited."""
         m = len(cand)
         undecided = [0] * (m + 1)  # mask of cand[i:]
         for i in range(m - 1, -1, -1):
             undecided[i] = undecided[i + 1] | 1 << cand[i]
-        tail = self._tail_rules(cand[m - self.simplicial_tail(cand):]) if maximal else []
-        m -= len(tail)
         scan, reach, attach, mark = self.scan, self.reach, self.attach, self.dsu.mark
         out: list[int] = []
         nodes = leaves = 0
@@ -267,11 +204,9 @@ class _Core:
             if alive:
                 nodes += 1
                 if i == m:
-                    s = self._settle(tail, pending) if tail else self.chosen
-                    if s is not None:
-                        leaves += 1
-                        if s:
-                            out.append(s)
+                    leaves += 1
+                    if self.chosen:
+                        out.append(self.chosen)
                     alive = False
                     continue
                 v = cand[i]
@@ -341,6 +276,225 @@ class _Core:
             self.restore(chosen, at)
 
 
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _subset_sums(keys: Iterable[int]) -> list[int]:
+    """Entry m is the sum of the keys at the set bits of m."""
+    sums = [0]
+    for k in keys:
+        sums += [x + k for x in sums]
+    return sums
+
+
+def _induced_form(g: SignedGraph, members: list[int]) -> tuple[tuple, tuple[int, ...]]:
+    """The index form of the subgraph of ``g`` induced by ``members``, in
+    which vertex k is ``members[k]``: the ``_Core`` form of an atom."""
+    nbrs = g._neighbours[0]
+    at = {v: k for k, v in enumerate(members)}
+    local = [sorted((at[j], negative) for j, negative in nbrs[v] if j in at) for v in members]
+    return tuple(map(tuple, local)), tuple(sum(1 << k for k, _ in row) for row in local)
+
+
+# Enumeration joins, and pricing reads, the rows of the clique-separator
+# tree's atoms only when no atom has more vertices than this, since an atom
+# of k vertices has up to 2**k rows; otherwise each walks the whole graph.
+_ATOM_LIMIT = 12
+
+
+class _AtomRows(NamedTuple):
+    """An atom's good subsets as rows, grouped by the subset t of the
+    separator they hold.  A row's low bits are that subset, its vertices
+    in the separator in vertex order, and its high bits are its part in
+    ``own``, the atom's other vertices, each counted in no other atom.
+    Pricing reads the rows in that local form; enumeration reads ``glob``
+    and the atom's masks."""
+
+    own: list[int]
+    half: int  # the rows' own bits split into own[:half] and own[half:]
+    low: list[int]  # per row, its part in own[:half]
+    high: list[int]  # per row, its part in own[half:]
+    groups: list[tuple[int, int]]  # the rows holding subset t are [i, j) = groups[t]
+    kids: list[tuple[int, list[int]]]  # per child atom, its ``up``
+    up: list[int]  # per row of the parent atom, the subset of this atom's separator it holds
+    parent: int
+    glob: list[int]  # per row, its vertices as a mask over the graph
+    mask: int  # the atom's vertices and its separator, as masks over the graph
+    separator: int
+
+
+def _atom_rows(g: SignedGraph, prop: SetProperty) -> list[_AtomRows] | None:
+    """The rows of every atom of ``clique_tree(g)`` in tree order, built once
+    per graph and property; None when an atom exceeds ``_ATOM_LIMIT``."""
+    memo = g._memo
+    if (_atom_rows, prop) not in memo:
+        memo[_atom_rows, prop] = _rows_by_atom(g, prop)
+    return memo[_atom_rows, prop]
+
+
+def _rows_by_atom(g: SignedGraph, prop: SetProperty) -> list[_AtomRows] | None:
+    atoms = clique_tree(g)
+    if any(a.mask.bit_count() > _ATOM_LIMIT for a in atoms):
+        return None
+    kids_of: list[list[int]] = [[] for _ in atoms]
+    for c, a in enumerate(atoms[:-1]):
+        kids_of[a.parent].append(c)
+    plan: list[_AtomRows] = []
+    for a, kids_a in zip(atoms, kids_of):
+        sep, own = _bits(a.separator), _bits(a.mask & ~a.separator)
+        members = sep + own  # local vertex k is members[k]
+        core = _Core(_induced_form(g, members), prop)
+        buckets: list[list[int]] = [[] for _ in range(1 << len(sep))]
+        for r in [0] + core.walk_sets(list(range(len(members))), False)[0]:
+            buckets[r & len(buckets) - 1].append(r)
+        rows: list[int] = []
+        groups = []
+        for bucket in buckets:
+            groups.append((len(rows), len(rows) + len(bucket)))
+            rows += bucket
+        kids = []
+        for c in kids_a:
+            # local row bits of the child's separator, and each of their subsets' index
+            where = [1 << members.index(v) for v in _bits(atoms[c].separator)]
+            index = dict(zip(_subset_sums(where), range(1 << len(where))))
+            up = list(map(index.__getitem__, map(sum(where).__and__, rows)))
+            plan[c] = plan[c]._replace(up=up)
+            kids.append((c, up))
+        half, at = len(own) // 2, len(sep)
+        split = len(members) // 2
+        lo = _subset_sums(1 << v for v in members[:split])
+        hi = _subset_sums(1 << v for v in members[split:])
+        plan.append(_AtomRows(
+            own, half,
+            [r >> at & (1 << half) - 1 for r in rows],
+            [r >> at + half for r in rows],
+            groups, kids, [], a.parent,
+            [lo[r & (1 << split) - 1] | hi[r >> split] for r in rows],
+            a.mask, a.separator,
+        ))
+    return plan
+
+
+def _blocked(g: SignedGraph, prop: SetProperty, atoms: list[_AtomRows]) -> list[list[int]]:
+    """Per atom and row r, the atom's vertices v outside r such that r plus v
+    is not a row, as a mask over the graph; built once per graph and
+    property, on the first maximal enumeration."""
+    memo = g._memo
+    if (_blocked, prop) not in memo:
+        out = []
+        for rows in atoms:
+            have = set(rows.glob)
+            vs = [1 << v for v in _bits(rows.mask)]
+            out.append([
+                sum([b for b in vs if not r & b and r | b not in have]) for r in rows.glob
+            ])
+        memo[_blocked, prop] = out
+    return memo[_blocked, prop]
+
+
+def _join(
+    atoms: list[_AtomRows], blocked: list[list[int]] | None, need: int, banned: int,
+    avoid: list[int],
+) -> tuple[list[int], int]:
+    """Every set, as a mask, that is good in every atom, holds ``need``,
+    misses ``banned`` and holds no avoid set, each inside some atom; only
+    the maximal ones among them when ``blocked`` is given.  Also the rows
+    evaluated.
+
+    Bottom up, each atom's table maps a part t of its separator, then the
+    separator vertices b that the partial set blocks, to the partial sets
+    over the atom and the atoms below it.  A row takes from each child the
+    entries at its own part of the child's separator; a child's b values
+    add to the row's blocked vertices, and each combination of them is
+    kept as one tuple of the children's lists until it is known to block
+    every own vertex left out, and only then multiplied out."""
+    tables: list[dict[int, dict[int, list[int]]]] = []
+    nodes = 0
+    for a, rows in enumerate(atoms):
+        sep = rows.separator
+        want = need & rows.mask
+        inside = [m for m in avoid if m & rows.mask == m]
+        below = [(atoms[c].separator, tables[c]) for c, _ in rows.kids]
+        # the own vertices that must end up in the set or blocked
+        check = rows.mask & ~sep & ~banned if blocked else 0
+        reachable = 0  # the vertices a child can block
+        for s, _ in below:
+            reachable |= s
+        table: dict[int, dict[int, list[int]]] = {}
+        for r, bl in zip(rows.glob, blocked[a] if blocked else [0] * len(rows.glob)):
+            if r & banned or r & want != want:
+                continue
+            if inside:
+                if any(r & m == m for m in inside):
+                    continue
+                for m in inside:
+                    rest = m & ~r
+                    if not rest & rest - 1:  # r plus that vertex holds m
+                        bl |= rest
+            left = check & ~r & ~bl
+            if left & ~reachable:
+                continue
+            nodes += 1
+            # a child entry with one blocked part joins every combination
+            # alike, and a single partial set joins every set alike
+            fixed, lists, forks = r, [], []
+            for s, child in below:
+                entries = child.get(r & s)
+                if entries is None:
+                    break
+                if len(entries) > 1:
+                    forks.append(entries)
+                    continue
+                ((b, partial),) = entries.items()
+                bl |= b
+                if len(partial) > 1:
+                    lists.append(partial)
+                else:
+                    fixed |= partial[0]
+            else:
+                combos: dict[int, list[tuple]] = {bl: [tuple(lists)]}
+                for entries in forks:
+                    merged: dict[int, list[tuple]] = {}
+                    for b0, terms in combos.items():
+                        for b, partial in entries.items():
+                            merged.setdefault(b0 | b, []).extend([t + (partial,) for t in terms])
+                    combos = merged
+                for b, terms in combos.items():
+                    if left & ~b:
+                        continue
+                    out = table.setdefault(r & sep, {}).setdefault(b & sep, [])
+                    for t in terms:
+                        xs = [fixed]
+                        for partial in t:
+                            xs = [x | y for x in xs for y in partial]
+                        out += xs
+        tables.append(table)
+    found = tables[-1].get(0, {}).get(0, []) if tables else []
+    return [x for x in found if x], nodes
+
+
+def _avoid_masks(g: SignedGraph, avoid: Iterable[Iterable[str]]) -> list[int]:
+    """The avoid sets as vertex masks, less any empty set or set naming a
+    stranger: neither can ever be chosen whole."""
+    idx = g.index
+    out = []
+    for a in avoid:
+        members = {idx.get(v, -1) for v in a}
+        if members and -1 not in members:
+            out.append(sum(1 << i for i in members))
+    return out
+
+
+# per byte, the byte with its bits in reverse order
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def enumerate_sets(
     g: SignedGraph,
     prop: SetProperty,
@@ -359,6 +513,11 @@ def enumerate_sets(
     certified within the constrained family.  Maximality is relative to the
     allowed universe (vertices outside ``forbid``).  Raises GuardExceeded
     when the host is too large for exhaustive search.
+
+    The sets are the atom rows joined over the clique-separator tree, unless
+    an atom has more than ``_ATOM_LIMIT`` vertices or an avoid set lies in
+    no one atom; then the search core walks the whole graph.  Both give the
+    same sets in the same, include-first order.
     """
     guard = size_guard if size_guard is not None else (
         MAXIMAL_SIZE_GUARD if maximal_only else FULL_SIZE_GUARD
@@ -372,18 +531,27 @@ def enumerate_sets(
     banned = set(canonical_set(g, forbid))
     if banned & set(need):
         raise GraphError("must_contain and forbid overlap")
+    need_mask = sum(1 << g.index[v] for v in need)
+    banned_mask = sum(1 << g.index[v] for v in banned)
+    walls = _avoid_masks(g, avoid)
 
-    core = _Core(g, prop, avoid)
-    for v in need:
-        roots = core.scan(g.index[v])
-        if roots is None:
-            return SetFamily._trusted(g, prop, (), maximal_only)
-        core.attach(g.index[v], roots)
-    cand = [
-        i for i, v in enumerate(g.vertices)
-        if not core.chosen >> i & 1 and v not in banned
-    ]
-    masks, nodes, leaves = core.walk_sets(cand, maximal_only)
+    atoms = _atom_rows(g, prop)
+    if atoms is not None and all(any(m & a.mask == m for a in atoms) for m in walls):
+        blocked = _blocked(g, prop, atoms) if maximal_only else None
+        masks, nodes = _join(atoms, blocked, need_mask, banned_mask, walls)
+        # include-first order: descending on the mask read from vertex 0 down
+        width = len(g.vertices) // 8 + 1
+        masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED), reverse=True)
+        leaves = len(masks)
+    else:
+        core = _Core(g._neighbours, prop, walls)
+        for v in need:
+            roots = core.scan(g.index[v])
+            if roots is None:
+                return SetFamily._trusted(g, prop, (), maximal_only)
+            core.attach(g.index[v], roots)
+        cand = [i for i in range(len(g.vertices)) if not (need_mask | banned_mask) >> i & 1]
+        masks, nodes, leaves = core.walk_sets(cand, maximal_only)
     sets = tuple(names_of(g, s) for s in masks)
     return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)
 

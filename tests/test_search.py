@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracbal import cover
-from fracbal.cover import _ATOM_LIMIT, _price, column_generation
-from fracbal.families import SetFamily, SetProperty, _Core, enumerate_sets, lemma_case_sets
+from fracbal import families
+from fracbal.cover import _price, column_generation
+from fracbal.families import _ATOM_LIMIT, SetFamily, SetProperty, _Core, enumerate_sets
+from fracbal.families import lemma_case_sets
 from fracbal.gadgets import g_hat_k3, w_double_prime, w_hat, w_prime
 from fracbal.sgraph import (
     GraphError,
@@ -23,6 +24,7 @@ from fracbal.sgraph import (
     clique_tree,
     is_acyclic,
     is_balanced,
+    names_of,
     negative_cycle_witness,
 )
 from test_families import powerset_maximal
@@ -117,6 +119,21 @@ def reference_enumerate_sets(
 
     walk(0)
     return tuple(out)
+
+
+def walk_enumerate(g, prop, maximal, need=(), ban=(), avoid=()):
+    """``enumerate_sets`` by the search core's walk over the whole graph,
+    the path it takes on a host with an atom above ``_ATOM_LIMIT`` or an
+    avoid set that crosses atoms: the sets, nodes and leaves."""
+    core = _Core(g._neighbours, prop, families._avoid_masks(g, avoid))
+    for v in canonical_set(g, need):
+        roots = core.scan(g.index[v])
+        if roots is None:
+            return (), 0, 0
+        core.attach(g.index[v], roots)
+    cand = [i for i, v in enumerate(g.vertices) if v not in set(need) | set(ban)]
+    masks, nodes, leaves = core.walk_sets(cand, maximal)
+    return tuple(names_of(g, m) for m in masks), nodes, leaves
 
 
 def reference_price(g, prop, y):
@@ -247,23 +264,38 @@ def test_pricing_on_clique_sums_matches_reference_walk(glued, prop, data):
     assert (weight, best) == reference_price(g, prop, y)
 
 
-@pytest.mark.parametrize("prop", SetProperty)
-def test_pricing_a_host_with_an_atom_above_the_limit_walks(prop):
-    # the square of a 14-cycle is 4-connected, so no clique of at most 3
-    # vertices separates it: one atom of 14 vertices
-    n = 14
+def square_of_a_cycle(rng, n=14):
+    """The square of an n-cycle with signs drawn from ``rng``: 4-connected,
+    so no clique of at most 3 vertices separates it, and it is one atom of
+    n vertices."""
     names = tuple(f"q{i}" for i in range(n))
-    rng = Random(11)
     edges = tuple(
         (names[i], names[(i + d) % n], rng.choice((1, -1))) for i in range(n) for d in (1, 2)
     )
     g = SignedGraph(names, edges)
     assert [a.mask.bit_count() for a in clique_tree(g)] == [n] > [_ATOM_LIMIT]
-    assert cover._pricing_plan(g, prop) is None
+    return g
+
+
+@pytest.mark.parametrize("prop", SetProperty)
+def test_pricing_a_host_with_an_atom_above_the_limit_walks(prop):
+    rng = Random(11)
+    g = square_of_a_cycle(rng)
+    assert families._atom_rows(g, prop) is None
     for _ in range(20):
-        y = {v: Fraction(rng.randint(0, 4), rng.randint(1, 3)) for v in names}
+        y = {v: Fraction(rng.randint(0, 4), rng.randint(1, 3)) for v in g.vertices}
         weight, best, _ = _price(g, prop, y)
         assert (weight, best) == reference_price(g, prop, y)
+
+
+@pytest.mark.parametrize("prop", SetProperty)
+@pytest.mark.parametrize("maximal", (False, True))
+def test_enumerating_a_host_with_an_atom_above_the_limit_walks(prop, maximal):
+    g = square_of_a_cycle(Random(11))
+    fam = enumerate_sets(g, prop, maximal_only=maximal, forbid=("q5",))
+    assert fam.sets == reference_enumerate_sets(g, prop, maximal_only=maximal, forbid=("q5",))
+    # the walk's leaves, the empty set among them when all sets are wanted
+    assert fam.leaves == len(fam.sets) + (not maximal)
 
 
 def test_pricing_g_hat_k3_with_every_dual_one():
@@ -279,7 +311,8 @@ def test_pricing_g_hat_k3_with_every_dual_one():
 @st.composite
 def constrained_searches(draw, graphs=signed_graphs()):
     """A graph, a property and must_contain / forbid / avoid constraints;
-    avoid sets may be empty, singletons, overlap the other constraints or
+    avoid sets may be empty, singletons, lie inside one atom of the
+    clique-separator tree, cross atoms, overlap the other constraints or
     name a vertex outside the graph."""
     g = draw(graphs)
     verts = list(g.vertices)
@@ -287,14 +320,17 @@ def constrained_searches(draw, graphs=signed_graphs()):
     role = [draw(st.sampled_from(("free",) * 6 + ("need", "ban"))) for _ in verts]
     need = [v for v, r in zip(verts, role) if r == "need"]
     ban = [v for v, r in zip(verts, role) if r == "ban"]
-    pool = st.sampled_from(verts + ["stranger"]) if verts else st.just("stranger")
-    avoid = draw(st.lists(st.lists(pool, max_size=4), max_size=4))
+    pools = [st.sampled_from(verts + ["stranger"]) if verts else st.just("stranger")]
+    for atom in clique_tree(g):
+        pools.append(st.sampled_from([v for i, v in enumerate(verts) if atom.mask >> i & 1]))
+    avoid = [
+        draw(st.lists(draw(st.sampled_from(pools)), max_size=4))
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
     return g, prop, need, ban, avoid
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(constrained_searches(), st.booleans())
-def test_enumeration_matches_reference_walk(case, maximal):
+def assert_enumeration_matches_reference_walk(case, maximal):
     g, prop, need, ban, avoid = case
     want = reference_enumerate_sets(
         g, prop, maximal_only=maximal, must_contain=need, forbid=ban, avoid=avoid
@@ -304,47 +340,86 @@ def test_enumeration_matches_reference_walk(case, maximal):
     )
     # the same sets in the same order, not merely the same family
     assert fam.sets == want
+    walked, _, leaves = walk_enumerate(g, prop, maximal, need, ban, avoid)
+    assert walked == want
     if maximal:
-        # every leaf reached is emitted, except the empty set when every
-        # candidate is blocked from the start
-        assert fam.leaves == len(fam.sets) or (fam.sets, fam.leaves) == ((), 1)
+        # every leaf the walk reaches is emitted, except the empty set when
+        # every candidate is blocked from the start
+        assert leaves == len(want) or (want, leaves) == ((), 1)
+    # the join emits each set once; the walk's count is checked above
+    assert fam.leaves == len(want) or fam.leaves == leaves
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(constrained_searches(), st.booleans())
+def test_enumeration_matches_reference_walk(case, maximal):
+    assert_enumeration_matches_reference_walk(case, maximal)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(constrained_searches(clique_sums().map(lambda glued: glued[0])), st.booleans())
+def test_enumeration_on_clique_sums_matches_reference_walk(case, maximal):
+    # the join matches child rows to parent rows across separators of up
+    # to three vertices, and avoid sets inside one atom filter the rows
+    assert_enumeration_matches_reference_walk(case, maximal)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(constrained_searches(apex_tailed_graphs()))
 def test_maximal_enumeration_on_apex_tails_matches_reference_walk(case):
-    # the walk settles the simplicial tail in one step; the reference walk
-    # branches on every vertex and tries every extension at each leaf
-    g, prop, need, ban, avoid = case
-    fam = enumerate_sets(
-        g, prop, maximal_only=True, must_contain=need, forbid=ban, avoid=avoid
-    )
-    assert fam.sets == reference_enumerate_sets(
-        g, prop, maximal_only=True, must_contain=need, forbid=ban, avoid=avoid
-    )
-    assert fam.leaves == len(fam.sets) or (fam.sets, fam.leaves) == ((), 1)
+    # each apex on a clique is an atom of its own, which the join settles
+    # with the clique; the reference walk branches on every vertex and
+    # tries every extension at each leaf
+    assert_enumeration_matches_reference_walk(case, True)
 
 
-def test_simplicial_tail_stops_at_avoid_members_and_adjacent_vertices():
-    def tail(h, avoid=(), prop=SetProperty.BALANCED, cand=None):
-        cand = list(range(len(h.vertices))) if cand is None else cand
-        k = _Core(h, prop, avoid).simplicial_tail(cand)
-        return tuple(h.vertices[i] for i in cand[len(cand) - k:])
-
-    g = w_double_prime().graph
-    apexes = ("c1", "c2", "c3", "c4", "c5", "c6", "c7")
-    assert tail(g) == tail(g, prop=SetProperty.ACYCLIC) == apexes
-    assert tail(w_prime().graph) == ()
-    # the tail is a suffix of the candidates, here all but c7
-    assert tail(g, cand=list(range(len(g.vertices) - 1))) == apexes[:-1]
-    # an avoid set through c5 ends the tail after it
-    assert tail(g, avoid=[("c5", "u")]) == ("c6", "c7")
-    # d and c7 are adjacent, and each has a clique (b1, b2, b3 and the
-    # other) as its neighbourhood: the tail is d alone
-    d = SignedGraph(
-        g.vertices + ("d",), g.edges + tuple((x, "d", -1) for x in ("b1", "b2", "b3", "c7"))
+def test_avoid_sets_inside_one_atom_are_joined_and_the_others_walked(monkeypatch):
+    g = w_prime().graph
+    joined = []
+    join = families._join
+    monkeypatch.setattr(families, "_join", lambda *args: joined.append(args) or join(*args))
+    first, second = (
+        next(v for i, v in enumerate(g.vertices) if (a.mask & ~a.separator) >> i & 1)
+        for a in clique_tree(g)[:2]
     )
-    assert tail(d) == ("d",)
+    faces = [t for t, sign in all_triangles(g) if sign > 0]  # a clique lies in one atom
+    cases = [
+        ((), True), ([()], True), ([("u", "stranger")], True), (faces, True),
+        ([(first, second)], False), (faces + [(first, second)], False),
+    ]
+    for avoid, joins in cases:
+        for maximal in (False, True):
+            joined.clear()
+            fam = enumerate_sets(g, SetProperty.BALANCED, maximal_only=maximal, avoid=avoid)
+            assert fam.sets == reference_enumerate_sets(
+                g, SetProperty.BALANCED, maximal_only=maximal, avoid=avoid
+            )
+            assert bool(joined) == joins
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        SignedGraph((), ()),
+        SignedGraph(("c", "a", "b"), ()),
+        SignedGraph(
+            ("a", "d", "b", "e", "c"),
+            (("a", "b", -1), ("b", "c", -1), ("a", "c", -1), ("d", "e", 1)),
+        ),
+    ],
+    ids=["empty", "edgeless", "disconnected"],
+)
+@pytest.mark.parametrize("maximal", (False, True))
+def test_enumeration_without_separating_cliques(g, maximal):
+    # the empty graph has no atoms; the others hang their components on
+    # one another along empty separators
+    tree = clique_tree(g)
+    assert bool(tree) == bool(g.vertices)
+    assert all(a.separator == 0 for a in tree)
+    for prop in SetProperty:
+        fam = enumerate_sets(g, prop, maximal_only=maximal)
+        assert fam.sets == reference_enumerate_sets(g, prop, maximal_only=maximal)
+        assert fam.leaves == len(fam.sets)
 
 
 duals = st.one_of(
@@ -370,19 +445,25 @@ def test_pricing_matches_reference_walk(g, prop, data):
 
 def test_maximal_enumeration_counters_on_w_double_prime():
     g = w_double_prime().graph
+    walk = _Core(g._neighbours, SetProperty.BALANCED).walk_sets
+    everything = list(range(len(g.vertices)))
     fam = enumerate_sets(g, SetProperty.BALANCED, maximal_only=True)
-    # every leaf the pruned walk reaches is a maximal set
-    assert fam.leaves == len(fam.sets) == 3501
-    # the recursive walk with a per-leaf extension scan visited 1,476,086
-    # nodes, the walk that re-tested a pending vertex beside one chosen
-    # component on its component's neighbours visited 248,722, and the walk
-    # that branched on the apexes c1..c7 one at a time visited 89,197
-    assert 0 < fam.nodes <= 30_000
+    # the join evaluates 511 rows of the ten atoms and emits each set once
+    assert (fam.nodes, fam.leaves, len(fam.sets)) == (511, 3501, 3501)
+    # every leaf the pruned walk reaches is a maximal set.  The recursive
+    # walk with a per-leaf extension scan visited 1,476,086 nodes, the walk
+    # that re-tested a pending vertex beside one chosen component on its
+    # component's neighbours 248,722, and the walk that settled the apexes
+    # c1..c7 in one step 27,015
+    masks, nodes, leaves = walk(everything, True)
+    assert [names_of(g, m) for m in masks] == list(fam.sets)
+    assert (nodes, leaves) == (89_197, 3501)
     forests = enumerate_sets(g, SetProperty.ACYCLIC, maximal_only=True)
-    assert forests.leaves == len(forests.sets) == 2370
-    # 168,108 with the re-tests on a lone component's neighbours, 64,936
-    # with the apexes walked one at a time
-    assert 0 < forests.nodes <= 25_000
+    assert (forests.nodes, forests.leaves, len(forests.sets)) == (438, 2370, 2370)
+    # 168,108 with the re-tests on a lone component's neighbours, 20,842
+    # with the apexes settled in one step
+    walk = _Core(g._neighbours, SetProperty.ACYCLIC).walk_sets
+    assert walk(everything, True)[1:] == (64_936, 2370)
 
 
 def test_pending_vertex_beside_one_component_waits_for_its_own_neighbours():
@@ -394,12 +475,14 @@ def test_pending_vertex_beside_one_component_waits_for_its_own_neighbours():
         (("a", "p", 1), ("a", "b", 1), ("b", "c", -1), ("c", "d", 1), ("b", "d", 1)),
     )
     for prop in SetProperty:
+        masks, nodes, leaves = _Core(g._neighbours, prop).walk_sets(list(range(5)), True)
+        assert {frozenset(names_of(g, m)) for m in masks} == powerset_maximal(g, prop)
+        assert leaves == len(masks) == 3
+        # a walk that waited on b as well visited 21 nodes
+        assert nodes == 17
         fam = enumerate_sets(g, prop, maximal_only=True)
-        assert {frozenset(s) for s in fam.sets} == powerset_maximal(g, prop)
-        assert fam.leaves == len(fam.sets) == 3
-        # a walk that waited on b as well visited 21 nodes, and one that
-        # branched on d instead of settling it as a simplicial tail 17
-        assert fam.nodes == 14
+        assert fam.sets == tuple(names_of(g, m) for m in masks)
+        assert (fam.nodes, fam.leaves) == (9, 3)
 
 
 @pytest.mark.parametrize("prop", SetProperty)
@@ -424,8 +507,8 @@ def test_lemma_case_sets_on_a_clique_sum_match_the_reference_walk():
 
 
 def test_lemma_case_sets_on_apex_triangles_match_the_reference_walk():
-    # w_double_prime ends in the simplicial tail c1..c7, which the
-    # face-avoiding walk settles beside avoid sets on their neighbours
+    # w_double_prime ends in the apexes c1..c7, each an atom with its
+    # triangle, beside the positive faces that the avoid sets filter out
     assert_lemma_case_sets_match_the_reference_walk(w_double_prime())
 
 

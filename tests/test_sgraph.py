@@ -384,8 +384,8 @@ def test_the_search_layers_share_one_index_form(monkeypatch):
     from fracbal.families import SetProperty, enumerate_sets
 
     g = w_prime().graph
-    clique_tree(g)
-    form = vars(g)["_neighbours"]
+    atoms = clique_tree(g)
+    nbrs = vars(g)["_neighbours"][0]
     cores = []
     init = families._Core.__init__
 
@@ -397,8 +397,19 @@ def test_the_search_layers_share_one_index_form(monkeypatch):
     enumerate_sets(g, SetProperty.BALANCED, maximal_only=True)
     enumerate_sets(g, SetProperty.ACYCLIC, maximal_only=True)
     cover._price(g, SetProperty.BALANCED, dict.fromkeys(g.vertices, Fraction(1)))
-    assert len(cores) == 3  # the pricing rows are enumerated by one core
-    assert all(c.nbrs is form[0] and c.near is form[1] for c in cores)
-    assert vars(g)["_neighbours"] is form
-    (plan,) = g._memo.values()
-    assert all(isinstance(rows, cover._AtomRows) for rows in plan)
+    # one core per atom and property enumerates the rows, over the atom's
+    # induced subgraph read off the graph's one index form, separator first;
+    # enumeration joins those rows and pricing reads them again
+    assert len(cores) == 2 * len(atoms) == 6
+    for core, a in zip(cores, atoms * 2):
+        members = [i for i in range(len(g.vertices)) if a.separator >> i & 1]
+        members += [i for i in range(len(g.vertices)) if (a.mask & ~a.separator) >> i & 1]
+        assert len(core.nbrs) == len(members)
+        for k, pairs in enumerate(core.nbrs):
+            whole = [(j, negative) for j, negative in nbrs[members[k]] if a.mask >> j & 1]
+            assert sorted((members[j], negative) for j, negative in pairs) == whole
+            assert core.near[k] == sum(1 << j for j, _ in pairs)
+    assert vars(g)["_neighbours"][0] is nbrs
+    plans = [plan for key, plan in g._memo.items() if key[0] is families._atom_rows]
+    assert len(plans) == 2
+    assert all(isinstance(rows, families._AtomRows) for plan in plans for rows in plan)
