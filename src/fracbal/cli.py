@@ -105,6 +105,13 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # each mode honours only its own flag; refuse the other rather than ignore it
+    if args.budget_seconds is not None and not args.column_generation:
+        print("error: --budget-seconds applies only with --column-generation", file=sys.stderr)
+        return 2
+    if args.guard is not None and args.column_generation:
+        print("error: --guard does not apply with --column-generation", file=sys.stderr)
+        return 2
     g = parse_graph(_read_file(args.graph))
     if args.column_generation:
         prop = SetProperty.BALANCED if args.problem == "chi-fb" else SetProperty.ACYCLIC

@@ -68,7 +68,8 @@ def verify_cover_certificates(
     their denominators, so every sum below adds Python ints.
     """
     weights = {s: w for s, w in primal}
-    if any(w < 0 for w in weights.values()):
+    # a Fraction's sign is its numerator's, read without Fraction comparison
+    if any(w.numerator < 0 for w in weights.values()):
         raise CoverError("negative primal weight")
     w_scale = lcm(*(w.denominator for w in weights.values()))
     scaled_w = {s: w.numerator * (w_scale // w.denominator) for s, w in weights.items()}
@@ -79,7 +80,7 @@ def verify_cover_certificates(
     if any(c < w_scale for c in coverage.values()):
         raise CoverError("primal does not cover every vertex")
     y = dict(dual)
-    if any(val < 0 for val in y.values()):
+    if any(val.numerator < 0 for val in y.values()):
         raise CoverError("negative dual weight")
     y_scale = lcm(*(val.denominator for val in y.values()))
     scaled_y = {v: val.numerator * (y_scale // val.denominator) for v, val in y.items()}
@@ -249,7 +250,7 @@ def _price(
     triangle when acyclic).
     """
     verts = g.vertices
-    cand = [i for i, v in enumerate(verts) if y.get(v, 0) > 0]
+    cand = [i for i, v in enumerate(verts) if y.get(v, 0).numerator > 0]
     scale = lcm(*(y[verts[i]].denominator for i in cand))
     weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
     atoms = _atom_rows(g, prop)

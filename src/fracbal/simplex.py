@@ -57,14 +57,18 @@ passes), rebuilds the tableau there from the nearest checkpoint, and
 continues with Bland.  The result, pivot count included, is exactly that
 of ``simplex_max`` over all rows, and so is the final tableau.
 
-``SimplexResult.max_bits`` is read off that final tableau once, when the
-result is built, by unpacking its rows: the bit length of its largest
-absolute entry.  Nothing along the path accounts widths.
+A result is read from the final tableau without unpacking it: the value
+and the duals from the objective row, the one row unpacked, and each
+basic ``x`` from the right-hand-side lane of its row.  The result keeps
+the packed rows, and ``SimplexResult.max_bits``, the bit length of the
+largest absolute entry of that tableau, is computed from them the first
+time it is read.  Nothing along the path accounts widths.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import isqrt, lcm
 from numbers import Rational
@@ -85,10 +89,15 @@ class SimplexResult:
     x: tuple[Fraction, ...]       # structural variable values
     duals: tuple[Fraction, ...]   # one multiplier per constraint row
     pivots: int                   # Bland pivots taken
-    # Bit length of the largest absolute entry of the final tableau; a
-    # property of the integer representation, not of the answer, so
-    # equality ignores it.
-    max_bits: int = field(default=0, compare=False)
+    # The final tableau, its packed rows and their lanes: a property of the
+    # integer representation, not of the answer, so equality ignores it.
+    final: tuple[int, ...] = field(compare=False, repr=False)
+    lanes: _Lanes = field(compare=False, repr=False)
+
+    @cached_property
+    def max_bits(self) -> int:
+        """Bit length of the largest absolute entry of the final tableau."""
+        return _width([self.lanes.unpack(x) for x in self.final]).bit_length()
 
 
 def _check_rows(rows: Sequence[Sequence[Rational]], b: Sequence[Rational], n: int) -> None:
@@ -157,8 +166,9 @@ class Tableau:
     alive.  ``t`` holds the rows packed by ``lanes``, constraint rows then
     the objective row, and ``rows`` unpacks them.  Packed rows are ints,
     so the path records and the checkpoints share them.  ``executed``
-    counts the pivots actually computed, replays included.  A result's
-    ``max_bits`` is the width of the tableau it was read from.
+    counts the pivots actually computed, replays included.  A result keeps
+    the packed rows it was read from as a tuple, since ``append_row``
+    inserts into ``t`` in place, and its ``max_bits`` is their width.
     """
 
     def __init__(
@@ -323,20 +333,22 @@ class Tableau:
         self.executed += 1
 
     def _result(self) -> SimplexResult:
-        rows, n, d = self.rows(), self.n, self.d
-        m = len(rows) - 1
-        obj = rows[m]
+        """The value and the duals from the objective row, the one row
+        unpacked, and each basic ``x`` from the rhs lane of its row."""
+        t, n, d, lanes = self.t, self.n, self.d, self.lanes
+        m = len(t) - 1
+        obj = lanes.unpack(t[m])
+        half, bias, top = lanes.half, lanes.bias, lanes.shifts[n]
         x = [Fraction(0)] * n
         for i, var in enumerate(self.basis):
             if var < n:
-                x[var] = Fraction(rows[i][n], d)
+                x[var] = Fraction(((t[i] + bias) >> top) - half, d)
         duals = [Fraction(0)] * m
         for k, var in enumerate(self.nonbasic):
             if var >= n:
                 duals[var - n] = Fraction(-obj[k], d)
         return SimplexResult(
-            Fraction(-obj[n], d), tuple(x), tuple(duals), self.pivots,
-            _width(rows).bit_length(),
+            Fraction(-obj[n], d), tuple(x), tuple(duals), self.pivots, tuple(t), lanes
         )
 
 

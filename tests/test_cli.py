@@ -259,6 +259,21 @@ def test_budget_that_cannot_be_honoured_exits_2(tmp_path, capsys, budget):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--budget-seconds", "5"), "--budget-seconds applies only with --column-generation"),
+        (("--column-generation", "--guard", "5"), "--guard does not apply with --column-generation"),
+    ],
+    ids=["budget-without-column-generation", "guard-with-column-generation"],
+)
+def test_solve_flag_the_mode_would_ignore_exits_2(tmp_path, capsys, flags, message):
+    graph = tmp_path / "k3.json"
+    assert run(capsys, "build", "k3-minus", "--out", str(graph))[0] == 0
+    code, out, err = run(capsys, "solve", "chi-fb", str(graph), *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "chi-fb", str(tmp_path / "nope.json"))
     assert code == 2

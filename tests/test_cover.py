@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbal.certify import Mode, verify
-from fracbal import cover
+from fracbal import cover, simplex
 from fracbal.cover import (
     ColumnGenResult,
     CoverError,
@@ -256,6 +256,22 @@ def test_master_pivots_counts_executed_pivots(monkeypatch):
     assert 0 < got.master_pivots < sum(from_scratch)
     assert (got.iterations, got.columns, got.master_pivots) == (41, 56, 494)
     assert sum(from_scratch) == 1118
+
+
+def test_master_results_unpack_one_row_per_solve(monkeypatch):
+    # a master result unpacks only its objective row and reads x from the
+    # rhs lanes; the pins keep the bound from being met by a shorter run
+    unpack = simplex._Lanes.unpack
+    unpacked = []
+
+    def counting(lanes, x):
+        unpacked.append(x)
+        return unpack(lanes, x)
+
+    monkeypatch.setattr(simplex._Lanes, "unpack", counting)
+    got = column_generation(w_prime().graph, SetProperty.BALANCED)
+    assert (got.iterations, got.columns, got.master_pivots) == (41, 56, 494)
+    assert len(unpacked) <= got.iterations
 
 
 @pytest.mark.stretch

@@ -21,10 +21,10 @@ F = Fraction
 def dense_simplex_max(rows, b, c) -> SimplexResult:
     """Reference oracle: the full m x (n + m + 1) Fraction tableau with
     Bland's rule (least-index entering column, ratio ties broken by least
-    basic index), counting its pivots.  On integer input its ``max_bits``
-    is that of the condensed integer tableau: the basis determinant, the
-    product of the pivots, times each entry of a nonbasic column or of the
-    right-hand side."""
+    basic index), counting its pivots.  The result keeps the condensed
+    integer tableau, the basis determinant, the product of the pivots,
+    times each entry of a nonbasic column or of the right-hand side, so on
+    integer input its ``max_bits`` is the engine's."""
     m = len(rows)
     n = len(c)
     if any(len(r) != n for r in rows) or len(b) != m:
@@ -85,8 +85,9 @@ def dense_simplex_max(rows, b, c) -> SimplexResult:
     value = -obj[total]
     duals = tuple(-obj[n + i] for i in range(m))
     keep = [j for j in range(total) if j not in basis] + [total]
-    width = max(abs(det * row[j]) for row in (*t, obj) for j in keep)
-    return SimplexResult(value, tuple(x), duals, pivots, int(width).bit_length())
+    final = [[int(det * row[j]) for j in keep] for row in (*t, obj)]
+    lanes = simplex._Lanes(len(keep) - 1, max(abs(v) for row in final for v in row))
+    return SimplexResult(value, tuple(x), duals, pivots, tuple(map(lanes.pack, final)), lanes)
 
 
 def outcome(solver, rows, b, c):
@@ -366,11 +367,14 @@ def test_max_bits_reads_the_final_tableau(program):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(run=packing_runs())
 def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
-    # a rewind rebuilds the tableau from a checkpoint and replays pivots:
-    # after every resumed solve, max_bits is still a full scan of what is left
+    # a rewind rebuilds the tableau from a checkpoint and replays pivots, and
+    # append_row inserts into the live tableau in place: each result, read
+    # only after every later append and solve, still gives the x, duals and
+    # max_bits of a full scan of the tableau taken when it was built
     c, start, appended = run
     rows = [row for row, _ in start]
     b = [rhs for _, rhs in start]
+    kept = []
     with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
         tab = Tableau(rows, b, c, resumable=True)
         for row, rhs in [(None, None), *appended]:
@@ -378,7 +382,23 @@ def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
                 tab.append_row(row, rhs)
             res = resumed(tab)
             if isinstance(res, SimplexResult):
-                assert res.max_bits == max(abs(v) for r in tab.rows() for v in r).bit_length()
+                kept.append((res, full_scan(tab)))
+    for res, scan in kept:
+        assert (res.x, res.duals, res.max_bits) == scan
+
+
+def full_scan(tab):
+    """``x``, the duals and ``max_bits`` read off every unpacked row."""
+    rows, n, d = tab.rows(), tab.n, tab.d
+    x = [F(0)] * n
+    for i, var in enumerate(tab.basis):
+        if var < n:
+            x[var] = F(rows[i][n], d)
+    duals = [F(0)] * (len(rows) - 1)
+    for k, var in enumerate(tab.nonbasic):
+        if var >= n:
+            duals[var - n] = F(-rows[-1][k], d)
+    return tuple(x), tuple(duals), max(abs(v) for r in rows for v in r).bit_length()
 
 
 def assert_lanes_hold(tab):
