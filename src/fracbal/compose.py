@@ -159,55 +159,67 @@ def _extend_substitution(
         _extend_mini(state, [mapping[v] for v in face], [mapping[m] for m in primes], step)
 
 
+@cache
+def _mini_plans() -> dict[tuple[int, int, int], list[tuple]]:
+    """Each mini-extension scheme as a plan, keyed by its (triple, pair,
+    single) profile: the draws of rotations 0, 1 and 2 in turn, each as
+    ``(pool, count, receivers, outer)`` over face positions 0..2.  Pool
+    j < 3 holds the colors of positions j and j + 1 alone, pool 3 + j those
+    of position j alone; ``receivers`` are the positions whose primes take
+    the drawn colors, and ``outer`` the positions the scheme names."""
+    offset = {"i": 0, "i+1": 1, "i+2": 2}
+    plans: dict = {}
+    for scheme in mini_extension_schemes():
+        draws = []
+        for i in range(3):
+            for fam in scheme["families"]:
+                outer = tuple((i + offset[tok]) % 3 for tok in fam["outer"])
+                if len(outer) == 2:
+                    a, b = outer
+                    pool = a if (a + 1) % 3 == b else b
+                else:
+                    pool = 3 + outer[0]
+                receivers = tuple((i + offset[tok]) % 3 for tok in fam["primes"])
+                draws.append((pool, fam["count"], receivers, outer))
+        profile = scheme["profile"]
+        plans.setdefault((profile["triple"], profile["pair"], profile["single"]), draws)
+    return plans
+
+
 def _extend_mini(state: _State, o: list[str], primes: list[str], step: int) -> None:
     """Complete the coloring over one positive-face mini gadget: ``o`` is
     the face in canonical order, and ``primes[i]`` is the prime of ``o[i]``,
     the mini vertex not adjacent to it."""
-    prime = dict(zip(o, primes))
-    m = [state.masks[v] for v in o]
-    triple = m[0] & m[1] & m[2]
-    pair_groups = {
-        frozenset((o[i], o[(i + 1) % 3])): m[i] & m[(i + 1) % 3] & ~m[(i + 2) % 3]
-        for i in range(3)
-    }
-    single_groups = {
-        o[i]: m[i] & ~(m[(i + 1) % 3] | m[(i + 2) % 3]) for i in range(3)
-    }
-
-    pair_sizes = {v.bit_count() for v in pair_groups.values()}
-    single_sizes = {v.bit_count() for v in single_groups.values()}
-    scheme = next((
-        cand for cand in mini_extension_schemes()
-        if triple.bit_count() == cand["profile"]["triple"]
-        and pair_sizes == {cand["profile"]["pair"]}
-        and single_sizes == {cand["profile"]["single"]}
-    ), None)
-    if scheme is None:
+    m0, m1, m2 = (state.masks[v] for v in o)
+    pools = [
+        m0 & m1 & ~m2, m1 & m2 & ~m0, m2 & m0 & ~m1,
+        m0 & ~(m1 | m2), m1 & ~(m2 | m0), m2 & ~(m0 | m1),
+    ]
+    sizes = [pool.bit_count() for pool in pools]
+    triple = (m0 & m1 & m2).bit_count()
+    pair_sizes, single_sizes = set(sizes[:3]), set(sizes[3:])
+    plan = None
+    if len(pair_sizes) == len(single_sizes) == 1:
+        plan = _mini_plans().get((triple, sizes[0], sizes[3]))
+    if plan is None:
         raise ComposeError(
             f"step {step}: unknown triangle profile "
-            f"(triple={triple.bit_count()}, pairs={sorted(pair_sizes)}, "
+            f"(triple={triple}, pairs={sorted(pair_sizes)}, "
             f"singles={sorted(single_sizes)})"
         )
 
-    # families draw from the pair and single groups without replacement
-    for i in range(3):
-        env = {"i": o[i], "i+1": o[(i + 1) % 3], "i+2": o[(i + 2) % 3]}
-        for fam in scheme["families"]:
-            out_pat = [env[tok] for tok in fam["outer"]]
-            receivers = [prime[env[tok]] for tok in fam["primes"]]
-            count = fam["count"]
-            if len(out_pat) == 2:
-                pools, key = pair_groups, frozenset(out_pat)
-                if pools[key].bit_count() < count:
-                    raise ComposeError(f"step {step}: pair pool exhausted at {out_pat}")
-            else:
-                pools, key = single_groups, out_pat[0]
-                if pools[key].bit_count() < count:
-                    raise ComposeError(f"step {step}: single pool exhausted at {key}")
-            chosen = _lowest(pools[key], count)
-            pools[key] ^= chosen
-            for p in receivers:
-                state.masks[p] = state.masks.get(p, 0) | chosen
+    # draws take from the pair and single pools without replacement
+    masks = state.masks
+    for pool, count, receivers, outer in plan:
+        if sizes[pool] < count:
+            if pool < 3:
+                raise ComposeError(f"step {step}: pair pool exhausted at {[o[x] for x in outer]}")
+            raise ComposeError(f"step {step}: single pool exhausted at {o[outer[0]]}")
+        sizes[pool] -= count
+        chosen = _lowest(pools[pool], count)
+        pools[pool] ^= chosen
+        for r in receivers:
+            masks[primes[r]] = masks.get(primes[r], 0) | chosen
 
 
 def compose_8341(trace: BuildTrace) -> Certificate:

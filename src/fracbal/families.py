@@ -8,9 +8,13 @@ into the one row store that enumeration here and pricing in ``cover`` both
 read.  Enumeration joins the rows bottom up over the tree (Arnborg and
 Proskurowski 1989): a parent row takes, from each child, the partial sets
 that hold the same part of the separator they share.  The sets are then
-sorted into the include-first order of a walk over the vertices in canonical
-order, which is descending order of the bit-reversed mask, so results are
-identical across runs.
+put in the include-first order of a walk over the vertices in canonical
+order, so results are identical across runs, and named, in one batched
+step: each mask becomes its include-first key once (its bytes with their
+bits reversed, so that the order is descending key order), the keys are
+sorted with no key function, and the names are read from the sorted keys
+one byte position at a time (``sgraph.include_first_keys`` and
+``sgraph.names_by_key``).
 
 Maximality is decided atom by atom.  Adding a vertex v to a good set S
 changes only its parts in the atoms that hold v, so v is blocked (S plus v
@@ -30,8 +34,9 @@ core instead, which also enumerates each atom's rows over the atom's own
 induced subgraph and runs the pricing walk: vertices are indices, a set is
 a bitmask over them, and the chosen set sits on a rollback parity
 union-find.  The walk is an explicit-stack loop over include/exclude
-decisions in canonical order, include branch first, which fixes the output
-order without a sorting pass.
+decisions in canonical order, include branch first, so its sets come out
+in include-first order already and the batched step's sort is one linear
+pass over a single run.
 
 A maximal walk needs no test at the leaves.  A vertex that cannot join the
 chosen set at its turn never can further down (heredity).  A vertex
@@ -55,7 +60,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .gadgets import GadgetGraph
 from .sgraph import GraphError, ParityDSU, SignedGraph, _assembled, canonical_set
-from .sgraph import clique_tree, names_of, sets_hold
+from .sgraph import clique_tree, include_first_keys, names_by_key, sets_hold
 
 MAXIMAL_SIZE_GUARD = 24
 FULL_SIZE_GUARD = 16
@@ -491,10 +496,6 @@ def _avoid_masks(g: SignedGraph, avoid: Iterable[Iterable[str]]) -> list[int]:
     return out
 
 
-# per byte, the byte with its bits in reverse order
-_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def enumerate_sets(
     g: SignedGraph,
     prop: SetProperty,
@@ -519,6 +520,18 @@ def enumerate_sets(
     no one atom; then the search core walks the whole graph.  Both give the
     same sets in the same, include-first order.
     """
+    masks, nodes, leaves = _masks(g, prop, maximal_only, must_contain, forbid, avoid, size_guard)
+    sets = tuple(names_by_key(g, include_first_keys(g, masks)))
+    return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)
+
+
+def _masks(
+    g: SignedGraph, prop: SetProperty, maximal_only: bool, must_contain: Sequence[str],
+    forbid: Sequence[str], avoid: Sequence[Iterable[str]], size_guard: int | None,
+) -> tuple[list[int], int, int]:
+    """The sets of ``enumerate_sets`` as masks, with the nodes and leaves of
+    the search: in no order from the join, in include-first order from the
+    walk."""
     guard = size_guard if size_guard is not None else (
         MAXIMAL_SIZE_GUARD if maximal_only else FULL_SIZE_GUARD
     )
@@ -539,21 +552,17 @@ def enumerate_sets(
     if atoms is not None and all(any(m & a.mask == m for a in atoms) for m in walls):
         blocked = _blocked(g, prop, atoms) if maximal_only else None
         masks, nodes = _join(atoms, blocked, need_mask, banned_mask, walls)
-        # include-first order: descending on the mask read from vertex 0 down
-        width = len(g.vertices) // 8 + 1
-        masks.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED), reverse=True)
         leaves = len(masks)
     else:
         core = _Core(g._neighbours, prop, walls)
         for v in need:
             roots = core.scan(g.index[v])
             if roots is None:
-                return SetFamily._trusted(g, prop, (), maximal_only)
+                return [], 0, 0
             core.attach(g.index[v], roots)
         cand = [i for i in range(len(g.vertices)) if not (need_mask | banned_mask) >> i & 1]
         masks, nodes, leaves = core.walk_sets(cand, maximal_only)
-    sets = tuple(names_of(g, s) for s in masks)
-    return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)
+    return masks, nodes, leaves
 
 
 def triangles_missed(s: Iterable[str], marked: Sequence[tuple[str, ...]]) -> list[int]:
@@ -596,14 +605,14 @@ def check_missing_triangle_lemma(g: GadgetGraph) -> tuple[bool, tuple[str, ...] 
     Heredity makes maximal sets sufficient: a counterexample extends to a
     maximal counterexample.  Returns (False, witness set) on failure.
     """
-    u = g.terminal("u")
-    v = g.terminal("v")
-    fam = enumerate_sets(
-        g.graph, SetProperty.BALANCED, maximal_only=True, must_contain=(u, v)
+    graph = g.graph
+    masks, _, _ = _masks(
+        graph, SetProperty.BALANCED, True, (g.terminal("u"), g.terminal("v")), (), (), None
     )
-    for s in fam.sets:
-        if not triangles_missed(s, g.marked_triangles):
-            return False, s
+    marked = [sum(1 << graph.index[x] for x in t) for t in g.marked_triangles]
+    failing = [s for s in masks if all(s & t for t in marked)]
+    if failing:  # the witness is the first in include-first order
+        return False, names_by_key(graph, include_first_keys(graph, failing)[:1])[0]
     return True, None
 
 

@@ -13,7 +13,8 @@ Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).  The layers
 that work on vertex masks over indices share one index form per graph,
 built on first use and not inherited: the index edges, each vertex's
-neighbours and neighbour mask, and the tables behind ``names_of``.
+neighbours and neighbour mask, and the name tables behind ``names_of`` and
+``names_by_key``.
 """
 from __future__ import annotations
 
@@ -93,10 +94,10 @@ class SignedGraph:
         return tuple(map(tuple, nbrs)), tuple(near)
 
     @cached_property
-    def _name_tables(self) -> list[list]:
+    def _name_tables(self) -> list[_NameTable]:
         """The memo behind ``names_of``: per byte of a vertex mask, a table
-        whose entry b is the names of b's bits, or None until first used."""
-        return [[()] + [None] * 255 for _ in range(0, len(self.vertices), 8)]
+        whose entry r is the names of the bits of the byte that reverses r."""
+        return [_NameTable(self.vertices[lo:lo + 8]) for lo in range(0, len(self.vertices), 8)]
 
     @cached_property
     def _triangles(self) -> tuple[tuple[tuple[str, str, str], int], ...]:
@@ -238,30 +239,64 @@ def _derived(
     return graph
 
 
+# per byte, the byte with its bits in reverse order
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+class _NameTable(dict):
+    """The names of one byte of vertex masks, keyed by the bit-reversed
+    byte r: bit 7 - j of r stands for the byte's vertex j.  Entry r is the
+    entry for r with its lowest bit cleared plus that bit's name, filled on
+    first use, so a table never holds more than 256 entries."""
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        super().__init__({0: ()})
+        self.names = names
+
+    def __missing__(self, r: int) -> tuple[str, ...]:
+        low = r & -r
+        entry = self[r ^ low] + (self.names[8 - low.bit_length()],)
+        self[r] = entry
+        return entry
+
+
 def names_of(g: SignedGraph, mask: int) -> tuple[str, ...]:
-    """The names of a vertex mask in canonical order, read a byte at a time.
-    Entry b of a byte's table is the entry for b with its top bit cleared
-    plus that bit's name, filled on first use: a lookup costs a few tuple
-    joins, and all lookups on a graph fill at most 255 entries per byte."""
+    """The names of a vertex mask in canonical order, read a byte at a time
+    from ``g``'s name tables, each indexed by the byte's bit reversal: a
+    lookup costs a few tuple joins.  ``names_by_key`` names many masks at
+    once from the same tables."""
     out: tuple[str, ...] = ()
-    lo = 0
+    tables = g._name_tables
+    k = 0
     while mask:
-        table = g._name_tables[lo >> 3]
-        b = mask & 255
-        if table[b] is None:
-            _fill(table, b, g.vertices, lo)
-        out += table[b]
+        out += tables[k][_REVERSED[mask & 255]]
         mask >>= 8
-        lo += 8
+        k += 1
     return out
 
 
-def _fill(table: list, b: int, names: tuple[str, ...], lo: int) -> None:
-    top = b.bit_length() - 1
-    rest = b ^ 1 << top
-    if table[rest] is None:
-        _fill(table, rest, names, lo)
-    table[b] = table[rest] + (names[lo + top],)
+def include_first_keys(g: SignedGraph, masks: Iterable[int]) -> list[bytes]:
+    """The include-first keys of vertex masks of ``g``, sorted into
+    include-first order: the order of a walk over the vertices in canonical
+    order that takes the include branch first.  A key is its mask as
+    bytes, lowest vertices first, with each byte's bits reversed, so vertex
+    0 is the key's first bit and include-first order is descending key
+    order.  Masks already in that order are one run, sorted in linear
+    time."""
+    width = (len(g.vertices) + 7) // 8
+    keys = [m.to_bytes(width, "little").translate(_REVERSED) for m in masks]
+    keys.sort(reverse=True)
+    return keys
+
+
+def names_by_key(g: SignedGraph, keys: list[bytes]) -> list[tuple[str, ...]]:
+    """The names of many vertex masks, each given by its include-first key,
+    from the tables behind ``names_of``: one pass over the keys per byte
+    position, in which byte k of a key indexes table k."""
+    names = [()] * len(keys)
+    for k, table in enumerate(g._name_tables):
+        names = [head + table[key[k]] for head, key in zip(names, keys)]
+    return names
 
 
 def canonical_set(g: SignedGraph, members: Iterable[str]) -> tuple[str, ...]:

@@ -361,7 +361,8 @@ def simplex_max(
     ``Tableau``, with Bland's rule.  Every entry must be a ``Rational``
     (an int or a Fraction); a float or a Decimal is refused."""
     for v in chain(b, c, *rows):
-        if not isinstance(v, Rational):
+        # the type test first: most entries are ints, and the ABC check is slow
+        if type(v) is not int and not isinstance(v, Rational):
             raise SimplexError(f"entries must be rational, got {v!r}")
     _check_rows(rows, b, len(c))
     scale = lcm(*(v.denominator for v in chain(b, c, *rows)))

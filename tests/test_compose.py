@@ -1,18 +1,21 @@
 """The inductive (83,41)-coloring composer across trace shapes."""
 import hashlib
 import random
+from functools import cache
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracbal import gadgets
+from fracbal import compose, gadgets
 from fracbal.acceptance import random_trace
 from fracbal.certify import Certificate, Mode, overlap, profile, verify
 from fracbal.compose import (
     P,
     Q,
+    ComposeError,
+    _State,
     _base_state,
     _bits,
     _extend_apex,
@@ -33,7 +36,7 @@ from fracbal.gadgets import (
     w_prime,
 )
 from fracbal.sgraph import canonical_set, serialize_graph
-from fracbal.tables import w_coloring_83_41_uv13, w_coloring_83_41_uv14
+from fracbal.tables import mini_extension_schemes, w_coloring_83_41_uv13, w_coloring_83_41_uv14
 
 
 def assert_good_coloring(trace):
@@ -245,7 +248,53 @@ def reference_extend_substitution(state, edge, mapping, step):
         if w not in ("u", "v"):
             state.masks[mapping[w]] = sum(1 << to_host[i] for i in reference_bits(m))
     for face, primes in zip(W_HAT_POSITIVE_FACES, W_PRIME_FACE_PRIMES):
-        _extend_mini(state, [mapping[v] for v in face], [mapping[m] for m in primes], step)
+        reference_extend_mini(state, [mapping[v] for v in face], [mapping[m] for m in primes], step)
+
+
+def reference_extend_mini(state, o, primes, step):
+    """The mini extension as it stood before its schemes were compiled into
+    plans: pools in dicts keyed by face vertex sets, the scheme found by a
+    scan of the fixture and its tokens read on every call."""
+    prime = dict(zip(o, primes))
+    m = [state.masks[v] for v in o]
+    triple = m[0] & m[1] & m[2]
+    pair_groups = {
+        frozenset((o[i], o[(i + 1) % 3])): m[i] & m[(i + 1) % 3] & ~m[(i + 2) % 3]
+        for i in range(3)
+    }
+    single_groups = {o[i]: m[i] & ~(m[(i + 1) % 3] | m[(i + 2) % 3]) for i in range(3)}
+    pair_sizes = {v.bit_count() for v in pair_groups.values()}
+    single_sizes = {v.bit_count() for v in single_groups.values()}
+    scheme = next((
+        cand for cand in mini_extension_schemes()
+        if triple.bit_count() == cand["profile"]["triple"]
+        and pair_sizes == {cand["profile"]["pair"]}
+        and single_sizes == {cand["profile"]["single"]}
+    ), None)
+    if scheme is None:
+        raise ComposeError(
+            f"step {step}: unknown triangle profile "
+            f"(triple={triple.bit_count()}, pairs={sorted(pair_sizes)}, "
+            f"singles={sorted(single_sizes)})"
+        )
+    for i in range(3):
+        env = {"i": o[i], "i+1": o[(i + 1) % 3], "i+2": o[(i + 2) % 3]}
+        for fam in scheme["families"]:
+            out_pat = [env[tok] for tok in fam["outer"]]
+            receivers = [prime[env[tok]] for tok in fam["primes"]]
+            count = fam["count"]
+            if len(out_pat) == 2:
+                pools, key = pair_groups, frozenset(out_pat)
+                if pools[key].bit_count() < count:
+                    raise ComposeError(f"step {step}: pair pool exhausted at {out_pat}")
+            else:
+                pools, key = single_groups, out_pat[0]
+                if pools[key].bit_count() < count:
+                    raise ComposeError(f"step {step}: single pool exhausted at {key}")
+            chosen = _lowest(pools[key], count)
+            pools[key] ^= chosen
+            for p in receivers:
+                state.masks[p] = state.masks.get(p, 0) | chosen
 
 
 def reference_compose(trace):
@@ -261,11 +310,69 @@ def reference_compose(trace):
     return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))
 
 
-def test_composer_matches_per_bit_remap_and_scan_transpose():
+def oracle_traces():
     traces = [BuildTrace("K4_MINUS"), BuildTrace("K4_MINUS", (Op2(("u1", "u4")),))]
-    traces += [random_trace(random.Random(seed), seed * 60 // 49) for seed in range(50)]
-    for trace in traces:
+    return traces + [random_trace(random.Random(seed), seed * 60 // 49) for seed in range(50)]
+
+
+def test_composer_matches_per_bit_remap_and_scan_transpose():
+    for trace in oracle_traces():
         assert compose_8341(trace).to_json() == reference_compose(trace).to_json()
+
+
+def test_extend_mini_matches_the_dict_oracle(monkeypatch):
+    # each call of the compiled plans against the dict version on a copy of
+    # the same masks: the same colors, and new primes added in the same order
+    live = compose._extend_mini
+    calls = []
+
+    def both(state, o, primes, step):
+        ref = _State(state.graph, dict(state.masks))
+        reference_extend_mini(ref, o, primes, step)
+        live(state, o, primes, step)
+        assert list(state.masks.items()) == list(ref.masks.items())
+        calls.append(step)
+
+    monkeypatch.setattr(compose, "_extend_mini", both)
+    for trace in oracle_traces():
+        compose_8341(trace)
+    assert len(calls) > 100
+
+
+@pytest.mark.parametrize(
+    "masks, profile",
+    [
+        ((0b111, 0b011, 0b101), "triple=1, pairs=[0, 1], singles=[0]"),  # pools of mixed sizes
+        ((0b001, 0b010, 0b100), "triple=0, pairs=[0], singles=[1]"),  # uniform, but no scheme's
+    ],
+)
+def test_unknown_face_profile_is_named(masks, profile):
+    state = _State(None, dict(zip("abc", masks)))
+    for mini in (_extend_mini, reference_extend_mini):
+        with pytest.raises(ComposeError) as err:
+            mini(state, ["a", "b", "c"], ["a'", "b'", "c'"], 9)
+        assert str(err.value) == f"step 9: unknown triangle profile ({profile})"
+    assert state.masks == dict(zip("abc", masks))
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ({"outer": ["i"], "primes": ["i+1"], "count": 2}, "single pool exhausted at a"),
+        ({"outer": ["i+1", "i"], "primes": ["i"], "count": 1}, "pair pool exhausted at ['b', 'a']"),
+    ],
+)
+def test_exhausted_pool_is_named(monkeypatch, family, message):
+    # no shipped scheme overdraws its pools, so a scheme that does is swapped in
+    schemes = ({"profile": {"triple": 0, "pair": 0, "single": 1}, "families": [family]},)
+    monkeypatch.setattr(compose, "mini_extension_schemes", lambda: schemes)
+    monkeypatch.setattr(compose, "_mini_plans", cache(compose._mini_plans.__wrapped__))
+    monkeypatch.setitem(globals(), "mini_extension_schemes", lambda: schemes)
+    for mini in (_extend_mini, reference_extend_mini):
+        state = _State(None, {"a": 0b001, "b": 0b010, "c": 0b100})
+        with pytest.raises(ComposeError) as err:
+            mini(state, ["a", "b", "c"], ["a'", "b'", "c'"], 9)
+        assert str(err.value) == f"step 9: {message}"
 
 
 def test_invalid_trace_surfaces_step_error():

@@ -13,8 +13,10 @@ from fracbal.sgraph import (
     all_triangles,
     any_cycle,
     clique_tree,
+    include_first_keys,
     is_balanced,
     is_k4_minus_equivalent,
+    names_by_key,
     names_of,
     negative_cycle_witness,
     parse_graph,
@@ -350,6 +352,30 @@ def test_names_of_matches_a_comprehension(n):
     rng = Random(n)
     for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(100)]:
         assert names_of(g, mask) == tuple(v for i, v in enumerate(names) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 23, 24])
+def test_batched_naming_matches_a_comprehension_in_include_first_order(n):
+    # declared in reverse name order, so canonical order is not name order;
+    # masks that share low bytes or differ only in the top one are in the draw
+    names = tuple(f"x{k:02}" for k in reversed(range(n)))
+    g = SignedGraph(names, ())
+    rng = Random(n)
+    masks = [0, (1 << n) - 1] + [1 << i for i in range(n)]
+    masks += [rng.getrandbits(n) for _ in range(200)]
+    masks += [m & 0xFFFF | rng.getrandbits(n) >> 16 << 16 for m in masks[-50:]]
+    rng.shuffle(masks)
+
+    def include_first(mask):  # vertex 0 in the set first, then vertex 1, ...
+        return [mask >> i & 1 for i in range(n)]
+
+    want = [
+        tuple(v for i, v in enumerate(names) if mask >> i & 1)
+        for mask in sorted(masks, key=include_first, reverse=True)
+    ]
+    assert names_by_key(g, include_first_keys(g, masks)) == want
+    assert [names_of(g, mask) for mask in sorted(masks, key=include_first, reverse=True)] == want
+    assert all(len(table) <= 256 for table in g._name_tables)
 
 
 def test_index_form_is_not_built_by_the_trace_pipeline(monkeypatch):

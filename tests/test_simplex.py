@@ -144,14 +144,25 @@ def test_negative_rhs_rejected():
 
 @pytest.mark.parametrize("entry", [0.5, 1.0, Decimal("0.5")], ids=["float", "whole-float", "decimal"])
 def test_non_rational_entries_rejected(entry):
-    # the entry in the constraint rows, the right-hand side, the objective
+    # the entry in the constraint rows, the right-hand side, the objective,
+    # then in b, c and the last row behind many ints
+    many = [1] * 40
     for rows, b, c in (
         ([[entry, 1]], [1], [1, 1]),
         ([[F(1), 1]], [entry], [1, 1]),
         ([[1, 1]], [F(1, 2)], [1, entry]),
+        ([many] * 40, many[1:] + [entry], many),
+        ([many] * 40, many, many[1:] + [entry]),
+        ([many] * 39 + [many[1:] + [entry]], many, many),
     ):
         with pytest.raises(SimplexError, match="must be rational"):
             simplex_max(rows, b, c)
+
+
+def test_bool_entries_are_accepted():
+    # bool is an int subclass, so it passes the Rational check, not the type test
+    res = simplex_max([[True, 1]], [True], [1, False])
+    assert res.value == 1
 
 
 def test_zero_objective():
