@@ -14,11 +14,12 @@ anything is returned, so a returned LpResult is itself a proof of
 optimality independent of the pivoting path.
 
 ``column_generation`` scales the same LP past full enumeration: a
-restricted master over known columns plus an exact pricer that finds a
-balanced/acyclic set of largest dual weight, by a DP over the graph's
-clique-separator tree on the atom rows that ``families`` keeps once per
-graph and property, the same rows that enumeration joins, and stops when
-that weight is at most 1.  The master is one ``simplex.Tableau`` kept
+restricted master over known columns plus the exact pricer of
+``families``, which finds a balanced/acyclic set of largest dual weight by
+a DP over the graph's clique-separator tree on the same atom rows that
+enumeration joins, and stops when that weight is at most 1.  Each
+iteration looks the pricer up as this module's ``_price``, so a wrapper
+installed there sees every call.  The master is one ``simplex.Tableau`` kept
 across iterations: each priced column is appended as a packing row and the
 tableau resumes along the Bland path that a from-scratch solve of all
 columns would take, so every master equals ``fractional_cover_optimum``
@@ -32,13 +33,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import add
 from typing import Sequence
 
 from .certify import Certificate, Mode
-from .families import _AtomRows, _Core, _atom_rows, _subset_sums
-from .families import SetFamily, SetProperty, enumerate_sets
-from .sgraph import SignedGraph, all_triangles, names_of
+from .families import SetFamily, SetProperty, _price, enumerate_sets
+from .sgraph import SignedGraph
 from .simplex import SimplexResult, Tableau, simplex_max
 
 
@@ -193,96 +192,6 @@ class ColumnGenResult:
     @property
     def optimum(self) -> Fraction | None:
         return self.result.optimum if self.completed and self.result else None
-
-
-def _best_rows(atoms: list[_AtomRows], key: list[int]) -> tuple[int, int]:
-    """The largest key sum of a set that is good in every atom, and that
-    set as a mask.  Bottom up, each atom's table holds, per subset t of its
-    separator, the best value of a row holding t: its own vertices' keys
-    plus its children's entries; the best rows are then read top down."""
-    tables: list[list] = []
-    values: list[list[int]] = []
-    for own, half, low, high, groups, kids, *_ in atoms:
-        lo = _subset_sums(key[v] for v in own[:half])
-        hi = _subset_sums(key[v] for v in own[half:])
-        vals = list(map(add, map(lo.__getitem__, low), map(hi.__getitem__, high)))
-        for c, up in kids:
-            vals = list(map(add, vals, map(tables[c].__getitem__, up)))
-        # a subset no row holds is not good, so no parent row holds it
-        tables.append([max(vals[i:j]) if i < j else None for i, j in groups])
-        values.append(vals)
-    mask = 0
-    pick = [0] * len(atoms)
-    for a in range(len(atoms) - 1, -1, -1):
-        rows = atoms[a]
-        t = 0 if rows.parent < 0 else rows.up[pick[rows.parent]]
-        pick[a] = values[a].index(tables[a][t], *rows.groups[t])
-        mask |= rows.glob[pick[a]]
-    return (tables[-1][0] if atoms else 0), mask
-
-
-def _price(
-    g: SignedGraph, prop: SetProperty, y: dict[str, Fraction]
-) -> tuple[Fraction, tuple[str, ...], int]:
-    """Maximum-dual-weight set with the property, and the work done: the
-    rows the DP evaluated, or the nodes the walk visited.
-
-    The positive duals are scaled once by the lcm of their denominators, so
-    every sum adds Python ints, and vertices with zero dual never join.
-    Among equal-weight maximizers the one returned is the first that an
-    include-first walk over the positive-dual vertices in canonical order
-    finds, which is the lexicographically least improving column.
-
-    A set is good iff its part in every atom of ``clique_tree(g)`` is, so
-    pricing is a DP over that tree (Arnborg and Proskurowski 1989) on each
-    atom's good subsets, the rows of ``families._atom_rows``.  The vertex
-    of rank r among the N positive-dual ones has the key
-    ``w * 2**N + 2**(N - 1 - r)``, so key sums order sets by weight and
-    then lexicographically, and the DP's unique best set is the walk's.  A
-    zero-dual vertex has a key below minus the sum of all the others.
-
-    When an atom has more than ``families._ATOM_LIMIT`` vertices, the walk
-    of the shared integer search core runs over the whole graph instead.
-    It cuts a branch when the weight so far plus a bound on the rest cannot
-    beat the best.  The bound is the remaining weight less, for each triangle of
-    a greedy disjoint packing that lies in the rest, its lightest vertex: a
-    good set holds at most two vertices of a negative triangle (of any
-    triangle when acyclic).
-    """
-    verts = g.vertices
-    cand = [i for i, v in enumerate(verts) if y.get(v, 0).numerator > 0]
-    scale = lcm(*(y[verts[i]].denominator for i in cand))
-    weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
-    atoms = _atom_rows(g, prop)
-    if atoms is None:
-        return _walk_price(g, prop, cand, weights, scale)
-    n = len(cand)
-    key = [0] * len(verts)
-    for r, (i, w) in enumerate(zip(cand, weights)):
-        key[i] = w << n | 1 << (n - 1 - r)
-    never = -1 - sum(key)
-    best, mask = _best_rows(atoms, [k or never for k in key])
-    return Fraction(best >> n, scale), names_of(g, mask), sum(len(a.low) for a in atoms)
-
-
-def _walk_price(
-    g: SignedGraph, prop: SetProperty, cand: list[int], weights: list[int], scale: int
-) -> tuple[Fraction, tuple[str, ...], int]:
-    """``_price`` by one branch-and-bound walk over the whole graph."""
-    at = {c: k for k, c in enumerate(cand)}
-    # cut[k]: the lightest weight of each packed triangle whose first vertex is cand[k]
-    cut = [0] * len(cand)
-    packed: set[int] = set()
-    for t, sign in reversed(all_triangles(g)):
-        ks = [at.get(g.index[v], -1) for v in t]
-        if (sign < 0 or prop is SetProperty.ACYCLIC) and -1 not in ks and packed.isdisjoint(ks):
-            packed.update(ks)
-            cut[min(ks)] += min(weights[k] for k in ks)
-    bound = [0] * (len(cand) + 1)
-    for k in range(len(cand) - 1, -1, -1):
-        bound[k] = bound[k + 1] + weights[k] - cut[k]
-    best, best_set, nodes = _Core(g._neighbours, prop).walk_price(cand, weights, bound)
-    return Fraction(best, scale), names_of(g, best_set), nodes
 
 
 def column_generation(

@@ -1,20 +1,21 @@
-"""Exhaustive and maximal enumeration of balanced / acyclic vertex sets.
+"""Balanced / acyclic vertex sets: exhaustive and maximal enumeration, and
+pricing, the search for such a set of largest dual weight.
 
 Both properties are hereditary (every subset of a good set is good), and so
 are the ``avoid`` constraints.  A set is good iff its part in every atom of
 the graph's clique-separator tree is (``sgraph.clique_tree``), so the good
 subsets of each atom, its *rows*, are enumerated once per graph and property
-into the one row store that enumeration here and pricing in ``cover`` both
-read.  Enumeration joins the rows bottom up over the tree (Arnborg and
-Proskurowski 1989): a parent row takes, from each child, the partial sets
-that hold the same part of the separator they share.  The sets are then
-put in the include-first order of a walk over the vertices in canonical
-order, so results are identical across runs, and named, in one batched
-step: each mask becomes its include-first key once (its bytes with their
-bits reversed, so that the order is descending key order), the keys are
-sorted with no key function, and the names are read from the sorted keys
-one byte position at a time (``sgraph.include_first_keys`` and
-``sgraph.names_by_key``).
+into one row store.  Both searches are one pass over the tree (Arnborg and
+Proskurowski 1989): pricing (``_price``) keeps per atom the best row for
+each part of its separator, and enumeration joins the rows bottom up, a
+parent row taking from each child the partial sets that hold the same part
+of the separator they share.  The sets are then put in the include-first
+order of a walk over the vertices in canonical order, so results are
+identical across runs, and named, in one batched step: each mask becomes
+its include-first key once (its bytes with their bits reversed, so that
+the order is descending key order), the keys are sorted with no key
+function, and the names are read from the sorted keys one byte position
+at a time (``sgraph.include_first_keys`` and ``sgraph.names_by_key``).
 
 Maximality is decided atom by atom.  Adding a vertex v to a good set S
 changes only its parts in the atoms that hold v, so v is blocked (S plus v
@@ -28,15 +29,15 @@ already blocks, and it is dropped as soon as one of the atom's other
 vertices is left out unblocked; the sets that reach the root are exactly
 the maximal ones.
 
-A host with an atom of more than ``_ATOM_LIMIT`` vertices, or an avoid set
-that lies in no one atom, is enumerated by a walk of the integer search
-core instead, which also enumerates each atom's rows over the atom's own
-induced subgraph and runs the pricing walk: vertices are indices, a set is
-a bitmask over them, and the chosen set sits on a rollback parity
-union-find.  The walk is an explicit-stack loop over include/exclude
-decisions in canonical order, include branch first, so its sets come out
-in include-first order already and the batched step's sort is one linear
-pass over a single run.
+A host with an atom of more than ``_ATOM_LIMIT`` vertices is enumerated
+and priced by a walk of the integer search core over the whole graph
+instead, and so is an enumeration with an avoid set that lies in no one
+atom.  The core also enumerates each atom's rows over the atom's own
+induced subgraph: vertices are indices, a set is a bitmask over them, and
+the chosen set sits on the core's own rollback parity union-find.  The
+walk is an explicit-stack loop over include/exclude decisions in canonical
+order, include branch first, so its sets come out in include-first order
+already and the batched step's sort is one linear pass over a single run.
 
 A maximal walk needs no test at the leaves.  A vertex that cannot join the
 chosen set at its turn never can further down (heredity).  A vertex
@@ -56,10 +57,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .gadgets import GadgetGraph
-from .sgraph import GraphError, ParityDSU, SignedGraph, _assembled, canonical_set
+from .sgraph import GraphError, SignedGraph, _assembled, all_triangles, canonical_set
 from .sgraph import clique_tree, include_first_keys, names_by_key, sets_hold
 
 MAXIMAL_SIZE_GUARD = 24
@@ -126,9 +130,12 @@ class _Core:
     whole graph and ``_induced_form`` builds them for an atom.  ``avoid``
     holds vertex masks that must not be chosen whole, and ``reach0`` adds to
     each neighbour mask the other members of every avoid set containing the
-    vertex.  Each union-find root carries the union of its members'
-    neighbour masks.  A walk saves ``(chosen, dsu.mark())`` before a branch
-    and ``restore``s it after.  Sets come out as masks.
+    vertex.  The union-find links each vertex to its ``parent`` with the
+    ``parity`` of the link, by rank and without path compression, and each
+    root's ``mask`` is the union of its members' neighbour masks.  Every
+    link goes on ``trail`` with what it changed, so a walk saves
+    ``(chosen, len(trail))`` before a branch and ``restore``s it after.
+    Sets come out as masks.
     """
 
     def __init__(
@@ -137,7 +144,11 @@ class _Core:
         self.acyclic = prop is SetProperty.ACYCLIC
         self.nbrs, self.near = form
         n = len(self.near)
-        self.dsu = ParityDSU(n, self.near)
+        self.parent = list(range(n))
+        self.parity = [0] * n  # of the link to the parent; a root's is never read
+        self.rank = [0] * n
+        self.mask = list(self.near)
+        self.trail: list[tuple[int, bool, int]] = []  # (child, rank bumped, root's old mask)
         self.reach0 = list(self.near)
         self.partners: list[list[int]] = [[] for _ in range(n)]
         for whole in avoid:
@@ -153,7 +164,7 @@ class _Core:
         for others in self.partners[v]:
             if others & chosen == others:
                 return None
-        parent, parity = self.dsu.parent, self.dsu.parity
+        parent, parity = self.parent, self.parity
         roots: dict[int, int] = {}
         for w, p in self.nbrs[v]:
             if chosen >> w & 1:
@@ -180,17 +191,43 @@ class _Core:
         r = self.reach0[v]
         if len(roots) > 1:
             for x in roots:
-                r |= self.dsu.mask[x]
+                r |= self.mask[x]
         return r
 
     def attach(self, v: int, roots: dict[int, int]) -> None:
-        """Add v, joining it to the components ``scan(v)`` returned."""
+        """Add v, joining it to the components ``scan(v)`` returned: v and
+        the other roots link to the root of highest rank, ``top``, each with
+        its parity relative to ``top`` (v's is ``roots[top]``)."""
         self.chosen |= 1 << v
-        self.dsu.join(v, roots)
+        if not roots:
+            return
+        parent, parity, rank, mask = self.parent, self.parity, self.rank, self.mask
+        top = max(roots, key=rank.__getitem__)
+        q = roots[top]
+        for child, p in roots.items():
+            if child == top:
+                child = v
+            else:
+                p ^= q
+            bumped = rank[child] == rank[top]
+            if bumped:
+                rank[top] += 1
+            self.trail.append((child, bumped, mask[top]))
+            parent[child] = top
+            parity[child] = p
+            mask[top] |= mask[child]
 
     def restore(self, chosen: int, mark: int) -> None:
+        """Undo the links after the first ``mark`` and set the chosen set."""
         self.chosen = chosen
-        self.dsu.rollback(mark)
+        trail, parent = self.trail, self.parent
+        while len(trail) > mark:
+            child, bumped, mask = trail.pop()
+            root = parent[child]
+            parent[child] = child
+            self.mask[root] = mask
+            if bumped:
+                self.rank[root] -= 1
 
     def walk_sets(self, cand: list[int], maximal: bool) -> tuple[list[int], int, int]:
         """Every good set (every maximal one if ``maximal``) of the chosen set
@@ -200,7 +237,7 @@ class _Core:
         undecided = [0] * (m + 1)  # mask of cand[i:]
         for i in range(m - 1, -1, -1):
             undecided[i] = undecided[i + 1] | 1 << cand[i]
-        scan, reach, attach, mark = self.scan, self.reach, self.attach, self.dsu.mark
+        scan, reach, attach, trail = self.scan, self.reach, self.attach, self.trail
         out: list[int] = []
         nodes = leaves = 0
         stack: list[tuple[int, tuple, int, int, int]] = []  # exclude branches left
@@ -221,7 +258,7 @@ class _Core:
                     alive = all(rp & undecided[i] for _, rp in pending)
                 else:
                     r = reach(v, roots) if maximal else 0
-                    stack.append((i, pending, self.chosen, mark(), r))
+                    stack.append((i, pending, self.chosen, len(trail), r))
                     attach(v, roots)
                     if pending:
                         pending, alive = self._retest(pending, v, undecided[i])
@@ -258,7 +295,7 @@ class _Core:
         positive integer weights), the first such set in include-first order
         as a mask, and the number of search nodes.  ``bound[i]`` must be at
         least the weight of any good set within ``cand[i:]``."""
-        scan, attach, mark = self.scan, self.attach, self.dsu.mark
+        scan, attach, trail = self.scan, self.attach, self.trail
         best = best_set = nodes = 0
         stack: list[tuple[int, int, int, int]] = []  # exclude branches left
         i = weight = 0
@@ -270,7 +307,7 @@ class _Core:
                 else:
                     roots = scan(cand[i])
                     if roots is not None:
-                        stack.append((i + 1, weight, self.chosen, mark()))
+                        stack.append((i + 1, weight, self.chosen, len(trail)))
                         attach(cand[i], roots)
                         weight += weights[i]
                     i += 1
@@ -563,6 +600,98 @@ def _masks(
         cand = [i for i in range(len(g.vertices)) if not (need_mask | banned_mask) >> i & 1]
         masks, nodes, leaves = core.walk_sets(cand, maximal_only)
     return masks, nodes, leaves
+
+
+def _best_rows(atoms: list[_AtomRows], key: list[int]) -> tuple[int, int]:
+    """The largest key sum of a set that is good in every atom, and that
+    set as a mask.  Bottom up, each atom's table holds, per subset t of its
+    separator, the best value of a row holding t: its own vertices' keys
+    plus its children's entries; the best rows are then read top down."""
+    tables: list[list] = []
+    values: list[list[int]] = []
+    for own, half, low, high, groups, kids, *_ in atoms:
+        lo = _subset_sums(key[v] for v in own[:half])
+        hi = _subset_sums(key[v] for v in own[half:])
+        vals = list(map(add, map(lo.__getitem__, low), map(hi.__getitem__, high)))
+        for c, up in kids:
+            vals = list(map(add, vals, map(tables[c].__getitem__, up)))
+        # a subset no row holds is not good, so no parent row holds it
+        tables.append([max(vals[i:j]) if i < j else None for i, j in groups])
+        values.append(vals)
+    mask = 0
+    pick = [0] * len(atoms)
+    for a in range(len(atoms) - 1, -1, -1):
+        rows = atoms[a]
+        t = 0 if rows.parent < 0 else rows.up[pick[rows.parent]]
+        pick[a] = values[a].index(tables[a][t], *rows.groups[t])
+        mask |= rows.glob[pick[a]]
+    return (tables[-1][0] if atoms else 0), mask
+
+
+def _price(
+    g: SignedGraph, prop: SetProperty, y: dict[str, Fraction]
+) -> tuple[Fraction, tuple[str, ...], int]:
+    """Maximum-dual-weight set with the property, and the work done: the
+    rows the DP evaluated, or the nodes the walk visited.
+
+    The positive duals are scaled once by the lcm of their denominators, so
+    every sum adds Python ints, and vertices with zero dual never join.
+    Among equal-weight maximizers the one returned is the first that an
+    include-first walk over the positive-dual vertices in canonical order
+    finds, which is the lexicographically least improving column.
+
+    Pricing is a DP over ``clique_tree(g)`` on each atom's rows, those of
+    ``_atom_rows`` (``_best_rows``).  The vertex of rank r among the N
+    positive-dual ones has the key ``w * 2**N + 2**(N - 1 - r)``, so key
+    sums order sets by weight and then lexicographically, and the DP's
+    unique best set is the walk's.  A zero-dual vertex has a key below
+    minus the sum of all the others.
+
+    When an atom has more than ``_ATOM_LIMIT`` vertices, the search core's
+    walk runs over the whole graph instead.  It cuts a branch when the
+    weight so far plus a bound on the rest cannot beat the best.  The bound
+    is the remaining weight less, for each triangle of a greedy disjoint
+    packing that lies in the rest, its lightest vertex: a good set holds at
+    most two vertices of a negative triangle (of any triangle when
+    acyclic).  Either way the best set comes out as a mask and is named
+    once, as a batch of one.
+    """
+    verts = g.vertices
+    cand = [i for i, v in enumerate(verts) if y.get(v, 0).numerator > 0]
+    scale = lcm(*(y[verts[i]].denominator for i in cand))
+    weights = [y[verts[i]].numerator * (scale // y[verts[i]].denominator) for i in cand]
+    atoms = _atom_rows(g, prop)
+    if atoms is None:
+        best, mask, nodes = _walk_price(g, prop, cand, weights)
+    else:
+        n = len(cand)
+        key = [0] * len(verts)
+        for r, (i, w) in enumerate(zip(cand, weights)):
+            key[i] = w << n | 1 << (n - 1 - r)
+        never = -1 - sum(key)
+        best, mask = _best_rows(atoms, [k or never for k in key])
+        best, nodes = best >> n, sum(len(a.low) for a in atoms)
+    return Fraction(best, scale), names_by_key(g, include_first_keys(g, [mask]))[0], nodes
+
+
+def _walk_price(
+    g: SignedGraph, prop: SetProperty, cand: list[int], weights: list[int]
+) -> tuple[int, int, int]:
+    """``_price`` by one branch-and-bound walk over the whole graph, in
+    scaled weights: the best weight, its set as a mask, and the nodes."""
+    at = {c: k for k, c in enumerate(cand)}
+    # cut[k]: the lightest weight of each packed triangle whose first vertex is cand[k]
+    cut = [0] * len(cand)
+    packed: set[int] = set()
+    for t, sign in reversed(all_triangles(g)):
+        ks = [at.get(g.index[v], -1) for v in t]
+        if (sign < 0 or prop is SetProperty.ACYCLIC) and -1 not in ks and packed.isdisjoint(ks):
+            packed.update(ks)
+            cut[min(ks)] += min(weights[k] for k in ks)
+    bound = [0] * (len(cand) + 1)
+    for k in range(len(cand) - 1, -1, -1):
+        bound[k] = bound[k + 1] + weights[k] - cut[k]
+    return _Core(g._neighbours, prop).walk_price(cand, weights, bound)
 
 
 def triangles_missed(s: Iterable[str], marked: Sequence[tuple[str, ...]]) -> list[int]:

@@ -13,8 +13,10 @@ Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).  The layers
 that work on vertex masks over indices share one index form per graph,
 built on first use and not inherited: the index edges, each vertex's
-neighbours and neighbour mask, and the name tables behind ``names_of`` and
-``names_by_key``.
+neighbours and neighbour mask, and the name tables behind
+``names_by_key``.  The only union-find here is the one inside
+``sets_hold``; the search over vertex masks keeps its own, with rollback,
+in ``families``.
 """
 from __future__ import annotations
 
@@ -95,7 +97,7 @@ class SignedGraph:
 
     @cached_property
     def _name_tables(self) -> list[_NameTable]:
-        """The memo behind ``names_of``: per byte of a vertex mask, a table
+        """The memo behind ``names_by_key``: per byte of a vertex mask, a table
         whose entry r is the names of the bits of the byte that reverses r."""
         return [_NameTable(self.vertices[lo:lo + 8]) for lo in range(0, len(self.vertices), 8)]
 
@@ -260,21 +262,6 @@ class _NameTable(dict):
         return entry
 
 
-def names_of(g: SignedGraph, mask: int) -> tuple[str, ...]:
-    """The names of a vertex mask in canonical order, read a byte at a time
-    from ``g``'s name tables, each indexed by the byte's bit reversal: a
-    lookup costs a few tuple joins.  ``names_by_key`` names many masks at
-    once from the same tables."""
-    out: tuple[str, ...] = ()
-    tables = g._name_tables
-    k = 0
-    while mask:
-        out += tables[k][_REVERSED[mask & 255]]
-        mask >>= 8
-        k += 1
-    return out
-
-
 def include_first_keys(g: SignedGraph, masks: Iterable[int]) -> list[bytes]:
     """The include-first keys of vertex masks of ``g``, sorted into
     include-first order: the order of a walk over the vertices in canonical
@@ -291,8 +278,9 @@ def include_first_keys(g: SignedGraph, masks: Iterable[int]) -> list[bytes]:
 
 def names_by_key(g: SignedGraph, keys: list[bytes]) -> list[tuple[str, ...]]:
     """The names of many vertex masks, each given by its include-first key,
-    from the tables behind ``names_of``: one pass over the keys per byte
-    position, in which byte k of a key indexes table k."""
+    from ``g``'s name tables: one pass over the keys per byte position, in
+    which byte k of a key indexes table k.  A single mask is named as a
+    batch of one."""
     names = [()] * len(keys)
     for k, table in enumerate(g._name_tables):
         names = [head + table[key[k]] for head, key in zip(names, keys)]
@@ -314,77 +302,6 @@ def canonical_set(g: SignedGraph, members: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-class ParityDSU:
-    """Union-find with sign parity and O(1) rollback.
-
-    No path compression so that ``rollback`` can undo unions in reverse
-    order; union by rank keeps finds near-logarithmic, which is plenty for
-    the graph sizes handled here.  Every root also carries ``mask``, the
-    union of its members' initial masks (0 unless given).
-    """
-
-    def __init__(self, n: int, masks: Iterable[int] = ()) -> None:
-        self.parent = list(range(n))
-        self.parity = [0] * n  # parity of the edge to the parent
-        self.rank = [0] * n
-        self.mask = list(masks) or [0] * n
-        self._trail: list[tuple[int, bool, int]] = []
-
-    def find(self, x: int) -> tuple[int, int]:
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.parity[x]
-            x = self.parent[x]
-        return x, p
-
-    def union(self, x: int, y: int, negative: bool) -> bool:
-        """Join x and y with the given edge parity; False on a parity conflict."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        want = px ^ py ^ (1 if negative else 0)
-        if rx == ry:
-            return want == 0
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self._link(ry, rx, want)
-        return True
-
-    def join(self, v: int, roots: dict[int, int]) -> None:
-        """Join the singleton v to every root r of ``roots``, where
-        ``roots[r]`` is v's parity relative to r; the caller has checked
-        that they do not conflict."""
-        if not roots:
-            return
-        top = max(roots, key=self.rank.__getitem__)
-        q = roots[top]
-        self._link(v, top, q)
-        for r, p in roots.items():
-            if r != top:
-                self._link(r, top, p ^ q)
-
-    def _link(self, child: int, root: int, parity: int) -> None:
-        bumped = self.rank[child] == self.rank[root]
-        if bumped:
-            self.rank[root] += 1
-        self._trail.append((child, bumped, self.mask[root]))
-        self.parent[child] = root
-        self.parity[child] = parity
-        self.mask[root] |= self.mask[child]
-
-    def mark(self) -> int:
-        return len(self._trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            child, bumped, mask = self._trail.pop()
-            root = self.parent[child]
-            self.parent[child] = child
-            self.parity[child] = 0
-            self.mask[root] = mask
-            if bumped:
-                self.rank[root] -= 1
-
-
 def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> list[bool]:
     """For each of ``count`` vertex sets, whether it induces a forest
     (``acyclic``) or no cycle with edge-sign product -1.  Bit j of
@@ -393,8 +310,9 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     both its endpoints; each set joins its edges in a parity union-find
     over vertex indices, shared by all sets and reset after each, until one
     closes a cycle (``acyclic``) or a negative one; by Harary's criterion,
-    none does iff the set holds.  Not ``ParityDSU``, whose rollback
-    trail and root masks would double the time."""
+    none does iff the set holds.  It keeps no rollback trail and no root
+    masks, as the search core in ``families`` does: they would double the
+    time."""
     n = len(g.vertices)
     if isinstance(masks, dict) or len(masks) != n:
         raise ValueError(f"masks must be a list of {n} class bitmasks in vertex order")

@@ -35,9 +35,10 @@ the numerator is ``x[k] * p - f * prow[k]``, except lane ``s``, which is
 the packed row of the quotients, and one exact integer division yields it
 whatever carries the products left between lanes.  Products are never
 unpacked.  A lane is read with one biased shift and mask: adding ``2^(W-1)``
-to every lane makes them all nonnegative without carries.  Appending a row
-with an entry above ``peak`` can raise ``W``; the tableau, its path and
-its checkpoints are then repacked.
+to every lane makes them all nonnegative without carries.  ``W`` is fixed
+when the tableau is built, so an appended row may hold no entry above
+``peak``; column generation appends 0/1 rows with right-hand side 1 to a
+tableau of singleton rows, whose peak is 1.
 
 ``Tableau`` is the one engine and ``solve`` its one pivot loop:
 ``simplex_max`` builds a tableau and runs Bland's rule to the end, and
@@ -244,15 +245,15 @@ class Tableau:
 
     def append_row(self, row: Sequence[int], rhs: int) -> None:
         """Add the constraint ``row . x <= rhs`` and rewind to the first
-        recorded step at which it would win the ratio test, if any."""
+        recorded step at which it would win the ratio test, if any.  An
+        entry above ``peak`` is refused, since the lanes could not hold it."""
         if not self.resumable:
             raise SimplexError("rows can only be appended to a resumable tableau")
         _check_rows([row], [rhs], self.n)
         n = self.n
         m = len(self.t) - 1
-        peak = max(map(abs, [*row, rhs]))
-        if peak > self.peak:
-            self._widen(peak)
+        if max(map(abs, [*row, rhs])) > self.peak:
+            raise SimplexError("an appended entry exceeds the tableau's input peak")
         lanes = self.lanes
         mask, half, bias, shifts = lanes.mask, lanes.half, lanes.bias, lanes.shifts
         top = shifts[n]
@@ -274,25 +275,6 @@ class Tableau:
             new = _eliminate(new, f, prow + (d << sh), p, d)
         self.t.insert(m, new)
         self.basis.append(n + m)
-
-    def _widen(self, peak: int) -> None:
-        """Raise the input peak to ``peak`` and repack the tableau, the path
-        records and the checkpoints if the lane width grows with it."""
-        self.peak = peak
-        old, new = self.lanes, _Lanes(self.n, peak)
-        if new.width == old.width:
-            return
-        self.lanes = new
-
-        def repack(x: int) -> int:
-            return new.pack(old.unpack(x))
-
-        self.t = [repack(x) for x in self.t]
-        self.path = [(r, s, repack(prow), d) for r, s, prow, d in self.path]
-        self.checkpoints = [
-            ([repack(x) for x in rows], d, basis, nonbasic)
-            for rows, d, basis, nonbasic in self.checkpoints
-        ]
 
     def _rewind(self, k: int) -> None:
         """Rebuild the state before pivot ``k`` of the recorded path from the

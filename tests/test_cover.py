@@ -235,6 +235,21 @@ def test_resumed_master_matches_from_scratch_loop():
         assert got.price_nodes == want.price_nodes
 
 
+def test_column_generation_prices_through_the_cover_attribute(monkeypatch):
+    # the benchmark's pricing span wraps ``cover._price`` by name, so each
+    # iteration must look the pricer up there, not in ``families``
+    calls = []
+    price = cover._price
+
+    def counted(*args):
+        calls.append(args)
+        return price(*args)
+
+    monkeypatch.setattr(cover, "_price", counted)
+    cg = column_generation(w_prime().graph, SetProperty.BALANCED)
+    assert len(calls) == cg.iterations == 41
+
+
 def test_master_pivots_counts_executed_pivots(monkeypatch):
     # the from-scratch loop takes 1,118 Bland pivots on w_prime; resuming
     # computes 494, replays included, and returns the same result.  The pin

@@ -1,6 +1,5 @@
 """Set enumeration, maximality certification, and the lemma oracles."""
 from itertools import combinations
-from random import Random
 
 import pytest
 
@@ -196,30 +195,6 @@ def test_lemma_witness_is_the_first_failing_set_in_enumeration_order():
         assert check_missing_triangle_lemma(g) == (False, failing[0])
         failing_counts.append(len(failing))
     assert failing_counts == [2, 1, 1]  # on w_hat the order picks the witness
-
-
-def test_enumeration_names_no_set_one_at_a_time(monkeypatch):
-    # every set is named in one batched pass over the sorted keys, on the
-    # join and on the walk alike
-    from fracbal import families, sgraph
-    from test_search import square_of_a_cycle
-
-    calls = []
-    names_of = sgraph.names_of
-
-    def counted(g, mask):
-        calls.append(mask)
-        return names_of(g, mask)
-
-    monkeypatch.setattr(sgraph, "names_of", counted)
-    monkeypatch.setattr(families, "names_of", counted, raising=False)
-    joined = w_prime().graph
-    walked = square_of_a_cycle(Random(11))
-    for g, joins in ((joined, True), (walked, False)):
-        assert (families._atom_rows(g, SetProperty.BALANCED) is not None) == joins
-        for maximal in (False, True):
-            fam = enumerate_sets(g, SetProperty.BALANCED, maximal_only=maximal)
-            assert fam.sets and not calls
 
 
 def test_forest_lemmas_report():

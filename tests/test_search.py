@@ -11,70 +11,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbal import families
-from fracbal.cover import _price, column_generation
+from fracbal.cover import column_generation
 from fracbal.families import _ATOM_LIMIT, SetFamily, SetProperty, _Core, enumerate_sets
-from fracbal.families import lemma_case_sets
+from fracbal.families import _price, lemma_case_sets
 from fracbal.gadgets import g_hat_k3, w_double_prime, w_hat, w_prime
 from fracbal.sgraph import (
     GraphError,
-    ParityDSU,
     SignedGraph,
     all_triangles,
     canonical_set,
     clique_tree,
+    include_first_keys,
     is_acyclic,
     is_balanced,
-    names_of,
+    names_by_key,
     negative_cycle_witness,
 )
 from test_families import powerset_maximal
 
 
 class _ReferenceSearch:
-    """Reference oracle state: a rollback union-find over chosen names, with
-    every inclusion re-scanning the avoid sets and the neighbour dict."""
+    """Reference oracle state: the chosen names in a union-find of their
+    own, each linked to a parent name with the parity between them, and
+    every inclusion re-scanning the avoid sets and the neighbour dict.  An
+    added vertex becomes the root of every component it touches, so removing
+    it, last in first out, just unlinks those roots again."""
 
     def __init__(self, g, prop, avoid=()):
         self.g = g
         self.prop = prop
-        self.dsu = ParityDSU(len(g.vertices))
-        self.idx = g.index
-        self.chosen = set()
+        self.up = {}  # chosen name -> (parent name, parity); a root is its own parent
         self.avoid = avoid
 
-    def try_add(self, v):
-        for a in self.avoid:
-            if v in a and a <= self.chosen | {v}:
-                return None
-        mark = self.dsu.mark()
-        vi = self.idx[v]
-        for w, sign in self.g.adj[v].items():
-            if w not in self.chosen:
-                continue
-            wi = self.idx[w]
-            if self.prop is SetProperty.ACYCLIC:
-                ra, _ = self.dsu.find(vi)
-                rb, _ = self.dsu.find(wi)
-                if ra == rb:
-                    self.dsu.rollback(mark)
-                    return None
-                self.dsu.union(vi, wi, False)
-            else:
-                if not self.dsu.union(vi, wi, sign < 0):
-                    self.dsu.rollback(mark)
-                    return None
-        self.chosen.add(v)
-        return mark
+    def root(self, v):
+        parity = 0
+        while self.up[v][0] != v:
+            v, p = self.up[v]
+            parity ^= p
+        return v, parity
 
-    def remove(self, v, mark):
-        self.chosen.remove(v)
-        self.dsu.rollback(mark)
+    def try_add(self, v):
+        """The roots v joins, each with v's parity relative to it, or None
+        when v cannot join."""
+        for a in self.avoid:
+            if v in a and a <= self.up.keys() | {v}:
+                return None
+        roots = {}
+        for w, sign in self.g.adj[v].items():
+            if w in self.up:
+                r, p = self.root(w)
+                p ^= sign < 0
+                if r in roots and (self.prop is SetProperty.ACYCLIC or roots[r] != p):
+                    return None
+                roots[r] = p
+        self.up[v] = (v, 0)
+        for r, p in roots.items():
+            self.up[r] = (v, p)
+        return roots
+
+    def remove(self, v, roots):
+        for r in roots:
+            self.up[r] = (r, 0)
+        del self.up[v]
 
     def extendable_by(self, v):
-        mark = self.try_add(v)
-        if mark is None:
+        roots = self.try_add(v)
+        if roots is None:
             return False
-        self.remove(v, mark)
+        self.remove(v, roots)
         return True
 
 
@@ -95,26 +99,26 @@ def reference_enumerate_sets(
     for v in need:
         if search.try_add(v) is None:
             return ()
-    candidates = [v for v in g.vertices if v not in search.chosen and v not in banned]
+    candidates = [v for v in g.vertices if v not in search.up and v not in banned]
     out = []
 
     def emit():
         if maximal_only:
             for w in candidates:
-                if w not in search.chosen and search.extendable_by(w):
+                if w not in search.up and search.extendable_by(w):
                     return
-        if search.chosen:
-            out.append(tuple(sorted(search.chosen, key=g.index.__getitem__)))
+        if search.up:
+            out.append(tuple(sorted(search.up, key=g.index.__getitem__)))
 
     def walk(i):
         if i == len(candidates):
             emit()
             return
         v = candidates[i]
-        mark = search.try_add(v)
-        if mark is not None:
+        roots = search.try_add(v)
+        if roots is not None:
             walk(i + 1)
-            search.remove(v, mark)
+            search.remove(v, roots)
         walk(i + 1)
 
     walk(0)
@@ -133,7 +137,13 @@ def walk_enumerate(g, prop, maximal, need=(), ban=(), avoid=()):
         core.attach(g.index[v], roots)
     cand = [i for i, v in enumerate(g.vertices) if v not in set(need) | set(ban)]
     masks, nodes, leaves = core.walk_sets(cand, maximal)
-    return tuple(names_of(g, m) for m in masks), nodes, leaves
+    return tuple(named(g, masks)), nodes, leaves
+
+
+def named(g, masks):
+    """The names of each mask, in the order given: the walk's own order is
+    under test, so the masks are not sorted first."""
+    return [names_by_key(g, include_first_keys(g, [m]))[0] for m in masks]
 
 
 def reference_price(g, prop, y):
@@ -154,13 +164,13 @@ def reference_price(g, prop, y):
         if i == len(cand):
             if weight > best_w:
                 best_w = weight
-                best_s = tuple(sorted(search.chosen, key=g.index.__getitem__))
+                best_s = tuple(sorted(search.up, key=g.index.__getitem__))
             return
         v = cand[i]
-        mark = search.try_add(v)
-        if mark is not None:
+        roots = search.try_add(v)
+        if roots is not None:
             walk(i + 1, weight + y[v])
-            search.remove(v, mark)
+            search.remove(v, roots)
         walk(i + 1, weight)
 
     walk(0, Fraction(0))
@@ -456,7 +466,7 @@ def test_maximal_enumeration_counters_on_w_double_prime():
     # component's neighbours 248,722, and the walk that settled the apexes
     # c1..c7 in one step 27,015
     masks, nodes, leaves = walk(everything, True)
-    assert [names_of(g, m) for m in masks] == list(fam.sets)
+    assert named(g, masks) == list(fam.sets)
     assert (nodes, leaves) == (89_197, 3501)
     forests = enumerate_sets(g, SetProperty.ACYCLIC, maximal_only=True)
     assert (forests.nodes, forests.leaves, len(forests.sets)) == (438, 2370, 2370)
@@ -476,12 +486,12 @@ def test_pending_vertex_beside_one_component_waits_for_its_own_neighbours():
     )
     for prop in SetProperty:
         masks, nodes, leaves = _Core(g._neighbours, prop).walk_sets(list(range(5)), True)
-        assert {frozenset(names_of(g, m)) for m in masks} == powerset_maximal(g, prop)
+        assert set(map(frozenset, named(g, masks))) == powerset_maximal(g, prop)
         assert leaves == len(masks) == 3
         # a walk that waited on b as well visited 21 nodes
         assert nodes == 17
         fam = enumerate_sets(g, prop, maximal_only=True)
-        assert fam.sets == tuple(names_of(g, m) for m in masks)
+        assert fam.sets == tuple(named(g, masks))
         assert (fam.nodes, fam.leaves) == (9, 3)
 
 

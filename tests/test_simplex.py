@@ -269,15 +269,16 @@ def test_wide_entries_match_dense_oracle(program):
 
 
 def test_appended_row_the_optimum_satisfies_keeps_the_path():
-    # max x + y s.t. x <= 1, y <= 1: two pivots to (1, 1); x + y <= 2 loses
+    # max 2x + 2y s.t. x <= 1, y <= 1: two pivots to (1, 1); x + y <= 2 loses
     # the first ratio test (2/1 against 1/1) and ties the second (1/1 against
-    # 1/1), and the optimum satisfies it, so the path stays and its dual is 0
-    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    # 1/1), and the optimum satisfies it, so the path stays and its dual is 0.
+    # The objective sets the input peak to 2, so the new row fits the lanes
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [2, 2], resumable=True)
     assert tab.solve().pivots == 2
     tab.append_row([1, 1], 2)
     res = tab.solve()
-    assert res == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [1, 1])
-    assert (res.value, res.duals, res.pivots, tab.executed) == (2, (1, 1, 0), 2, 2)
+    assert res == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [2, 2])
+    assert (res.value, res.duals, res.pivots, tab.executed) == (4, (2, 2, 0), 2, 2)
 
 
 def test_violated_row_rewinds_to_where_it_wins():
@@ -290,6 +291,27 @@ def test_violated_row_rewinds_to_where_it_wins():
     res = tab.solve()
     assert res == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 1], [1, 1])
     assert (res.value, res.x, res.duals, res.pivots, tab.executed) == (1, (1, 0), (0, 0, 1), 2, 4)
+
+
+def test_append_row_refuses_an_entry_above_the_peak():
+    # the lanes are sized for the input peak when the tableau is built: a
+    # refused row, x + y <= 1 scaled by 2^40 among them, leaves the tableau,
+    # its path and its checkpoints as they were
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    res = tab.solve()
+
+    def state():
+        return list(tab.t), list(tab.path), [list(rows) for rows, *_ in tab.checkpoints]
+
+    before = state()
+    for row, rhs in (([2**40, 2**40], 2**40), ([1, -2], 1), ([1, 1], 2)):
+        with pytest.raises(SimplexError, match="exceeds the tableau's input peak"):
+            tab.append_row(row, rhs)
+    assert state() == before
+    assert tab.solve() == res
+    # a row within the peak is appended and resumed from as before
+    tab.append_row([1, 1], 1)
+    assert tab.solve() == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 1], [1, 1])
 
 
 def test_append_row_checks_its_row():
@@ -319,7 +341,8 @@ def packing_runs(draw):
     costs of any sign) and rows to append one at a time.  Copies of earlier
     rows make exact ratio ties; many appended rows are not violated, and
     without the unit rows some programs are unbounded until a row bounds
-    them."""
+    them.  The appended rows are clipped to the input peak of the first
+    ones and the costs, which a resumable tableau refuses to exceed."""
     n = draw(st.integers(min_value=1, max_value=7))
     c = [draw(st.integers(min_value=-1, max_value=3)) for _ in range(n)]
     rows = []
@@ -333,7 +356,9 @@ def packing_runs(draw):
         # unit rows first, as column generation starts: bounded throughout
         rows[:0] = [([int(j == k) for j in range(n)], 1) for k in range(n)]
     start = draw(st.integers(min_value=0, max_value=len(rows) - 1))
-    return c, rows[:start], rows[start:]
+    peak = max(map(abs, chain(c, *(row + [rhs] for row, rhs in rows[:start]))))
+    appended = [([min(v, peak) for v in row], min(rhs, peak)) for row, rhs in rows[start:]]
+    return c, rows[:start], appended
 
 
 # checkpoints every 2 pivots also rebuild from later checkpoints
@@ -410,68 +435,3 @@ def full_scan(tab):
         if var >= n:
             duals[var - n] = F(-rows[-1][k], d)
     return tuple(x), tuple(duals), max(abs(v) for r in rows for v in r).bit_length()
-
-
-def assert_lanes_hold(tab):
-    """Every packed row of the tableau, the path and the checkpoints
-    round-trips through unpack and pack: no lane overflowed."""
-    lanes = tab.lanes
-    packed = [*tab.t, *(prow for _, _, prow, _ in tab.path)]
-    packed += [x for rows, _, _, _ in tab.checkpoints for x in rows]
-    assert all(lanes.pack(lanes.unpack(x)) == x for x in packed)
-
-
-@st.composite
-def widening_runs(draw):
-    """A small LP and rows to append whose entries grow past every earlier
-    entry, up to about 2^60, so that appending widens the lanes."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    c = [draw(st.integers(min_value=-1, max_value=3)) for _ in range(n)]
-
-    def row(bits):
-        big = st.integers(min_value=-(2**bits), max_value=2**bits)
-        return [draw(big) for _ in range(n)], abs(draw(big))
-
-    start = [row(1) for _ in range(draw(st.integers(min_value=1, max_value=6)))]
-    if draw(st.booleans()):
-        start[:0] = [([int(j == k) for j in range(n)], 1) for k in range(n)]
-    grow = draw(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8))
-    appended = [row(1 + sum(grow[:k + 1])) for k in range(len(grow))]
-    return c, start, appended
-
-
-@pytest.mark.parametrize("every", [2, simplex._CHECKPOINT_EVERY])
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(run=widening_runs())
-def test_widening_appends_match_from_scratch_solves(every, run):
-    c, start, appended = run
-    rows = [row for row, _ in start]
-    b = [rhs for _, rhs in start]
-    with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
-        tab = Tableau(rows, b, c, resumable=True)
-        resumed(tab)
-        for row, rhs in appended:
-            tab.append_row(row, rhs)
-            rows.append(row)
-            b.append(rhs)
-            assert with_bits(resumed(tab)) == with_bits(outcome(simplex_max, rows, b, c))
-            assert_lanes_hold(tab)
-            fresh = Tableau(rows, b, c)
-            assert tab.lanes.width == fresh.lanes.width
-            if isinstance(resumed(fresh), SimplexResult):
-                assert tab.rows() == fresh.rows()
-
-
-def test_widening_repacks_the_path_and_checkpoints():
-    # x + y <= 1 ties the first ratio test and wins the second, as in
-    # test_violated_row_rewinds_to_where_it_wins, but scaled by 2^40: the
-    # lanes widen and the rewind replays from a repacked checkpoint
-    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
-    tab.solve()
-    width = tab.lanes.width
-    tab.append_row([2**40, 2**40], 2**40)
-    assert tab.lanes.width > width
-    res = tab.solve()
-    assert with_bits(res) == with_bits(simplex_max([[1, 0], [0, 1], [2**40, 2**40]], [1, 1, 2**40], [1, 1]))
-    assert (res.value, res.x, res.pivots, tab.executed) == (1, (1, 0), 2, 4)
-    assert_lanes_hold(tab)
