@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 
 class BoundsError(ValueError):
@@ -53,11 +54,13 @@ def mu_recurrence(bp: BoundParams, i: int) -> Fraction:
 
 
 def mu_bound(bp: BoundParams, i: int) -> Fraction:
-    """Closed form of the recurrence: (21^i (41p - 83q) - (p - 3q)) / 20."""
+    """Closed form of the recurrence: (21^i (41p - 83q) - (p - 3q)) / 20,
+    computed without 21^i when 41p = 83q."""
     if i < 0:
         raise BoundsError("index must be nonnegative")
     p, q = bp.p, bp.q
-    return Fraction(21**i * (41 * p - 83 * q) - (p - 3 * q), 20)
+    d = 41 * p - 83 * q
+    return Fraction((21**i * d if d else 0) - (p - 3 * q), 20)
 
 
 def first_infeasible_index(bp: BoundParams) -> int | None:
@@ -68,12 +71,7 @@ def first_infeasible_index(bp: BoundParams) -> int | None:
     """
     if 41 * bp.p - 83 * bp.q >= 0:
         return None
-    i = 0
-    mu = Fraction(m_upper_bound(bp))
-    while mu >= 0:
-        mu = Fraction(bp.p - 3 * bp.q) + 21 * mu
-        i += 1
-    return i
+    return next(i for i in count() if mu_bound(bp, i) < 0)
 
 
 def _ratio_at_equality(

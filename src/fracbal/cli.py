@@ -187,12 +187,23 @@ def cmd_bounds(args) -> int:
         _emit(args, json.dumps(obj, indent=2))
         return 0
     bp = BoundParams(args.p, args.q)
+    # Unless 41p = 83q, |mu| >= (21^i - 3 max(p, q)) / 20, p and q having at
+    # most ``limit`` digits, so once 1.3 i > limit + 4 mu is refused unbuilt.
+    limit = sys.get_int_max_str_digits()
+    too_many = f"mu has more than {limit} digits, too many to print"
+    if limit and 41 * args.p != 83 * args.q and 13 * args.i > 10 * (limit + 4):
+        raise BoundsError(too_many)
+    mu = mu_bound(bp, args.i)
+    try:
+        mu_text = str(mu)
+    except ValueError:
+        raise BoundsError(too_many) from None
     obj = {
         "p": args.p,
         "q": args.q,
         "i": args.i,
         "m-upper": m_upper_bound(bp),
-        "mu": str(mu_bound(bp, args.i)),
+        "mu": mu_text,
         "first-infeasible-index": first_infeasible_index(bp),
     }
     _emit(args, json.dumps(obj, indent=2))

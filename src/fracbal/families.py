@@ -1,15 +1,15 @@
 """Balanced / acyclic vertex sets: exhaustive and maximal enumeration, and
 pricing, the search for such a set of largest dual weight.
 
-Both properties are hereditary (every subset of a good set is good), and so
-are the ``avoid`` constraints.  A set is good iff its part in every atom of
-the graph's clique-separator tree is (``sgraph.clique_tree``), so the good
-subsets of each atom, its *rows*, are enumerated once per graph and property
-into one row store.  Both searches are one pass over the tree (Arnborg and
-Proskurowski 1989): pricing (``_price``) keeps per atom the best row for
-each part of its separator, and enumeration joins the rows bottom up, a
-parent row taking from each child the partial sets that hold the same part
-of the separator they share.  The sets are then put in the include-first
+Both properties are hereditary (every subset of a good set is good).  A
+set is good iff its part in every atom of the graph's clique-separator tree
+is (``sgraph.clique_tree``), so the good subsets of each atom, its *rows*,
+are enumerated once per graph and property into one row store.  Both
+searches are one pass over the tree (Arnborg and Proskurowski 1989):
+pricing (``_price``) keeps per atom the best row for each part of its
+separator, and enumeration joins the rows bottom up, a parent row taking
+from each child the partial sets that hold the same part of the separator
+they share.  The sets are then put in the include-first
 order of a walk over the vertices in canonical order, so results are
 identical across runs, and named, in one batched step: each mask becomes
 its include-first key once (its bytes with their bits reversed, so that
@@ -19,11 +19,11 @@ at a time (``sgraph.include_first_keys`` and ``sgraph.names_by_key``).
 
 Maximality is decided atom by atom.  Adding a vertex v to a good set S
 changes only its parts in the atoms that hold v, so v is blocked (S plus v
-is not good, or holds an avoid set) iff some atom holding v blocks it: the
-row S ∩ atom plus v is not a row.  Each row carries the vertices it blocks
-in this way.  The atoms holding v form a subtree, and its top is the one
-atom where v is not in the separator, so when the join reaches that atom
-every atom that could block v has been joined.  A partial join is therefore
+is not good) iff some atom holding v blocks it: the row S ∩ atom plus v is
+not a row.  Each row carries the vertices it blocks in this way.  The atoms
+holding v form a subtree, and its top is the one atom where v is not in the
+separator, so when the join reaches that atom every atom that could block v
+has been joined.  A partial join is therefore
 keyed by its part of the atom's separator and the separator vertices it
 already blocks, and it is dropped as soon as one of the atom's other
 vertices is left out unblocked; the sets that reach the root are exactly
@@ -31,8 +31,7 @@ the maximal ones.
 
 A host with an atom of more than ``_ATOM_LIMIT`` vertices is enumerated
 and priced by a walk of the integer search core over the whole graph
-instead, and so is an enumeration with an avoid set that lies in no one
-atom.  The core also enumerates each atom's rows over the atom's own
+instead.  The core also enumerates each atom's rows over the atom's own
 induced subgraph: vertices are indices, a set is a bitmask over them, and
 the chosen set sits on the core's own rollback parity union-find.  The
 walk is an explicit-stack loop over include/exclude decisions in canonical
@@ -42,15 +41,15 @@ already and the batched step's sort is one linear pass over a single run.
 A maximal walk needs no test at the leaves.  A vertex that cannot join the
 chosen set at its turn never can further down (heredity).  A vertex
 excluded while it could still join stays *pending*, stored with its reach:
-the vertices next to it or sharing an avoid set with it and, when it touches
-two or more chosen components, the vertices next to any of those.  With at
-most one such component nothing else can block it: its chosen neighbours
-sit in that component at consistent parities (one neighbour if acyclic),
-and growing or merging the component never changes the parities inside it.
-Only including a vertex of its reach can block a pending vertex, so only
-then is it re-tested; once blocked it leaves the list.  A
-pending vertex whose reach holds no undecided vertex can never be blocked,
-so every set below would extend by it and the branch is cut.  Every leaf
+the vertices next to it and, when it touches two or more chosen components,
+the vertices next to any of those.  With at most one such component nothing
+else can block it: its chosen neighbours sit in that component at
+consistent parities (one neighbour if acyclic), and growing or merging the
+component never changes the parities inside it.  Only including a vertex of
+its reach can block a pending vertex, so only then is it re-tested; once
+blocked it leaves the list.  A pending vertex whose reach holds no undecided
+vertex can never be blocked, so every set below would extend by it and the
+branch is cut.  Every leaf
 the walk reaches is therefore maximal.
 """
 from __future__ import annotations
@@ -127,20 +126,16 @@ class _Core:
 
     ``form`` is ``(nbrs, near)``: per vertex, its ``(j, negative)`` pairs
     and its neighbour mask, as ``SignedGraph._neighbours`` holds them for a
-    whole graph and ``_induced_form`` builds them for an atom.  ``avoid``
-    holds vertex masks that must not be chosen whole, and ``reach0`` adds to
-    each neighbour mask the other members of every avoid set containing the
-    vertex.  The union-find links each vertex to its ``parent`` with the
-    ``parity`` of the link, by rank and without path compression, and each
-    root's ``mask`` is the union of its members' neighbour masks.  Every
-    link goes on ``trail`` with what it changed, so a walk saves
-    ``(chosen, len(trail))`` before a branch and ``restore``s it after.
+    whole graph and ``_induced_form`` builds them for an atom.  The
+    union-find links each vertex to its ``parent`` with the ``parity`` of
+    the link, by rank and without path compression, and each root's ``mask``
+    is the union of its members' neighbour masks.  Every link goes on
+    ``trail`` with what it changed, so a walk saves ``(chosen, len(trail))``
+    before a branch and ``restore``s it after.
     Sets come out as masks.
     """
 
-    def __init__(
-        self, form: tuple[tuple, tuple[int, ...]], prop: SetProperty, avoid: Iterable[int] = ()
-    ) -> None:
+    def __init__(self, form: tuple[tuple, tuple[int, ...]], prop: SetProperty) -> None:
         self.acyclic = prop is SetProperty.ACYCLIC
         self.nbrs, self.near = form
         n = len(self.near)
@@ -149,22 +144,12 @@ class _Core:
         self.rank = [0] * n
         self.mask = list(self.near)
         self.trail: list[tuple[int, bool, int]] = []  # (child, rank bumped, root's old mask)
-        self.reach0 = list(self.near)
-        self.partners: list[list[int]] = [[] for _ in range(n)]
-        for whole in avoid:
-            for i in _bits(whole):
-                self.partners[i].append(whole & ~(1 << i))
-                self.reach0[i] |= whole & ~(1 << i)
         self.chosen = 0
 
     def scan(self, v: int) -> dict[int, int] | None:
         """The roots of the chosen components next to v, each with v's parity
         relative to it; None when v cannot join the chosen set."""
-        chosen = self.chosen
-        for others in self.partners[v]:
-            if others & chosen == others:
-                return None
-        parent, parity = self.parent, self.parity
+        chosen, parent, parity = self.chosen, self.parent, self.parity
         roots: dict[int, int] = {}
         for w, p in self.nbrs[v]:
             if chosen >> w & 1:
@@ -181,14 +166,14 @@ class _Core:
     def reach(self, v: int, roots: dict[int, int]) -> int:
         """The vertices whose inclusion can block v, given ``scan(v)``.
 
-        With at most one chosen component next to v, that is ``reach0[v]``:
+        With at most one chosen component next to v, that is ``near[v]``:
         v's chosen neighbours then lie in one component at consistent
         parities (acyclic: there is one), and growing or merging that
         component never changes the parities inside it, so only a new
-        neighbour of v or a completed avoid set can close a bad cycle
-        through v.  With two or more, a merge of two of them can, so the
-        neighbour masks of their roots join in."""
-        r = self.reach0[v]
+        neighbour of v can close a bad cycle through v.  With two or more,
+        a merge of two of them can, so the neighbour masks of their roots
+        join in."""
+        r = self.near[v]
         if len(roots) > 1:
             for x in roots:
                 r |= self.mask[x]
@@ -441,13 +426,11 @@ def _blocked(g: SignedGraph, prop: SetProperty, atoms: list[_AtomRows]) -> list[
 
 
 def _join(
-    atoms: list[_AtomRows], blocked: list[list[int]] | None, need: int, banned: int,
-    avoid: list[int],
+    atoms: list[_AtomRows], blocked: list[list[int]] | None, need: int, banned: int
 ) -> tuple[list[int], int]:
-    """Every set, as a mask, that is good in every atom, holds ``need``,
-    misses ``banned`` and holds no avoid set, each inside some atom; only
-    the maximal ones among them when ``blocked`` is given.  Also the rows
-    evaluated.
+    """Every set, as a mask, that is good in every atom, holds ``need`` and
+    misses ``banned``; only the maximal ones among them when ``blocked`` is
+    given.  Also the rows evaluated.
 
     Bottom up, each atom's table maps a part t of its separator, then the
     separator vertices b that the partial set blocks, to the partial sets
@@ -461,7 +444,6 @@ def _join(
     for a, rows in enumerate(atoms):
         sep = rows.separator
         want = need & rows.mask
-        inside = [m for m in avoid if m & rows.mask == m]
         below = [(atoms[c].separator, tables[c]) for c, _ in rows.kids]
         # the own vertices that must end up in the set or blocked
         check = rows.mask & ~sep & ~banned if blocked else 0
@@ -472,13 +454,6 @@ def _join(
         for r, bl in zip(rows.glob, blocked[a] if blocked else [0] * len(rows.glob)):
             if r & banned or r & want != want:
                 continue
-            if inside:
-                if any(r & m == m for m in inside):
-                    continue
-                for m in inside:
-                    rest = m & ~r
-                    if not rest & rest - 1:  # r plus that vertex holds m
-                        bl |= rest
             left = check & ~r & ~bl
             if left & ~reachable:
                 continue
@@ -521,18 +496,6 @@ def _join(
     return [x for x in found if x], nodes
 
 
-def _avoid_masks(g: SignedGraph, avoid: Iterable[Iterable[str]]) -> list[int]:
-    """The avoid sets as vertex masks, less any empty set or set naming a
-    stranger: neither can ever be chosen whole."""
-    idx = g.index
-    out = []
-    for a in avoid:
-        members = {idx.get(v, -1) for v in a}
-        if members and -1 not in members:
-            out.append(sum(1 << i for i in members))
-    return out
-
-
 def enumerate_sets(
     g: SignedGraph,
     prop: SetProperty,
@@ -540,31 +503,28 @@ def enumerate_sets(
     maximal_only: bool = False,
     must_contain: Sequence[str] = (),
     forbid: Sequence[str] = (),
-    avoid: Sequence[Iterable[str]] = (),
     size_guard: int | None = None,
 ) -> SetFamily:
     """All nonempty vertex sets with the property, optionally only the
     maximal ones, under containment constraints.
 
-    ``avoid`` lists vertex sets that must not be fully contained; this
-    constraint is hereditary like the property itself, so maximality is
-    certified within the constrained family.  Maximality is relative to the
-    allowed universe (vertices outside ``forbid``).  Raises GuardExceeded
-    when the host is too large for exhaustive search.
+    Maximality is relative to the allowed universe (vertices outside
+    ``forbid``).  Raises GuardExceeded when the host is too large for
+    exhaustive search.
 
     The sets are the atom rows joined over the clique-separator tree, unless
-    an atom has more than ``_ATOM_LIMIT`` vertices or an avoid set lies in
-    no one atom; then the search core walks the whole graph.  Both give the
-    same sets in the same, include-first order.
+    an atom has more than ``_ATOM_LIMIT`` vertices; then the search core
+    walks the whole graph.  Both give the same sets in the same,
+    include-first order.
     """
-    masks, nodes, leaves = _masks(g, prop, maximal_only, must_contain, forbid, avoid, size_guard)
+    masks, nodes, leaves = _masks(g, prop, maximal_only, must_contain, forbid, size_guard)
     sets = tuple(names_by_key(g, include_first_keys(g, masks)))
     return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)
 
 
 def _masks(
     g: SignedGraph, prop: SetProperty, maximal_only: bool, must_contain: Sequence[str],
-    forbid: Sequence[str], avoid: Sequence[Iterable[str]], size_guard: int | None,
+    forbid: Sequence[str], size_guard: int | None,
 ) -> tuple[list[int], int, int]:
     """The sets of ``enumerate_sets`` as masks, with the nodes and leaves of
     the search: in no order from the join, in include-first order from the
@@ -583,15 +543,14 @@ def _masks(
         raise GraphError("must_contain and forbid overlap")
     need_mask = sum(1 << g.index[v] for v in need)
     banned_mask = sum(1 << g.index[v] for v in banned)
-    walls = _avoid_masks(g, avoid)
 
     atoms = _atom_rows(g, prop)
-    if atoms is not None and all(any(m & a.mask == m for a in atoms) for m in walls):
+    if atoms is not None:
         blocked = _blocked(g, prop, atoms) if maximal_only else None
-        masks, nodes = _join(atoms, blocked, need_mask, banned_mask, walls)
+        masks, nodes = _join(atoms, blocked, need_mask, banned_mask)
         leaves = len(masks)
     else:
-        core = _Core(g._neighbours, prop, walls)
+        core = _Core(g._neighbours, prop)
         for v in need:
             roots = core.scan(g.index[v])
             if roots is None:
@@ -708,23 +667,22 @@ def lemma_case_sets(
     Two kinds of balanced sets containing both terminals matter: the maximal
     ones outright, and the maximal ones among sets that contain no full
     positive face (a set swallowing a positive face cannot be grown past it,
-    yet its face-avoiding subsets branch differently).  The union of the two
-    enumerations, in canonical order, is the complete case list.
+    yet its face-avoiding subsets branch differently).  The second kind is
+    filtered from all balanced sets containing both terminals (a face naming
+    a stranger is ignored): holding no face is hereditary, so a face-free
+    set is maximal among them iff no other is it plus one vertex.  The
+    union of the two families, in canonical order, is the complete case list.
     """
-    u = g.terminal("u")
-    v = g.terminal("v")
-    plain = enumerate_sets(
-        g.graph, SetProperty.BALANCED, maximal_only=True, must_contain=(u, v)
-    )
-    avoiding = enumerate_sets(
-        g.graph,
-        SetProperty.BALANCED,
-        maximal_only=True,
-        must_contain=(u, v),
-        avoid=positive_faces,
-    )
-    union = dict.fromkeys(plain.sets + avoiding.sets)
-    return tuple(sorted(union, key=lambda s: tuple(g.graph.index[x] for x in s)))
+    graph, idx = g.graph, g.graph.index
+    terminals = (g.terminal("u"), g.terminal("v"))
+    plain, _, _ = _masks(graph, SetProperty.BALANCED, True, terminals, (), None)
+    good, _, _ = _masks(graph, SetProperty.BALANCED, False, terminals, (), MAXIMAL_SIZE_GUARD)
+    faces = [sum(1 << idx[x] for x in set(f)) for f in positive_faces if f and set(f) <= idx.keys()]
+    free = set(good).difference(*([s for s in good if s & f == f] for f in faces))
+    bits = [1 << i for i in range(len(graph.vertices))]
+    top = free.difference(*([s ^ b for s in free if s & b] for b in bits))
+    names = names_by_key(graph, include_first_keys(graph, top.union(plain)))
+    return tuple(sorted(names, key=lambda s: tuple(idx[x] for x in s)))
 
 
 def check_missing_triangle_lemma(g: GadgetGraph) -> tuple[bool, tuple[str, ...] | None]:
@@ -736,7 +694,7 @@ def check_missing_triangle_lemma(g: GadgetGraph) -> tuple[bool, tuple[str, ...] 
     """
     graph = g.graph
     masks, _, _ = _masks(
-        graph, SetProperty.BALANCED, True, (g.terminal("u"), g.terminal("v")), (), (), None
+        graph, SetProperty.BALANCED, True, (g.terminal("u"), g.terminal("v")), (), None
     )
     marked = [sum(1 << graph.index[x] for x in t) for t in g.marked_triangles]
     failing = [s for s in masks if all(s & t for t in marked)]

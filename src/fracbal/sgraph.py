@@ -614,11 +614,11 @@ def is_k4_minus_equivalent(g: SignedGraph) -> bool:
 
 
 def load_json(text: str, error: type[Exception]) -> object:
-    """``json.loads``, raising ``error`` on text that is not JSON or nests
-    too deeply for the decoder."""
+    """``json.loads``, raising ``error`` on text that is not JSON, nests
+    too deeply for the decoder or holds an integer too long to convert."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise error(f"malformed JSON: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """Command-line behaviors: outputs, exit codes, determinism."""
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,31 @@ def test_bounds_commands(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["mu"] == "-1" and doc["first-infeasible-index"] == 1
+    # mu at i = 3000 has 3,967 digits, within the default limit of 4,300
+    code, out, _ = run(capsys, "bounds", "mu", "--i", "3000")
+    assert code == 0 and json.loads(out)["mu"] == str((1 - 21**3000) // 20)
+    # at 41p = 83q mu is the same at every depth, and 21^i is never built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "mu", "--p", "83", "--q", "41", "--i", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["mu"] == "2"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--i", "5000"),
+        ("--i", "1000000000"),
+        ("--p", "25" + "0" * 4298, "--q", "1" + "0" * 4299, "--i", "1"),
+    ],
+    ids=["i-5000", "i-1e9", "p-q-4300-digits"],
+)
+def test_bounds_mu_too_long_to_print_exits_2(capsys, flags):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "mu", *flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_check_commands(capsys):
@@ -295,6 +321,7 @@ _CERT = '{"p": %s, "q": %s, "mode": "balanced", "classes": [{"set": %s, "rep": %
 _GOOD_GRAPH = _ONE_EDGE % "-1"
 _GOOD_CERT = _CERT % (2, 1, '["u"]', 1)
 _STEPS = '{"base": "K3_MINUS", "steps": %s}'
+_HUGE = "7" * 5000  # more digits than json.loads converts to an int by default
 
 
 @pytest.mark.parametrize(
@@ -326,6 +353,9 @@ _STEPS = '{"base": "K3_MINUS", "steps": %s}'
         pytest.param("verify", "[" * 100000, _GOOD_CERT, id="graph-too-deep"),
         pytest.param("verify", _GOOD_GRAPH, "[" * 100000, id="certificate-too-deep"),
         pytest.param("verify", _GOOD_GRAPH, b'{"p": 2, "q": 1, "mode": "\xff"}', id="not-utf-8"),
+        pytest.param("compose-8341", None, _STEPS % _HUGE, id="trace-huge-int"),
+        pytest.param("verify", _ONE_EDGE % _HUGE, _GOOD_CERT, id="graph-huge-int"),
+        pytest.param("verify", _GOOD_GRAPH, _CERT % (_HUGE, 1, '["u"]', 1), id="certificate-huge-int"),
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, graph, document):

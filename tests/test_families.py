@@ -116,17 +116,21 @@ def test_forbid_and_avoid_constraints():
         g, SetProperty.BALANCED, maximal_only=True, must_contain=("u", "v"), forbid=("w",)
     )
     assert all("w" not in s for s in fam.sets)
-    fam2 = enumerate_sets(
-        g,
-        SetProperty.BALANCED,
-        maximal_only=True,
-        must_contain=("u", "v"),
-        avoid=(("u", "x1", "x2"), ("v", "x3", "x4")),
-    )
-    for s in fam2.sets:
-        assert not {"u", "x1", "x2"} <= set(s)
-        assert not {"v", "x3", "x4"} <= set(s)
-    assert len(fam2.sets) == 8
+    # the case sets that hold neither positive face are the maximal ones
+    # among the balanced sets that hold both terminals and no face
+    faces = (("u", "x1", "x2"), ("v", "x3", "x4"))
+    cases = lemma_case_sets(w_hat(), faces)
+    assert len(cases) == 10
+    assert [s for s in cases if not any(set(f) <= set(s) for f in faces)] == [
+        ("w", "x1", "x4", "u", "v"),
+        ("w", "x2", "u", "v"),
+        ("w", "x3", "u", "v"),
+        ("w", "x5", "u", "v"),
+        ("x1", "x3", "u", "v"),
+        ("x2", "x4", "u", "v"),
+        ("x2", "x5", "u", "v"),
+        ("x3", "x5", "u", "v"),
+    ]
 
 
 def test_guard_exceeded():

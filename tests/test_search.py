@@ -14,7 +14,7 @@ from fracbal import families
 from fracbal.cover import column_generation
 from fracbal.families import _ATOM_LIMIT, SetFamily, SetProperty, _Core, enumerate_sets
 from fracbal.families import _price, lemma_case_sets
-from fracbal.gadgets import g_hat_k3, w_double_prime, w_hat, w_prime
+from fracbal.gadgets import GadgetGraph, g_hat_k3, w_double_prime, w_hat, w_prime
 from fracbal.sgraph import (
     GraphError,
     SignedGraph,
@@ -125,11 +125,11 @@ def reference_enumerate_sets(
     return tuple(out)
 
 
-def walk_enumerate(g, prop, maximal, need=(), ban=(), avoid=()):
+def walk_enumerate(g, prop, maximal, need=(), ban=()):
     """``enumerate_sets`` by the search core's walk over the whole graph,
-    the path it takes on a host with an atom above ``_ATOM_LIMIT`` or an
-    avoid set that crosses atoms: the sets, nodes and leaves."""
-    core = _Core(g._neighbours, prop, families._avoid_masks(g, avoid))
+    the path it takes on a host with an atom above ``_ATOM_LIMIT``: the
+    sets, nodes and leaves."""
+    core = _Core(g._neighbours, prop)
     for v in canonical_set(g, need):
         roots = core.scan(g.index[v])
         if roots is None:
@@ -320,37 +320,23 @@ def test_pricing_g_hat_k3_with_every_dual_one():
 
 @st.composite
 def constrained_searches(draw, graphs=signed_graphs()):
-    """A graph, a property and must_contain / forbid / avoid constraints;
-    avoid sets may be empty, singletons, lie inside one atom of the
-    clique-separator tree, cross atoms, overlap the other constraints or
-    name a vertex outside the graph."""
+    """A graph, a property and must_contain / forbid constraints."""
     g = draw(graphs)
     verts = list(g.vertices)
     prop = draw(st.sampled_from(SetProperty))
     role = [draw(st.sampled_from(("free",) * 6 + ("need", "ban"))) for _ in verts]
     need = [v for v, r in zip(verts, role) if r == "need"]
     ban = [v for v, r in zip(verts, role) if r == "ban"]
-    pools = [st.sampled_from(verts + ["stranger"]) if verts else st.just("stranger")]
-    for atom in clique_tree(g):
-        pools.append(st.sampled_from([v for i, v in enumerate(verts) if atom.mask >> i & 1]))
-    avoid = [
-        draw(st.lists(draw(st.sampled_from(pools)), max_size=4))
-        for _ in range(draw(st.integers(min_value=0, max_value=4)))
-    ]
-    return g, prop, need, ban, avoid
+    return g, prop, need, ban
 
 
 def assert_enumeration_matches_reference_walk(case, maximal):
-    g, prop, need, ban, avoid = case
-    want = reference_enumerate_sets(
-        g, prop, maximal_only=maximal, must_contain=need, forbid=ban, avoid=avoid
-    )
-    fam = enumerate_sets(
-        g, prop, maximal_only=maximal, must_contain=need, forbid=ban, avoid=avoid
-    )
+    g, prop, need, ban = case
+    want = reference_enumerate_sets(g, prop, maximal_only=maximal, must_contain=need, forbid=ban)
+    fam = enumerate_sets(g, prop, maximal_only=maximal, must_contain=need, forbid=ban)
     # the same sets in the same order, not merely the same family
     assert fam.sets == want
-    walked, _, leaves = walk_enumerate(g, prop, maximal, need, ban, avoid)
+    walked, _, leaves = walk_enumerate(g, prop, maximal, need, ban)
     assert walked == want
     if maximal:
         # every leaf the walk reaches is emitted, except the empty set when
@@ -370,7 +356,7 @@ def test_enumeration_matches_reference_walk(case, maximal):
 @given(constrained_searches(clique_sums().map(lambda glued: glued[0])), st.booleans())
 def test_enumeration_on_clique_sums_matches_reference_walk(case, maximal):
     # the join matches child rows to parent rows across separators of up
-    # to three vertices, and avoid sets inside one atom filter the rows
+    # to three vertices
     assert_enumeration_matches_reference_walk(case, maximal)
 
 
@@ -381,30 +367,6 @@ def test_maximal_enumeration_on_apex_tails_matches_reference_walk(case):
     # with the clique; the reference walk branches on every vertex and
     # tries every extension at each leaf
     assert_enumeration_matches_reference_walk(case, True)
-
-
-def test_avoid_sets_inside_one_atom_are_joined_and_the_others_walked(monkeypatch):
-    g = w_prime().graph
-    joined = []
-    join = families._join
-    monkeypatch.setattr(families, "_join", lambda *args: joined.append(args) or join(*args))
-    first, second = (
-        next(v for i, v in enumerate(g.vertices) if (a.mask & ~a.separator) >> i & 1)
-        for a in clique_tree(g)[:2]
-    )
-    faces = [t for t, sign in all_triangles(g) if sign > 0]  # a clique lies in one atom
-    cases = [
-        ((), True), ([()], True), ([("u", "stranger")], True), (faces, True),
-        ([(first, second)], False), (faces + [(first, second)], False),
-    ]
-    for avoid, joins in cases:
-        for maximal in (False, True):
-            joined.clear()
-            fam = enumerate_sets(g, SetProperty.BALANCED, maximal_only=maximal, avoid=avoid)
-            assert fam.sets == reference_enumerate_sets(
-                g, SetProperty.BALANCED, maximal_only=maximal, avoid=avoid
-            )
-            assert bool(joined) == joins
 
 
 @pytest.mark.parametrize(
@@ -518,13 +480,27 @@ def test_lemma_case_sets_on_a_clique_sum_match_the_reference_walk():
 
 def test_lemma_case_sets_on_apex_triangles_match_the_reference_walk():
     # w_double_prime ends in the apexes c1..c7, each an atom with its
-    # triangle, beside the positive faces that the avoid sets filter out
+    # triangle, beside the positive faces that the lemma's filter drops
     assert_lemma_case_sets_match_the_reference_walk(w_double_prime())
+
+
+def test_lemma_case_sets_on_a_host_with_an_atom_above_the_limit_match_the_reference_walk():
+    # both of its enumerations walk the whole graph
+    assert_lemma_case_sets_match_the_reference_walk(
+        GadgetGraph(square_of_a_cycle(Random(11)), {"u": "q0", "v": "q1"})
+    )
+
+
+def test_lemma_case_sets_skip_a_face_naming_a_stranger():
+    wh = w_hat()
+    faces = [t for t, sign in all_triangles(wh.graph) if sign > 0]
+    assert lemma_case_sets(wh, faces + [("u", "x1", "stranger")]) == lemma_case_sets(wh, faces)
 
 
 def assert_lemma_case_sets_match_the_reference_walk(wp):
     g = wp.graph
     faces = [t for t, sign in all_triangles(g) if sign > 0]
+    assert faces
     terminals = (wp.terminal("u"), wp.terminal("v"))
     plain = reference_enumerate_sets(
         g, SetProperty.BALANCED, maximal_only=True, must_contain=terminals
@@ -532,11 +508,6 @@ def assert_lemma_case_sets_match_the_reference_walk(wp):
     avoiding = reference_enumerate_sets(
         g, SetProperty.BALANCED, maximal_only=True, must_contain=terminals, avoid=faces
     )
-    # the face-avoiding sets are maximal only within their family, so check
-    # that walk on its own as well as the union
-    assert enumerate_sets(
-        g, SetProperty.BALANCED, maximal_only=True, must_contain=terminals, avoid=faces
-    ).sets == avoiding
     want = sorted(dict.fromkeys(plain + avoiding), key=lambda s: [g.index[x] for x in s])
     assert list(lemma_case_sets(wp, faces)) == want
 
