@@ -21,11 +21,17 @@ is what lets the covering optima downstream be exact.
 Each row of ``n + 1`` entries is stored as one Python int: entry ``k`` is
 a signed lane of ``W`` bits at bit ``W * k``, and the row is the integer
 ``sum(entry_k << W * k)``.  Every stored entry, ``d`` included, is plus or
-minus a minor of at most ``n + 1`` columns of ``[A b; c 0]``, so by
-Hadamard's inequality its absolute value is at most
-``H = (sqrt(n + 1) * peak)^(n + 1)``, where ``peak`` is the largest
-absolute input entry; ``W = bits(H) + 2`` leaves every lane strictly
-inside ``(-2^(W-1), 2^(W-1))``.  A pivot updates a whole row at once:
+minus a minor of at most ``k = n + 1`` columns of ``[A b; c 0]``, so its
+absolute value is at most a bound ``H`` on the determinant of a matrix of
+order ``k`` with the input's entries.  When every input entry is 0 or 1, as
+in every covering LP, ``H = (k + 1)^((k + 1) / 2) / 2^k``: bordering such a
+matrix and mapping 0 to 1 and 1 to -1 gives a +-1 matrix of order ``k + 1``
+whose determinant is ``(-2)^k`` times it, and Hadamard's inequality bounds
+that (Brenner and Cummings, "The Hadamard maximum determinant problem",
+1972).  Otherwise Hadamard's inequality gives ``H = (sqrt(k) * peak)^k``,
+where ``peak`` is the largest absolute input entry, about ``k`` bits more
+at peak 1.  ``W = bits(H) + 2`` leaves every lane strictly inside
+``(-2^(W-1), 2^(W-1))``.  A pivot updates a whole row at once:
 
     new = (x * p - f * (prow + (d << W * s))) // d
 
@@ -37,8 +43,8 @@ whatever carries the products left between lanes.  Products are never
 unpacked.  A lane is read with one biased shift and mask: adding ``2^(W-1)``
 to every lane makes them all nonnegative without carries.  ``W`` is fixed
 when the tableau is built, so an appended row may hold no entry above
-``peak``; column generation appends 0/1 rows with right-hand side 1 to a
-tableau of singleton rows, whose peak is 1.
+``peak``, and on a 0/1 tableau no negative entry either; column generation
+appends 0/1 rows with right-hand side 1 to a 0/1 tableau of singleton rows.
 
 ``Tableau`` is the one engine and ``solve`` its one pivot loop:
 ``simplex_max`` builds a tableau and runs Bland's rule to the end, and
@@ -128,20 +134,27 @@ def _width(rows: Sequence[list[int]]) -> int:
 
 class _Lanes:
     """The packing of a tableau row of ``n + 1`` entries into one int, for
-    inputs whose entries are at most ``peak`` in absolute value: entry
-    ``k`` is the signed lane of ``width`` bits at bit ``shifts[k]``, with
-    ``width`` from the Hadamard bound of the module docstring.  Adding
-    ``bias`` lifts every lane by ``half`` into ``[0, 2^width)`` without a
-    carry between lanes, so one shift and ``mask`` read any lane.
+    inputs whose entries are at most ``peak`` in absolute value, or all 0
+    or 1 when ``binary``: entry ``k`` is the signed lane of ``width`` bits
+    at bit ``shifts[k]``, with ``width`` from the determinant bound of the
+    module docstring, the 0/1 bound when ``binary`` and the Hadamard bound
+    otherwise.  Adding ``bias`` lifts every lane by ``half`` into
+    ``[0, 2^width)`` without a carry between lanes, so one shift and
+    ``mask`` read any lane.
     """
 
     __slots__ = ("width", "mask", "half", "bias", "shifts")
 
-    def __init__(self, n: int, peak: int):
+    def __init__(self, n: int, peak: int, binary: bool = False):
         k = n + 1
-        # H = ceil(sqrt(h2)), h2 >= 1
-        h2 = k**k * max(peak, 1) ** (2 * k)
-        self.width = w = (isqrt(h2 - 1) + 1).bit_length() + 2
+        if binary:
+            # the largest integer H with H^2 <= (k + 1)^(k + 1) / 4^k
+            h = isqrt((k + 1) ** (k + 1) >> 2 * k)
+        else:
+            # H = ceil(sqrt(h2)), h2 >= 1
+            h2 = k**k * max(peak, 1) ** (2 * k)
+            h = isqrt(h2 - 1) + 1
+        self.width = w = h.bit_length() + 2
         self.mask = (1 << w) - 1
         self.half = 1 << (w - 1)
         self.shifts = [w * j for j in range(k)]
@@ -166,7 +179,9 @@ class Tableau:
     the checkpoints would keep a tableau per ``_CHECKPOINT_EVERY`` pivots
     alive.  ``t`` holds the rows packed by ``lanes``, constraint rows then
     the objective row, and ``rows`` unpacks them.  Packed rows are ints,
-    so the path records and the checkpoints share them.  ``executed``
+    so the path records and the checkpoints share them.  ``binary`` says
+    whether every input entry is 0 or 1, which picks the lanes' bound, and
+    ``peak`` is the largest absolute input entry.  ``executed``
     counts the pivots actually computed, replays included.  A result keeps
     the packed rows it was read from as a tuple, since ``append_row``
     inserts into ``t`` in place, and its ``max_bits`` is their width.
@@ -181,10 +196,15 @@ class Tableau:
         resumable: bool = False,
     ):
         self.n = n = len(c)
+        _check_rows(rows, b, n)
         m = len(rows)
-        # the largest absolute input entry, which sets the lane width
-        self.peak = max(map(abs, chain(b, c, *rows)), default=0)
-        self.lanes = lanes = _Lanes(n, self.peak)
+        # the input's extremes set the lane width: the 0/1 bound when every
+        # entry is 0 or 1, else the Hadamard bound at the largest absolute
+        lo = min(chain(b, c, *rows), default=0)
+        hi = max(chain(b, c, *rows), default=0)
+        self.peak = max(hi, -lo)
+        self.binary = lo >= 0 and hi <= 1
+        self.lanes = lanes = _Lanes(n, self.peak, self.binary)
         # m constraint rows, then the objective row of reduced costs and -value
         self.t = [lanes.pack([*row, bi]) for row, bi in zip(rows, b)]
         self.t.append(lanes.pack([*c, 0]))
@@ -246,7 +266,8 @@ class Tableau:
     def append_row(self, row: Sequence[int], rhs: int) -> None:
         """Add the constraint ``row . x <= rhs`` and rewind to the first
         recorded step at which it would win the ratio test, if any.  An
-        entry above ``peak`` is refused, since the lanes could not hold it."""
+        entry above ``peak``, or a negative one on a 0/1 tableau, is
+        refused, since the lanes could not hold the minors it makes."""
         if not self.resumable:
             raise SimplexError("rows can only be appended to a resumable tableau")
         _check_rows([row], [rhs], self.n)
@@ -254,6 +275,8 @@ class Tableau:
         m = len(self.t) - 1
         if max(map(abs, [*row, rhs])) > self.peak:
             raise SimplexError("an appended entry exceeds the tableau's input peak")
+        if self.binary and min(row, default=0) < 0:
+            raise SimplexError("an appended entry of a 0/1 tableau is negative")
         lanes = self.lanes
         mask, half, bias, shifts = lanes.mask, lanes.half, lanes.bias, lanes.shifts
         top = shifts[n]
@@ -346,7 +369,6 @@ def simplex_max(
         # the type test first: most entries are ints, and the ABC check is slow
         if type(v) is not int and not isinstance(v, Rational):
             raise SimplexError(f"entries must be rational, got {v!r}")
-    _check_rows(rows, b, len(c))
     scale = lcm(*(v.denominator for v in chain(b, c, *rows)))
 
     def scaled(vals: Sequence[Rational]) -> list[int]:

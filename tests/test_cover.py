@@ -275,18 +275,21 @@ def test_master_pivots_counts_executed_pivots(monkeypatch):
 
 def test_master_results_unpack_one_row_per_solve(monkeypatch):
     # a master result unpacks only its objective row and reads x from the
-    # rhs lanes; the pins keep the bound from being met by a shorter run
+    # rhs lanes; the pins keep the bound from being met by a shorter run.
+    # The master is a 0/1 tableau over 16 vertices, so its lanes take the
+    # 0/1 determinant bound: 23 bits, not the Hadamard bound's 37
     unpack = simplex._Lanes.unpack
     unpacked = []
 
     def counting(lanes, x):
-        unpacked.append(x)
+        unpacked.append(lanes.width)
         return unpack(lanes, x)
 
     monkeypatch.setattr(simplex._Lanes, "unpack", counting)
     got = column_generation(w_prime().graph, SetProperty.BALANCED)
     assert (got.iterations, got.columns, got.master_pivots) == (41, 56, 494)
     assert len(unpacked) <= got.iterations
+    assert set(unpacked) == {23}
 
 
 @pytest.mark.stretch

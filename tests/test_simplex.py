@@ -4,7 +4,7 @@ differential tests of the resumable tableau against from-scratch solves."""
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, product
 from math import lcm
 from unittest import mock
 
@@ -294,24 +294,150 @@ def test_violated_row_rewinds_to_where_it_wins():
 
 
 def test_append_row_refuses_an_entry_above_the_peak():
-    # the lanes are sized for the input peak when the tableau is built: a
-    # refused row, x + y <= 1 scaled by 2^40 among them, leaves the tableau,
-    # its path and its checkpoints as they were
+    # the lanes are sized for the input when the tableau is built: a refused
+    # row, x + y <= 1 scaled by 2^40 among them, leaves the tableau, its
+    # path and its checkpoints as they were.  The input is all 0 or 1, so
+    # the lanes have the 0/1 width and a -1 is refused as well as a 2
     tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    assert tab.binary
     res = tab.solve()
 
     def state():
-        return list(tab.t), list(tab.path), [list(rows) for rows, *_ in tab.checkpoints]
+        checkpoints = [(list(rows), d, list(basis), list(nonbasic))
+                       for rows, d, basis, nonbasic in tab.checkpoints]
+        return (list(tab.t), tab.d, list(tab.basis), list(tab.nonbasic), list(tab.path),
+                checkpoints, tab.pivots, tab.executed)
 
     before = state()
-    for row, rhs in (([2**40, 2**40], 2**40), ([1, -2], 1), ([1, 1], 2)):
-        with pytest.raises(SimplexError, match="exceeds the tableau's input peak"):
+    for row, rhs, message in (
+        ([2**40, 2**40], 2**40, "exceeds the tableau's input peak"),
+        ([1, -2], 1, "exceeds the tableau's input peak"),
+        ([1, 1], 2, "exceeds the tableau's input peak"),
+        ([2, 0], 1, "exceeds the tableau's input peak"),
+        ([1, -1], 1, "of a 0/1 tableau is negative"),
+        ([-1, 0], 0, "of a 0/1 tableau is negative"),
+    ):
+        with pytest.raises(SimplexError, match=message):
             tab.append_row(row, rhs)
     assert state() == before
     assert tab.solve() == res
     # a row within the peak is appended and resumed from as before
     tab.append_row([1, 1], 1)
     assert tab.solve() == simplex_max([[1, 0], [0, 1], [1, 1]], [1, 1, 1], [1, 1])
+
+
+@pytest.mark.parametrize(
+    "rows, b, c, message",
+    [
+        # a row's extra entry would be read as its right-hand side
+        ([[1, 2]], [1], [1], "inconsistent dimensions"),
+        # the all-slack basis would be the infeasible x = -1
+        ([[1]], [-1], [1], "nonnegative"),
+        # the extra right-hand side would be dropped
+        ([[1]], [1, 1], [1], "inconsistent dimensions"),
+    ],
+    ids=["long-row", "negative-rhs", "extra-rhs"],
+)
+def test_tableau_checks_its_input(rows, b, c, message):
+    with pytest.raises(SimplexError, match=message):
+        Tableau(rows, b, c)
+
+
+def test_lanes_are_sized_by_the_inputs_sign_and_peak():
+    # all 0 or 1, zero right-hand sides included: the 0/1 bound
+    assert Tableau([[1, 0], [0, 1]], [0, 1], [1, 1]).lanes.width == simplex._Lanes(2, 1, True).width
+    # a -1 at peak 1, in a row or in the objective, keeps the Hadamard width
+    for rows, b, c in (([[1, -1], [0, 1]], [1, 1], [1, 1]), ([[1, 0], [0, 1]], [1, 1], [1, -1])):
+        tab = Tableau(rows, b, c, resumable=True)
+        assert (tab.binary, tab.peak, tab.lanes.width) == (False, 1, simplex._Lanes(2, 1).width)
+    # and such a tableau takes a -1 in an appended row
+    tab.solve()
+    tab.append_row([-1, 1], 1)
+    assert tab.solve() == simplex_max([[1, 0], [0, 1], [-1, 1]], [1, 1, 1], [1, -1])
+    # a 2 sets the Hadamard width at peak 2
+    assert Tableau([[1, 0]], [2], [1, 1]).lanes.width == simplex._Lanes(2, 2).width
+
+
+@pytest.mark.parametrize(
+    "n, binary, hadamard",
+    [(16, 23, 37), (23, 37, 58), (34, 61, 92), (66, 142, 206), (88, 206, 291), (130, 336, 463)],
+)
+def test_lane_widths_are_pinned(n, binary, hadamard):
+    # n = 16 / 23 / 34 / 66 / 88 / 130: w_prime, w_double_prime, w1, g_hat_k3,
+    # u_hat and g_sequence(1) as covering LPs over their vertices
+    assert (simplex._Lanes(n, 1, True).width, simplex._Lanes(n, 1).width) == (binary, hadamard)
+
+
+def det(matrix):
+    """Exact determinant by Bareiss elimination with row swaps."""
+    a = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
+# Sylvester's Hadamard matrix of order 8 has entries (-1)^popcount(i & j);
+# bordered off and mapped -1 -> 1, +1 -> 0 it is a 0/1 matrix of order 7
+# whose determinant 32 is the 0/1 bound 8^4 / 2^7 met exactly
+SYLVESTER_7 = [[bin(i & j).count("1") % 2 for j in range(1, 8)] for i in range(1, 8)]
+
+# the largest determinant of a 0/1 matrix of orders 1 to 10 (OEIS A003432)
+MAX_01_DET = [1, 1, 2, 3, 5, 9, 32, 56, 144, 320]
+
+
+def test_binary_lanes_hold_every_01_determinant():
+    # orders 1 to 4 exhaustively, up to the order of the rows, which moves
+    # only the sign; orders 5 to 10 by their known maxima
+    for k in range(1, 5):
+        rows = list(product((0, 1), repeat=k))
+        assert max(abs(det(m)) for m in combinations(rows, k)) == MAX_01_DET[k - 1]
+    assert abs(det(SYLVESTER_7)) == 32
+    for k, peak in enumerate(MAX_01_DET, start=1):
+        lanes = simplex._Lanes(k - 1, 1, True)
+        # strictly inside (-2^(W-1), 2^(W-1)), and within bits(H) = W - 2
+        assert peak < lanes.half
+        assert peak.bit_length() <= lanes.width - 2
+    # at order 7 the bound is met: H = 32, so W = bits(32) + 2
+    assert simplex._Lanes(6, 1, True).width == 8
+
+
+@st.composite
+def cover_programs(draw):
+    """Packing LPs of covering form: 0/1 rows, b = 1 and c = 1, n <= 12 and
+    up to 40 rows.  Some start with the unit rows, as column generation
+    does, and so are bounded; some hold the rows of ``SYLVESTER_7``."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=40))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        rows[:0] = [[int(j == k) for j in range(n)] for k in range(n)]
+    if n >= 7 and draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=min(len(rows), 33)))
+        pad = draw(st.lists(st.integers(0, 1), min_size=n - 7, max_size=n - 7))
+        rows[at:at] = [row + pad for row in SYLVESTER_7]
+    del rows[40:]
+    return rows, [1] * len(rows), [1] * n
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cover_programs())
+def test_cover_programs_on_binary_lanes_match_dense_oracle(program):
+    rows, b, c = program
+    got = outcome(simplex_max, rows, b, c)
+    # equal results include equal pivots, and equal max_bits the same tableau
+    assert with_bits(got) == with_bits(outcome(dense_simplex_max, rows, b, c))
+    if isinstance(got, SimplexResult):
+        assert got.lanes.width == simplex._Lanes(len(c), 1, True).width
 
 
 def test_append_row_checks_its_row():
