@@ -199,7 +199,7 @@ class Tableau:
         _check_rows(rows, b, n)
         m = len(rows)
         # the input's extremes set the lane width: the 0/1 bound when every
-        # entry is 0 or 1, else the Hadamard bound at the largest absolute
+        # entry is 0 or 1, else the Hadamard bound at the largest absolute one
         lo = min(chain(b, c, *rows), default=0)
         hi = max(chain(b, c, *rows), default=0)
         self.peak = max(hi, -lo)
