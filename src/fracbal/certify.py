@@ -5,9 +5,10 @@ color class ``rep`` times, drawing from a palette of p colors, and every
 vertex must be covered at least q times.  Classes identify colors only
 through multiplicity; duplicate rows for the same set are merged on load.
 
-The audits (overlaps, triangle counts, profiles) are popcounts on one
-cached view, ``Certificate.masks``: the classes laid out on consecutive
-colors, one color bitmask per vertex.  The verifier is deliberately
+The overlap and profile audits are popcounts on one cached view,
+``Certificate.masks``: the classes laid out on consecutive colors, one
+color bitmask per vertex; the triangle counts sum class repetitions, so
+their memory does not grow with the palette.  The verifier is deliberately
 primitive: it uses only balance / forest checks and integer counting over
 the classes, so it stays independent of whatever produced the certificate
 (the LP solver or the inductive composer, which reads the mask view).
@@ -230,10 +231,10 @@ def overlap(c: Certificate, x: str, y: str) -> int:
 
 def triangle_common_count(c: Certificate, t: Sequence[str]) -> int:
     """Number of colors appearing on all three vertices of a triangle."""
-    if len(set(t)) != 3:
+    need = set(t)
+    if len(need) != 3:
         raise GraphError("expected 3 distinct vertices")
-    a, b, d = (c.masks.get(v, 0) for v in set(t))
-    return (a & b & d).bit_count()
+    return sum(rep for s, rep in c.classes if need.issubset(s))
 
 
 def triangle_missing_count(c: Certificate, t: Sequence[str]) -> int:
@@ -242,10 +243,10 @@ def triangle_missing_count(c: Certificate, t: Sequence[str]) -> int:
     Unused palette colors (p minus the total repetition) miss every
     triangle and are counted in.
     """
-    if len(set(t)) != 3:
+    need = set(t)
+    if len(need) != 3:
         raise GraphError("expected 3 distinct vertices")
-    a, b, d = (c.masks.get(v, 0) for v in set(t))
-    return c.p - (a | b | d).bit_count()
+    return c.p - sum(rep for s, rep in c.classes if not need.isdisjoint(s))
 
 
 def triangle_property_audit(c: Certificate, t: Sequence[str], sign: int) -> bool:

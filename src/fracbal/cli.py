@@ -189,7 +189,8 @@ def cmd_bounds(args) -> int:
     bp = BoundParams(args.p, args.q)
     # Unless 41p = 83q, |mu| >= (21^i - 3 max(p, q)) / 20, p and q having at
     # most ``limit`` digits, so once 1.3 i > limit + 4 mu is refused unbuilt.
-    limit = sys.get_int_max_str_digits()
+    # Python before 3.10.7 has no limit and no function to read it: 0 there.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_many = f"mu has more than {limit} digits, too many to print"
     if limit and 41 * args.p != 83 * args.q and 13 * args.i > 10 * (limit + 4):
         raise BoundsError(too_many)

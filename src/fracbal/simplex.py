@@ -1,7 +1,8 @@
 """Exact fraction-free simplex with Bland's anti-cycling rule.
 
-Solves  max c^T x  subject to  A x <= b,  x >= 0  with b >= 0, so the
-all-slack basis is feasible and no phase-1 is needed.
+Solves  max c^T x  subject to  A x <= b,  x >= 0  for the covering LPs of
+this package, whose every entry is the int 0 or 1; any other is refused.
+As b >= 0, the all-slack basis is feasible and no phase-1 is needed.
 
 The tableau is condensed (Tucker form): one row per basic variable and one
 column per nonbasic variable plus the right-hand side, with the objective
@@ -13,24 +14,19 @@ is the integer-preserving update of Edmonds and Bareiss:
     new[i][k] = (t[i][k] * p - t[i][s] * t[r][k]) // d
 
 which always divides exactly; afterwards ``d`` becomes the pivot ``p``.
-Rational inputs are scaled once by the lcm of their denominators, which
-rescales the slacks and the objective but neither the pivot path nor the
-optimal ``x`` and duals.  No floating point enters the computation, which
-is what lets the covering optima downstream be exact.
+No floating point enters the computation, which is what lets the covering
+optima downstream be exact.
 
 Each row of ``n + 1`` entries is stored as one Python int: entry ``k`` is
 a signed lane of ``W`` bits at bit ``W * k``, and the row is the integer
 ``sum(entry_k << W * k)``.  Every stored entry, ``d`` included, is plus or
 minus a minor of at most ``k = n + 1`` columns of ``[A b; c 0]``, so its
-absolute value is at most a bound ``H`` on the determinant of a matrix of
-order ``k`` with the input's entries.  When every input entry is 0 or 1, as
-in every covering LP, ``H = (k + 1)^((k + 1) / 2) / 2^k``: bordering such a
+absolute value is at most a bound ``H`` on the determinant of a 0/1 matrix
+of order ``k``, ``H = (k + 1)^((k + 1) / 2) / 2^k``: bordering such a
 matrix and mapping 0 to 1 and 1 to -1 gives a +-1 matrix of order ``k + 1``
 whose determinant is ``(-2)^k`` times it, and Hadamard's inequality bounds
 that (Brenner and Cummings, "The Hadamard maximum determinant problem",
-1972).  Otherwise Hadamard's inequality gives ``H = (sqrt(k) * peak)^k``,
-where ``peak`` is the largest absolute input entry, about ``k`` bits more
-at peak 1.  ``W = bits(H) + 2`` leaves every lane strictly inside
+1972).  ``W = bits(H) + 2`` leaves every lane strictly inside
 ``(-2^(W-1), 2^(W-1))``.  A pivot updates a whole row at once:
 
     new = (x * p - f * (prow + (d << W * s))) // d
@@ -42,9 +38,9 @@ the packed row of the quotients, and one exact integer division yields it
 whatever carries the products left between lanes.  Products are never
 unpacked.  A lane is read with one biased shift and mask: adding ``2^(W-1)``
 to every lane makes them all nonnegative without carries.  ``W`` is fixed
-when the tableau is built, so an appended row may hold no entry above
-``peak``, and on a 0/1 tableau no negative entry either; column generation
-appends 0/1 rows with right-hand side 1 to a 0/1 tableau of singleton rows.
+when the tableau is built, so an appended row must be 0/1 too; column
+generation appends 0/1 rows with right-hand side 1 to a tableau of
+singleton rows.
 
 ``Tableau`` is the one engine and ``solve`` its one pivot loop:
 ``simplex_max`` builds a tableau and runs Bland's rule to the end, and
@@ -73,12 +69,11 @@ time it is read.  Nothing along the path accounts widths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import isqrt, lcm
-from numbers import Rational
+from math import isqrt
 from typing import Sequence
 
 # Pivots between two full tableau checkpoints: a rewind replays fewer than
@@ -107,24 +102,16 @@ class SimplexResult:
         return _width([self.lanes.unpack(x) for x in self.final]).bit_length()
 
 
-def _check_rows(rows: Sequence[Sequence[Rational]], b: Sequence[Rational], n: int) -> None:
+def _check_rows(rows: Sequence[Sequence[int]], b: Sequence[int], n: int) -> None:
     if any(len(r) != n for r in rows) or len(b) != len(rows):
         raise SimplexError("inconsistent dimensions")
-    if any(bi < 0 for bi in b):
-        raise SimplexError("requires nonnegative right-hand sides")
-
-
-def _eliminate(x: int, f: int, lifted: int, p: int, d: int) -> int:
-    """The Bareiss update of the packed non-pivot row ``x``, whose entry in
-    the pivot column is ``f``, for pivot ``p`` at denominator ``d``.
-    ``lifted`` is the packed pivot row plus ``d`` in the pivot column, so
-    the numerator's pivot-column lane is ``f * p - f * (p + d) = -f * d``
-    and the one exact division leaves ``-f`` there."""
-    if f:
-        return (x * p - f * lifted) // d
-    if p != d:
-        return x * p // d
-    return x
+    # the type test first: a Fraction(1) or a 1.0 would pass the value test,
+    # and an unhashable entry would break it; a bool is an int
+    if not (
+        {int, bool}.issuperset(map(type, chain(b, *rows)))
+        and {0, 1}.issuperset(chain(b, *rows))
+    ):
+        raise SimplexError("every entry must be the int 0 or 1")
 
 
 def _width(rows: Sequence[list[int]]) -> int:
@@ -133,27 +120,19 @@ def _width(rows: Sequence[list[int]]) -> int:
 
 
 class _Lanes:
-    """The packing of a tableau row of ``n + 1`` entries into one int, for
-    inputs whose entries are at most ``peak`` in absolute value, or all 0
-    or 1 when ``binary``: entry ``k`` is the signed lane of ``width`` bits
-    at bit ``shifts[k]``, with ``width`` from the determinant bound of the
-    module docstring, the 0/1 bound when ``binary`` and the Hadamard bound
-    otherwise.  Adding ``bias`` lifts every lane by ``half`` into
-    ``[0, 2^width)`` without a carry between lanes, so one shift and
-    ``mask`` read any lane.
+    """The packing of a tableau row of ``n + 1`` entries into one int: entry
+    ``k`` is the signed lane of ``width`` bits at bit ``shifts[k]``, with
+    ``width`` from the 0/1 determinant bound of the module docstring.
+    Adding ``bias`` lifts every lane by ``half`` into ``[0, 2^width)``
+    without a carry between lanes, so one shift and ``mask`` read any lane.
     """
 
     __slots__ = ("width", "mask", "half", "bias", "shifts")
 
-    def __init__(self, n: int, peak: int, binary: bool = False):
+    def __init__(self, n: int):
         k = n + 1
-        if binary:
-            # the largest integer H with H^2 <= (k + 1)^(k + 1) / 4^k
-            h = isqrt((k + 1) ** (k + 1) >> 2 * k)
-        else:
-            # H = ceil(sqrt(h2)), h2 >= 1
-            h2 = k**k * max(peak, 1) ** (2 * k)
-            h = isqrt(h2 - 1) + 1
+        # the largest integer H with H^2 <= (k + 1)^(k + 1) / 4^k
+        h = isqrt((k + 1) ** (k + 1) >> 2 * k)
         self.width = w = h.bit_length() + 2
         self.mask = (1 << w) - 1
         self.half = 1 << (w - 1)
@@ -169,8 +148,8 @@ class _Lanes:
 
 
 class Tableau:
-    """Condensed tableau of  max c.x, A x <= b, x >= 0  over integers
-    (b >= 0), optionally resumable.
+    """Condensed tableau of  max c.x, A x <= b, x >= 0  with every entry
+    of ``A``, ``b`` and ``c`` the int 0 or 1, optionally resumable.
 
     ``solve`` runs Bland's rule from the current state.  A ``resumable``
     tableau records its path and checkpoints, and ``append_row`` adds one
@@ -179,9 +158,7 @@ class Tableau:
     the checkpoints would keep a tableau per ``_CHECKPOINT_EVERY`` pivots
     alive.  ``t`` holds the rows packed by ``lanes``, constraint rows then
     the objective row, and ``rows`` unpacks them.  Packed rows are ints,
-    so the path records and the checkpoints share them.  ``binary`` says
-    whether every input entry is 0 or 1, which picks the lanes' bound, and
-    ``peak`` is the largest absolute input entry.  ``executed``
+    so the path records and the checkpoints share them.  ``executed``
     counts the pivots actually computed, replays included.  A result keeps
     the packed rows it was read from as a tuple, since ``append_row``
     inserts into ``t`` in place, and its ``max_bits`` is their width.
@@ -196,15 +173,10 @@ class Tableau:
         resumable: bool = False,
     ):
         self.n = n = len(c)
-        _check_rows(rows, b, n)
+        # the matrix [A b; c 0] of the module docstring
+        _check_rows([*rows, c], [*b, 0], n)
         m = len(rows)
-        # the input's extremes set the lane width: the 0/1 bound when every
-        # entry is 0 or 1, else the Hadamard bound at the largest absolute one
-        lo = min(chain(b, c, *rows), default=0)
-        hi = max(chain(b, c, *rows), default=0)
-        self.peak = max(hi, -lo)
-        self.binary = lo >= 0 and hi <= 1
-        self.lanes = lanes = _Lanes(n, self.peak, self.binary)
+        self.lanes = lanes = _Lanes(n)
         # m constraint rows, then the objective row of reduced costs and -value
         self.t = [lanes.pack([*row, bi]) for row, bi in zip(rows, b)]
         self.t.append(lanes.pack([*c, 0]))
@@ -266,17 +238,13 @@ class Tableau:
     def append_row(self, row: Sequence[int], rhs: int) -> None:
         """Add the constraint ``row . x <= rhs`` and rewind to the first
         recorded step at which it would win the ratio test, if any.  An
-        entry above ``peak``, or a negative one on a 0/1 tableau, is
-        refused, since the lanes could not hold the minors it makes."""
+        entry other than 0 or 1 is refused before anything changes, since
+        the lanes could not hold the minors it makes."""
         if not self.resumable:
             raise SimplexError("rows can only be appended to a resumable tableau")
         _check_rows([row], [rhs], self.n)
         n = self.n
         m = len(self.t) - 1
-        if max(map(abs, [*row, rhs])) > self.peak:
-            raise SimplexError("an appended entry exceeds the tableau's input peak")
-        if self.binary and min(row, default=0) < 0:
-            raise SimplexError("an appended entry of a 0/1 tableau is negative")
         lanes = self.lanes
         mask, half, bias, shifts = lanes.mask, lanes.half, lanes.bias, lanes.shifts
         top = shifts[n]
@@ -295,7 +263,11 @@ class Tableau:
             if f > 0 and ((u >> top) - half) * p < ((pu >> top) - half) * f:
                 self._rewind(k)
                 return
-            new = _eliminate(new, f, prow + (d << sh), p, d)
+            # the Bareiss update of _pivot on this one row
+            if f:
+                new = (new * p - f * (prow + (d << sh))) // d
+            elif p != d:
+                new = new * p // d
         self.t.insert(m, new)
         self.basis.append(n + m)
 
@@ -323,10 +295,10 @@ class Tableau:
         t, d = self.t, self.d
         prow, p = t[r], col[r]
         sh = self.lanes.shifts[s]
+        # the pivot row plus d in column s, so that the numerator's lane s is
+        # f * p - f * (p + d) = -f * d and the exact division leaves -f there
         lifted = prow + (d << sh)
         same = p == d
-        # _eliminate on every row, inlined: a call per row costs more than
-        # the update of a small row
         new = [
             (x * p - f * lifted) // d if f else (x if same else x * p // d)
             for x, f in zip(t, col)
@@ -358,21 +330,11 @@ class Tableau:
 
 
 def simplex_max(
-    rows: Sequence[Sequence[Rational]],
-    b: Sequence[Rational],
-    c: Sequence[Rational],
+    rows: Sequence[Sequence[int]],
+    b: Sequence[int],
+    c: Sequence[int],
 ) -> SimplexResult:
-    """Maximize c.x over Ax <= b, x >= 0 (requires b >= 0) on a fresh
-    ``Tableau``, with Bland's rule.  Every entry must be a ``Rational``
-    (an int or a Fraction); a float or a Decimal is refused."""
-    for v in chain(b, c, *rows):
-        # the type test first: most entries are ints, and the ABC check is slow
-        if type(v) is not int and not isinstance(v, Rational):
-            raise SimplexError(f"entries must be rational, got {v!r}")
-    scale = lcm(*(v.denominator for v in chain(b, c, *rows)))
-
-    def scaled(vals: Sequence[Rational]) -> list[int]:
-        return [v.numerator * (scale // v.denominator) for v in vals]
-
-    res = Tableau([scaled(row) for row in rows], scaled(b), scaled(c)).solve()
-    return replace(res, value=res.value / scale)
+    """Maximize c.x over Ax <= b, x >= 0 on a fresh ``Tableau``, with
+    Bland's rule.  Every entry must be the int 0 or 1 (a bool is one); any
+    other entry, a ``Fraction(1)`` or a 1.0 included, is refused."""
+    return Tableau(rows, b, c).solve()

@@ -1,6 +1,7 @@
 """Command-line behaviors: outputs, exit codes, determinism."""
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -209,6 +210,25 @@ def test_audit_triangle_command(tmp_path, capsys):
     assert doc["missing"] == 4 and doc["strict_property"] is False
 
 
+def test_audit_triangle_on_a_palette_of_10_to_the_18(tmp_path, capsys):
+    # the counts sum the classes' repetitions: a color bitmask per vertex
+    # would take 10^17 bits and more
+    p, rep = 10**18, 10**17
+    classes = [(["a", "b", "c"], rep), (["a", "b"], 2 * rep), (["d"], 3 * rep)]
+    cfile = tmp_path / "wide.json"
+    cfile.write_text(json.dumps({
+        "p": p, "q": 1, "mode": "balanced",
+        "classes": [{"set": s, "rep": r} for s, r in classes],
+    }))
+    for sign in ("-1", "1"):
+        code, out, _ = run(capsys, "audit-triangle", str(cfile), "--triangle", "a,b,c", "--sign", sign)
+        assert code == 0
+        assert json.loads(out) == {
+            "triangle": ["a", "b", "c"], "sign": int(sign),
+            "missing": p - 3 * rep, "common": rep, "strict_property": False,
+        }
+
+
 def test_bounds_commands(capsys):
     code, out, _ = run(capsys, "bounds", "thresholds")
     assert code == 0
@@ -226,6 +246,18 @@ def test_bounds_commands(capsys):
     code, out, _ = run(capsys, "bounds", "mu", "--p", "83", "--q", "41", "--i", "1000000000")
     assert time.perf_counter() - start < 1
     assert code == 0 and json.loads(out)["mu"] == "2"
+
+
+def test_bounds_mu_without_the_digit_limit_function(capsys, monkeypatch):
+    # Python before 3.10.7 has no sys.get_int_max_str_digits
+    argvs = [
+        ("bounds", "mu", "--p", "2", "--q", "1", "--i", "1"),
+        ("bounds", "mu", "--i", "3000"),
+        ("bounds", "mu", "--p", "83", "--q", "41", "--i", "1000000000"),
+    ]
+    want = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert [run(capsys, *argv) for argv in argvs] == want
 
 
 @pytest.mark.parametrize(

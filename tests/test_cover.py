@@ -276,8 +276,8 @@ def test_master_pivots_counts_executed_pivots(monkeypatch):
 def test_master_results_unpack_one_row_per_solve(monkeypatch):
     # a master result unpacks only its objective row and reads x from the
     # rhs lanes; the pins keep the bound from being met by a shorter run.
-    # The master is a 0/1 tableau over 16 vertices, so its lanes take the
-    # 0/1 determinant bound: 23 bits, not the Hadamard bound's 37
+    # The master is a tableau over 16 vertices, so its lanes take the 0/1
+    # determinant bound of order 17: 23 bits
     unpack = simplex._Lanes.unpack
     unpacked = []
 
