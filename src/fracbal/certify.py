@@ -12,6 +12,8 @@ their memory does not grow with the palette.  The verifier is deliberately
 primitive: it uses only balance / forest checks and integer counting over
 the classes, so it stays independent of whatever produced the certificate
 (the LP solver or the inductive composer, which reads the mask view).
+Classes are peeled to their 2-cores before the balance test, and a failing
+class is searched whole for its witness.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .sgraph import (
     any_cycle,
     load_json,
     negative_cycle_witness,
+    peel,
     sets_hold,
 )
 
@@ -176,8 +179,10 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
     the palette, and every vertex must be covered at least q times.  One
     loop over the members counts coverage, finds strangers and builds the
-    class bitmasks in vertex order for one edge pass (``sgraph.sets_hold``);
-    only a class that fails is searched again for its cycle witness.
+    class bitmasks in vertex order; ``sgraph.peel`` drops the vertices on
+    no cycle of their class, and one edge pass (``sgraph.sets_hold``) tests
+    what is left.  Only a class that fails is searched again, whole, for
+    its cycle witness, so the report does not depend on the peel.
     """
     index = g.index
     counts = [0] * len(index)
@@ -194,7 +199,7 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
                 counts[i] += rep
                 masks[i] |= bit
         strangers.append(out)
-    holds = sets_hold(g, masks, len(c.classes), acyclic=c.mode is Mode.FOREST)
+    holds = sets_hold(g, peel(g, masks), len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
     for (s, _), out, ok in zip(c.classes, strangers, holds):
         if out:

@@ -22,7 +22,9 @@ operation and freeze; trace replay and the constructors keep one builder
 throughout, so replaying a trace takes time linear in its length.  A
 builder only ever adds, so freezing validates what it added and shares
 the rest with the graph it was thawed from: one surgery step costs Python
-work in the size of what it adds, plus C-level copies of the parent.
+work in the size of what it adds, plus C-level copies of the parent.  A
+copy is grafted from a plan its guest compiles once per identified order
+and switching, so a trace's substitutions replay one plan of w_prime.
 """
 from __future__ import annotations
 
@@ -116,7 +118,8 @@ class _Builder:
     dicts until an operation first adds an edge at one (``_own``).  Every
     operation adds each vertex's new neighbours in canonical order, so no
     neighbour dict needs sorting.  Freezing hands the builder's dicts to
-    the graph, so a builder freezes once.
+    the graph, so a builder freezes once.  ``_graft`` makes a copy's names,
+    dicts and edges from a plan memoised on the guest (``_graft_plan``).
     """
 
     def __init__(self, g: GadgetGraph) -> None:
@@ -222,9 +225,10 @@ class _Builder:
             raise GraphError("gadget terminals u and v are not adjacent")
         switched = {gv} if guest.sign(gu, gv) != self.sign(x, y) else set()
         mapping = self._graft(guest, {gu: x, gv: y}, switched, suffix)
+        # ``freeze`` checks each mapped triangle; sorting puts it in canonical order
+        order = self.index.__getitem__
         for t in gadget.marked_triangles:
-            mt = canonical_set(self, tuple(mapping[v] for v in t))  # type: ignore[arg-type]
-            self.marked.append(mt)
+            self.marked.append(tuple(sorted(map(mapping.__getitem__, t), key=order)))
         return mapping
 
     def glue(
@@ -247,8 +251,9 @@ class _Builder:
         switched = {tg[i] for i in (0, 1) if gsign(tg[i], tg[2]) != self.sign(th[i], th[2])}
         mapping = self._graft(guest.graph, dict(zip(tg, th)), switched, suffix)
         known = set(self.marked)
+        order = self.index.__getitem__
         for t in guest.marked_triangles:
-            mt = canonical_set(self, tuple(mapping[v] for v in t))  # type: ignore[arg-type]
+            mt = tuple(sorted(map(mapping.__getitem__, t), key=order))
             if mt not in known:
                 known.add(mt)
                 self.marked.append(mt)
@@ -262,31 +267,29 @@ class _Builder:
     ) -> dict[str, str]:
         """Copy ``guest`` switched at ``switched``: ``identified`` vertices
         map to host vertices, the others to new ``<name>#<suffix>`` ones, and
-        an edge between two identified vertices merges with the host's."""
-        mapping = {}
-        for v in guest.vertices:
-            if v in identified:
-                mapping[v] = identified[v]
-            else:
-                mapping[v] = f"{v}#{suffix}"
-                if self.has_vertex(mapping[v]):
-                    raise GraphError(f"fresh name {mapping[v]!r} collides with host")
+        an edge between two identified vertices merges with the host's.  It
+        runs the guest's plan for these identified vertices in host order
+        and this switching, compiled on first use (``_graft_plan``)."""
+        hosts = tuple(sorted(identified, key=lambda v: self.index[identified[v]]))
+        key = (hosts, frozenset(switched))
+        if key not in guest._memo:
+            guest._memo[key] = _graft_plan(guest, hosts, switched)
+        copies, copy_nbrs, host_nbrs, added = guest._memo[key]
+        mapping = {v: identified[v] if v in identified else f"{v}#{suffix}" for v in guest.vertices}
+        names = [mapping[v] for v in copies]
+        for name in names:
+            if name in self.index:
+                raise GraphError(f"fresh name {name!r} collides with host")
         self._own(identified.values())
-        # each copy with its edges to identified vertices, in host order, then
-        # the edges between copies: every neighbour dict stays canonical
-        hosts = sorted(identified, key=lambda v: self.index[identified[v]])
-        for w in guest.vertices:
-            if w not in identified:
-                self._add_vertex(mapping[w])
-                nbrs = guest.adj[w]
-                for v in hosts:
-                    if v in nbrs:
-                        flip = (v in switched) != (w in switched)
-                        self._add_edge(identified[v], mapping[w], -nbrs[v] if flip else nbrs[v])
-        for a, b, s in guest.edges:
-            if a not in identified and b not in identified:
-                flip = (a in switched) != (b in switched)
-                self._add_edge(mapping[a], mapping[b], -s if flip else s)
+        local = [identified[v] for v in hosts] + names
+        first = len(self.vertices)
+        self.index.update(zip(names, range(first, first + len(names))))
+        self.vertices += names
+        for name, pairs in zip(names, copy_nbrs):
+            self.adj[name] = {local[i]: s for i, s in pairs}
+        for host, pairs in zip(local, host_nbrs):
+            self.adj[host].update({local[i]: s for i, s in pairs})
+        self.added += [(local[a], local[b], s) for a, b, s in added]
         return mapping
 
     def apply(self, step: Op1 | Op2, idx: int) -> dict[str, str] | str:
@@ -297,6 +300,29 @@ class _Builder:
             return self.substitute(step.edge, _w_prime_template(), idx)
         except GraphError as exc:
             raise TraceError(idx, str(exc)) from exc
+
+
+def _graft_plan(guest: SignedGraph, hosts: tuple[str, ...], switched: set[str]) -> tuple:
+    """What ``_Builder._graft`` adds for ``guest`` with ``hosts`` identified,
+    in host order, and switched at ``switched``, over local ids: the hosts
+    in that order, then the copies in guest order.  Returns the copies, each
+    copy's and each host's new neighbours as (id, sign) pairs in insertion
+    order, and the added edges as (id, id, sign)."""
+    copies = tuple(v for v in guest.vertices if v not in hosts)
+    local = {v: i for i, v in enumerate(hosts + copies)}
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in local]
+    added = []
+    # each copy with its edges to identified vertices, in host order, then
+    # the edges between copies: every neighbour dict stays canonical
+    edges = [(v, w, guest.adj[w][v]) for w in copies for v in hosts if v in guest.adj[w]]
+    edges += [(a, b, s) for a, b, s in guest.edges if a not in hosts and b not in hosts]
+    for a, b, s in edges:
+        i, j = local[a], local[b]
+        s = -s if (a in switched) != (b in switched) else s
+        added.append((i, j, s))
+        nbrs[i].append((j, s))
+        nbrs[j].append((i, s))
+    return copies, nbrs[len(hosts):], nbrs[: len(hosts)], added
 
 
 def k3_minus() -> GadgetGraph:

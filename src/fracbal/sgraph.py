@@ -6,8 +6,9 @@ cycle whose edge-sign product is -1.  ``sets_hold`` decides balance (or
 acyclicity) for many sets at once, given as class bitmasks in vertex order:
 one pass over the edge list hands each edge to the sets that hold both its
 endpoints, and a parity union-find over vertex indices joins them per set.
-Only a set that fails is walked again, by a BFS over its induced subgraph,
-for an explicit cycle witness.
+``peel`` can first drop from each set, in one more pass, vertices on no
+cycle of it, which changes no answer.  Only a set that fails is walked
+again, by a BFS over its induced subgraph, for an explicit cycle witness.
 
 Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).  The layers
@@ -312,7 +313,8 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     closes a cycle (``acyclic``) or a negative one; by Harary's criterion,
     none does iff the set holds.  It keeps no rollback trail and no root
     masks, as the search core in ``families`` does: they would double the
-    time."""
+    time.  Masks ``peel`` has shrunk give the same answers in fewer unions;
+    peeling here would cost a single set more than its early exit saves."""
     n = len(g.vertices)
     if isinstance(masks, dict) or len(masks) != n:
         raise ValueError(f"masks must be a list of {n} class bitmasks in vertex order")
@@ -354,6 +356,31 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
             up[v] = v
             rank[v] = 0
         out.append(holds)
+    return out
+
+
+def peel(g: SignedGraph, masks: list[int]) -> list[int]:
+    """Class bitmasks as ``sets_hold`` takes them, with vertices on no
+    cycle of a set dropped from it.  A vertex with at most one neighbour
+    left in a set is on none of its cycles, so dropping it changes no
+    balance or forest answer.  One pass over the index edges lists, per
+    vertex, the neighbours it shares some set with; then each vertex, last
+    first, keeps the sets in which it still has two neighbours, counted
+    bit-sliced over the sets.  Each set keeps its 2-core (Seidman 1983)."""
+    nbrs: list[list[int]] = [[] for _ in masks]
+    for a, b, _ in g._index_edges:
+        if masks[a] & masks[b]:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    out = list(masks)
+    for v in range(len(out) - 1, -1, -1):
+        mv = out[v]
+        one = two = 0
+        for u in nbrs[v]:
+            x = out[u] & mv
+            two |= one & x
+            one |= x
+        out[v] = mv & two
     return out
 
 

@@ -30,6 +30,7 @@ from fracbal.sgraph import (
     all_triangles,
     any_cycle,
     negative_cycle_witness,
+    peel,
     sets_hold,
 )
 from fracbal.tables import (
@@ -398,6 +399,21 @@ def test_verify_matches_per_class_witness_search_beyond_64_classes():
     assert [(v.kind, v.subject) for v in reports[2].violations] == [
         ("unknown-vertex", stray.classes[70][0])
     ]
+
+
+def test_peel_drops_most_memberships_of_a_composed_certificate():
+    # a peel that keeps every membership would still give every answer;
+    # on a composed certificate it drops about half of them
+    trace = random_trace(Random(7), 200)
+    g = build_from_trace(trace).graph
+    cert = compose_8341(trace)
+    masks = [0] * len(g.vertices)
+    for j, (members, _) in enumerate(cert.classes):
+        for v in members:
+            masks[g.index[v]] |= 1 << j
+    before = sum(m.bit_count() for m in masks)
+    after = sum(m.bit_count() for m in peel(g, masks))
+    assert after <= 0.6 * before
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -1,7 +1,11 @@
 """Constructors, graph surgery, and build traces."""
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from fracbal.gadgets import (
     Op2,
     TraceError,
     _Builder,
+    _w_prime_template,
     apply_trace_step,
     build_from_trace,
     complete_negative_face,
@@ -289,6 +294,75 @@ def test_w1_underlying_shape():
 def test_build_from_trace_empty():
     g = build_from_trace(BuildTrace("K3_MINUS"))
     assert g.graph == k3_minus().graph
+
+
+def assert_canonical_adjacency(g):
+    """Each neighbour dict of ``g`` as a graph built from scratch on its
+    vertices and edges fills it, item order included."""
+    want = SignedGraph(g.vertices, g.edges).adj
+    assert list(g.adj) == list(want)
+    for v in g.vertices:
+        assert list(g.adj[v].items()) == list(want[v].items())
+
+
+def k4_with_terminals():
+    k4 = k4_minus()
+    return GadgetGraph(k4.graph, {"u": "u1", "v": "u2"}, k4.marked_triangles)
+
+
+@pytest.mark.parametrize("gadget", [k4_with_terminals, w_hat, w_prime, w_double_prime])
+@pytest.mark.parametrize("edge", [("x2", "u"), ("u", "x2"), ("x1", "x2"), ("x2", "x1")])
+def test_substitution_fills_every_neighbour_dict_in_canonical_order(gadget, edge):
+    # w_prime's x2-u is positive and x1-x2 negative; every gadget's u-v edge
+    # is negative, so the copy is switched on the first two edges only
+    host = w_prime()
+    guest = gadget()
+    b = _Builder(host)
+    mapping = b.substitute(edge, guest, 5)
+    assert list(mapping) == list(guest.graph.vertices)
+    assert guest.graph.sign(guest.terminal("u"), guest.terminal("v")) == -1
+    assert host.graph.sign(*edge) == (1 if "u" in edge else -1)
+    g = b.freeze()
+    assert_canonical_adjacency(g.graph)
+    assert g == substitute_edge(host, edge, guest, 5)
+
+
+def test_glue_and_the_trace_fill_every_neighbour_dict_in_canonical_order():
+    from fracbal.sgraph import switch
+
+    t = ("u1", "u2", "u3")
+    host = u_hat()
+    for bits in range(4):
+        guest = GadgetGraph(switch(k4_minus().graph, [t[i] for i in range(3) if bits >> i & 1]))
+        assert_canonical_adjacency(glue_triangle(host, host.marked_triangles[bits], guest, t).graph)
+    assert_canonical_adjacency(g_sequence(1).graph)
+    assert_canonical_adjacency(build_from_trace(random_trace(random.Random(7), 200)).graph)
+
+
+def test_a_colliding_copy_name_is_refused_with_the_first_in_guest_order():
+    names = ("p", "q", "x3#5", "x1#5")
+    host = GadgetGraph(SignedGraph(names, (("p", "q", -1), ("q", "x3#5", 1), ("p", "x1#5", -1))))
+    b = _Builder(host)
+    with pytest.raises(GraphError, match=r"^fresh name 'x1#5' collides with host$"):
+        b.substitute(("p", "q"), w_prime(), 5)
+    assert b.vertices == list(names) and not b.added
+    assert b.adj == host.graph.adj and all(b.adj[v] is host.graph.adj[v] for v in names)
+
+
+def test_graft_plans_are_built_on_first_use_and_stay_few():
+    root = Path(__file__).resolve().parents[1]
+    code = "import fracbal.gadgets as g; assert g._w_prime_template.cache_info().currsize == 0"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, "-c", code], cwd=root, env=env, check=True)
+    guest = w_prime()
+    assert not guest.graph._memo
+    substitute_edge(w_hat(), ("u", "v"), guest)
+    assert len(guest.graph._memo) == 1
+    # one plan per order of the identified pair in the host and switching
+    build_from_trace(random_trace(random.Random(3), 400))
+    memo = _w_prime_template().graph._memo
+    assert 1 <= len(memo) <= 4
+    assert all(len(hosts) == 2 and isinstance(switched, frozenset) for hosts, switched in memo)
 
 
 def test_build_from_trace_three_substitutions():

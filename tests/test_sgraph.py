@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracbal.sgraph import (
     GraphError,
@@ -19,6 +20,7 @@ from fracbal.sgraph import (
     names_by_key,
     negative_cycle_witness,
     parse_graph,
+    peel,
     serialize_graph,
     sets_hold,
     switch,
@@ -127,6 +129,42 @@ def test_sets_hold_with_no_sets_and_isolated_vertices(acyclic):
     sets = [("a", "b", "c"), ("i",), ("i", "j"), ("c", "d", "i", "j"), (), ("a", "b", "d", "i")]
     masks = [sum(1 << k for k, s in enumerate(sets) if v in s) for v in g.vertices]
     assert sets_hold(g, masks, len(sets), acyclic) == [False, True, True, True, True, True]
+
+
+def two_core(g, members):
+    """The 2-core of the subgraph ``members`` induces, by deleting vertices
+    with fewer than two neighbours left until none is left."""
+    core = set(members)
+    while True:
+        low = {v for v in core if sum(w in core for w in g.adj[v]) < 2}
+        if not low:
+            return core
+        core -= low
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """A random signed graph, possibly empty, with isolated vertices now
+    and then, and up to 90 sets as class bitmasks in vertex order."""
+    g = draw(signed_graphs(max_n=10))
+    count = draw(st.integers(0, 90))
+    masks = [draw(st.integers(0, (1 << count) - 1)) for _ in g.vertices]
+    return g, masks, count
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graphs_and_masks())
+def test_peel_keeps_each_sets_2_core_and_every_answer(case):
+    g, masks, count = case
+    peeled = peel(g, masks)
+    assert len(peeled) == len(masks)
+    assert all(p & ~m == 0 for p, m in zip(peeled, masks))
+    for j in range(count):
+        members = [v for v, m in zip(g.vertices, masks) if m >> j & 1]
+        for v in two_core(g, members):
+            assert peeled[g.index[v]] >> j & 1
+    for acyclic in (False, True):
+        assert sets_hold(g, peeled, count, acyclic) == sets_hold(g, masks, count, acyclic)
 
 
 def test_positive_five_cycle_balanced():
