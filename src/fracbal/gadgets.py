@@ -22,16 +22,17 @@ operation and freeze; trace replay and the constructors keep one builder
 throughout, so replaying a trace takes time linear in its length.  A
 builder only ever adds, so freezing validates what it added and shares
 the rest with the graph it was thawed from: one surgery step costs Python
-work in the size of what it adds, plus C-level copies of the parent.  A
-copy is grafted from a plan its guest compiles once per identified order
-and switching, so a trace's substitutions replay one plan of w_prime.
+work in the size of what it adds, plus C-level copies of the parent.  Every
+gadget copy, a mini completion's too, is grafted from a plan its guest
+compiles once per identified order and switching, so a trace's
+substitutions replay one plan of w_prime; only an apex is added by hand.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .sgraph import (
     Edge,
@@ -87,10 +88,15 @@ def _check_gadget(
             raise GraphError(f"marked triangle {t} is not negative")
 
 
-def _triple(g: SignedGraph | _Builder, t: Iterable[str]) -> tuple[str, str, str]:
+def _face(
+    g: SignedGraph | _Builder, t: Iterable[str], sign: int, what: str = "triangle"
+) -> tuple[str, str, str]:
+    """``t`` in canonical order, checked to be a triangle of sign ``sign``."""
     s = canonical_set(g, t)  # type: ignore[arg-type]
     if len(s) != 3:
         raise GraphError(f"expected 3 vertices, got {len(s)}")
+    if triangle_sign(g, s) != sign:  # type: ignore[arg-type]
+        raise GraphError(f"{what} {s} is not {'negative' if sign < 0 else 'positive'}")
     return s  # type: ignore[return-value]
 
 
@@ -104,10 +110,10 @@ def _fresh_name(g: _Builder, prefix: str) -> str:
 class _Builder:
     """A gadget graph under construction, and the one implementation of
     every surgery.  An operation checks its preconditions before it changes
-    anything and costs time in the size of what it adds (a glue also scans
-    the marked list).  The builder reads like a SignedGraph, so
-    ``canonical_set`` and ``triangle_sign`` apply to it and report the same
-    errors.
+    anything and costs time in the size of what it adds (a graft that
+    identifies a marked triangle also scans the marked list).  The builder
+    reads like a SignedGraph, so ``canonical_set`` and ``triangle_sign``
+    apply to it and report the same errors.
 
     A builder never removes or re-signs what it was thawed from, which was
     validated when that graph was built.  So ``freeze`` validates only the
@@ -118,8 +124,10 @@ class _Builder:
     dicts until an operation first adds an edge at one (``_own``).  Every
     operation adds each vertex's new neighbours in canonical order, so no
     neighbour dict needs sorting.  Freezing hands the builder's dicts to
-    the graph, so a builder freezes once.  ``_graft`` makes a copy's names,
-    dicts and edges from a plan memoised on the guest (``_graft_plan``).
+    the graph, so a builder freezes once.  ``_graft`` adds every gadget
+    copy, a mini completion's (``_MINI``) too, from a plan memoised on the
+    guest graph (``_graft_plan``).  An apex, one vertex, is the one addition
+    written by hand: a plan would cost it more than it saves.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
@@ -152,64 +160,41 @@ class _Builder:
             if self.index[v] < inherited and self.adj[v] is shared[v]:
                 self.adj[v] = dict(shared[v])
 
-    def _add_vertex(self, v: str) -> None:
-        if v in self.index:
-            raise GraphError("duplicate vertex name")
-        self.index[v] = len(self.vertices)
-        self.vertices.append(v)
-        self.adj[v] = {}
-
-    def _add_edge(self, a: str, b: str, sign: int) -> None:
-        self.added.append((a, b, sign))
-        self.adj[a][b] = sign
-        self.adj[b][a] = sign
-
     def add_apex(self, t: Iterable[str], apex: str | None) -> str:
         """See ``complete_negative_face``; returns the apex name."""
-        t1, t2, t3 = _triple(self, t)
-        if triangle_sign(self, (t1, t2, t3)) != -1:  # type: ignore[arg-type]
-            raise GraphError(f"triangle {(t1, t2, t3)} is not negative")
+        tt = _face(self, t, -1)
         if apex is None:
             apex = _fresh_name(self, "n")
+        if not isinstance(apex, str):
+            raise GraphError(f"apex name must be a string, got {apex!r}")
         if self.has_vertex(apex):
             raise GraphError(f"apex name {apex!r} already in graph")
-        s1 = -1
-        s2 = -s1 * self.sign(t1, t2)
-        s3 = -s1 * self.sign(t1, t3)
-        self._own((t1, t2, t3))
-        self._add_vertex(apex)
-        self._add_edge(t1, apex, s1)
-        self._add_edge(t2, apex, s2)
-        self._add_edge(t3, apex, s3)
+        t1, t2, t3 = tt
+        s2, s3 = self.sign(t1, t2), self.sign(t1, t3)
+        self._own(tt)
+        self.index[apex] = len(self.vertices)
+        self.vertices.append(apex)
+        self.adj[apex] = {t1: -1, t2: s2, t3: s3}
+        self.adj[t1][apex], self.adj[t2][apex], self.adj[t3][apex] = -1, s2, s3
+        self.added += ((t1, apex, -1), (t2, apex, s2), (t3, apex, s3))
         return apex
 
     def add_mini(self, t: Iterable[str], prime_names: tuple[str, str, str] | None) -> None:
-        """See ``complete_positive_face``."""
-        tt = _triple(self, t)
-        if triangle_sign(self, tt) != 1:  # type: ignore[arg-type]
-            raise GraphError(f"triangle {tt} is not positive")
+        """See ``complete_positive_face``; grafts ``_MINI`` onto the face."""
+        tt = _face(self, t, 1)
         if prime_names is None:
             base = _fresh_name(self, "m")
             prime_names = (base + "a", base + "b", base + "c")
+        if not _names(prime_names, 3):
+            raise GraphError(f"prime_names must be three vertex names, got {prime_names!r}")
         for name in prime_names:
             if self.has_vertex(name):
                 raise GraphError(f"vertex name {name!r} already in graph")
-        e01 = self.sign(tt[0], tt[1])
-        e12 = self.sign(tt[1], tt[2])
-        e02 = self.sign(tt[0], tt[2])
-        s = (e01 * e02, e01 * e12, e12 * e02)  # two triangle edges at t_i
-        self._own(tt)
-        for name in prime_names:
-            self._add_vertex(name)
-        # t_i - prime(t_{i+1}) has sign s_i and t_i - prime(t_{i+2}) sign -s_i;
-        # added prime by prime, so every neighbour dict stays canonical
-        for j in range(3):
-            for i in range(3):
-                if i != j:
-                    self._add_edge(tt[i], prime_names[j], s[i] if j == (i + 1) % 3 else -s[i])
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            self._add_edge(prime_names[i], prime_names[j], -1)
-        self.marked.append(canonical_set(self, prime_names))  # type: ignore[arg-type]
+        if len(set(prime_names)) != 3:
+            raise GraphError("duplicate vertex name")
+        face, primes, sign = _MINI.graph.vertices[:3], _MINI.graph.vertices[3:], self.sign
+        switched = {face[i] for i in range(3) if sign(tt[i], tt[i - 1]) != sign(tt[i], tt[i - 2])}
+        self._graft(_MINI, dict(zip(face, tt)), switched, dict(zip(primes, prime_names)).__getitem__)
 
     def substitute(
         self, e: tuple[str, str], gadget: GadgetGraph, suffix: str | int
@@ -224,72 +209,62 @@ class _Builder:
         if not guest.has_edge(gu, gv):
             raise GraphError("gadget terminals u and v are not adjacent")
         switched = {gv} if guest.sign(gu, gv) != self.sign(x, y) else set()
-        mapping = self._graft(guest, {gu: x, gv: y}, switched, suffix)
-        # ``freeze`` checks each mapped triangle; sorting puts it in canonical order
-        order = self.index.__getitem__
-        for t in gadget.marked_triangles:
-            self.marked.append(tuple(sorted(map(mapping.__getitem__, t), key=order)))
-        return mapping
+        return self._graft(gadget, {gu: x, gv: y}, switched, lambda v: f"{v}#{suffix}")
 
     def glue(
-        self,
-        t_host: Iterable[str],
-        guest: GadgetGraph,
-        t_guest: Iterable[str],
-        suffix: str | int,
+        self, t_host: Iterable[str], guest: GadgetGraph, t_guest: Iterable[str], suffix: str | int
     ) -> None:
         """See ``glue_triangle``."""
-        th = _triple(self, t_host)
-        tg = _triple(guest.graph, t_guest)
-        if triangle_sign(self, th) != -1:  # type: ignore[arg-type]
-            raise GraphError(f"host triangle {th} is not negative")
-        if triangle_sign(guest.graph, tg) != -1:
-            raise GraphError(f"guest triangle {tg} is not negative")
+        th = _face(self, t_host, -1, "host triangle")
+        tg = _face(guest.graph, t_guest, -1, "guest triangle")
         # switching these matches the edges to tg[2], and then the third
         # edge too, since both triangles are negative
         gsign = guest.graph.sign
         switched = {tg[i] for i in (0, 1) if gsign(tg[i], tg[2]) != self.sign(th[i], th[2])}
-        mapping = self._graft(guest.graph, dict(zip(tg, th)), switched, suffix)
-        known = set(self.marked)
-        order = self.index.__getitem__
-        for t in guest.marked_triangles:
-            mt = tuple(sorted(map(mapping.__getitem__, t), key=order))
-            if mt not in known:
-                known.add(mt)
-                self.marked.append(mt)
+        self._graft(guest, dict(zip(tg, th)), switched, lambda v: f"{v}#{suffix}")
 
     def _graft(
         self,
-        guest: SignedGraph,
+        guest: GadgetGraph,
         identified: Mapping[str, str],
         switched: set[str],
-        suffix: str | int,
+        name: Callable[[str], str],
     ) -> dict[str, str]:
         """Copy ``guest`` switched at ``switched``: ``identified`` vertices
-        map to host vertices, the others to new ``<name>#<suffix>`` ones, and
-        an edge between two identified vertices merges with the host's.  It
-        runs the guest's plan for these identified vertices in host order
-        and this switching, compiled on first use (``_graft_plan``)."""
+        map to host vertices, each other vertex v to a new one ``name(v)``,
+        and an edge between two identified vertices merges with the host's.
+        The guest's marked triangles are appended, mapped, but for one on
+        identified vertices alone that is marked already.  It runs the
+        guest graph's plan for these identified vertices in host order and
+        this switching, compiled on first use (``_graft_plan``)."""
+        graph = guest.graph
         hosts = tuple(sorted(identified, key=lambda v: self.index[identified[v]]))
         key = (hosts, frozenset(switched))
-        if key not in guest._memo:
-            guest._memo[key] = _graft_plan(guest, hosts, switched)
-        copies, copy_nbrs, host_nbrs, added = guest._memo[key]
-        mapping = {v: identified[v] if v in identified else f"{v}#{suffix}" for v in guest.vertices}
+        if key not in graph._memo:
+            graph._memo[key] = _graft_plan(graph, hosts, switched)
+        copies, copy_nbrs, host_nbrs, added = graph._memo[key]
+        mapping = {v: identified[v] if v in identified else name(v) for v in graph.vertices}
         names = [mapping[v] for v in copies]
-        for name in names:
-            if name in self.index:
-                raise GraphError(f"fresh name {name!r} collides with host")
+        for new in names:
+            if new in self.index:
+                raise GraphError(f"fresh name {new!r} collides with host")
         self._own(identified.values())
         local = [identified[v] for v in hosts] + names
         first = len(self.vertices)
         self.index.update(zip(names, range(first, first + len(names))))
         self.vertices += names
-        for name, pairs in zip(names, copy_nbrs):
-            self.adj[name] = {local[i]: s for i, s in pairs}
+        for new, pairs in zip(names, copy_nbrs):
+            self.adj[new] = {local[i]: s for i, s in pairs}
         for host, pairs in zip(local, host_nbrs):
             self.adj[host].update({local[i]: s for i, s in pairs})
         self.added += [(local[a], local[b], s) for a, b, s in added]
+        # sorted into canonical order, which ``freeze`` checks; a triangle whose
+        # last vertex predates the copy lies on identified vertices alone
+        order = self.index.__getitem__
+        for t in guest.marked_triangles:
+            mt = tuple(sorted(map(mapping.__getitem__, t), key=order))
+            if order(mt[2]) >= first or mt not in self.marked:
+                self.marked.append(mt)
         return mapping
 
     def apply(self, step: Op1 | Op2, idx: int) -> dict[str, str] | str:
@@ -325,6 +300,21 @@ def _graft_plan(guest: SignedGraph, hosts: tuple[str, ...], switched: set[str]) 
     return copies, nbrs[len(hosts):], nbrs[: len(hosts)], added
 
 
+# the mini gadget on an all-positive face t0 t1 t2: prime p_j misses t_j, sees
+# t_{j-1} by +1 and t_{j+1} by -1, and the primes form a marked all-negative
+# triangle; ``add_mini`` switches it at each t_i whose face edges differ in sign
+_MINI = GadgetGraph(
+    SignedGraph(
+        ("t0", "t1", "t2", "p0", "p1", "p2"),
+        (("t0", "t1", 1), ("t0", "t2", 1), ("t1", "t2", 1), ("p0", "t2", 1), ("p0", "t1", -1),
+         ("p1", "t0", 1), ("p1", "t2", -1), ("p2", "t1", 1), ("p2", "t0", -1),
+         ("p0", "p1", -1), ("p0", "p2", -1), ("p1", "p2", -1)),
+    ),
+    {},
+    (("p0", "p1", "p2"),),
+)
+
+
 def k3_minus() -> GadgetGraph:
     """All-negative triangle on u1, u2, u3; the triangle is marked."""
     g = SignedGraph(
@@ -356,7 +346,7 @@ def complete_negative_face(g: GadgetGraph, t: Iterable[str], apex: str | None = 
 
     Sign choice: the apex edge to the canonically least triangle vertex is
     -1; the other two signs are then forced by requiring every apex
-    triangle to be negative.
+    triangle to be negative.  ``apex`` must be a new name.
     """
     b = _Builder(g)
     b.add_apex(t, apex)
@@ -372,13 +362,12 @@ def complete_positive_face(
 
     Three new vertices are added, one "prime" per triangle vertex, where
     prime(t_i) is adjacent to the other two triangle vertices but not to
-    t_i, and the primes form an all-negative inner triangle.  Signs are
-    chosen so that the result is switching equivalent to the reference
-    completion of an all-positive triangle: with s_i the product of the two
-    triangle edges at t_i, edge t_i-prime(t_{i+1}) gets sign s_i and edge
-    t_i-prime(t_{i+2}) gets sign -s_i (indices cyclic in canonical order).
-
-    The inner triangle is appended to the marked set.
+    t_i, and the primes form an all-negative inner triangle, which is
+    appended to the marked set.  The result is the reference completion of
+    an all-positive triangle switched to agree with ``t``: with s_i the
+    product of the two triangle edges at t_i, edge t_i-prime(t_{i+1}) gets
+    sign s_i and edge t_i-prime(t_{i+2}) gets sign -s_i (indices cyclic in
+    canonical order).  ``prime_names`` must be three new, distinct names.
     """
     b = _Builder(g)
     b.add_mini(t, prime_names)
@@ -530,20 +519,19 @@ def g_sequence(i: int) -> GadgetGraph:
     return g
 
 
-def w1_underlying(alt_orientation: bool = False) -> GadgetGraph:
+def w1_underlying() -> GadgetGraph:
     """34-vertex unsigned view (all signs -1) used for arboricity runs.
 
     Start from the underlying graph of w_hat and replace the three edges
     u-z, u-x1, u-t, each by a distinct all-negative copy of the same graph,
-    with the copy's u identified with the host u (or with the other
-    endpoint when ``alt_orientation`` is set).
+    with the copy's u identified with the host u.
     """
     core = w_hat().graph
     unsigned = SignedGraph(core.vertices, tuple((a, b, -1) for a, b, _ in core.edges))
     gadget = GadgetGraph(unsigned, {"u": "u", "v": "v"}, ())
     b = _Builder(gadget)
     for i, other in enumerate(("z", "x1", "t"), start=1):
-        b.substitute((other, "u") if alt_orientation else ("u", other), gadget, i)
+        b.substitute(("u", other), gadget, i)
     return b.freeze()
 
 
@@ -563,9 +551,9 @@ class Op2:
 
 
 def _names(value: object, count: int) -> bool:
-    """True iff ``value`` is a JSON list of ``count`` vertex names."""
+    """True iff ``value`` is a list or tuple of ``count`` vertex names."""
     return (
-        isinstance(value, list)
+        isinstance(value, (list, tuple))
         and len(value) == count
         and all(isinstance(v, str) for v in value)
     )

@@ -19,6 +19,7 @@ from fracbal.gadgets import (
     Op1,
     Op2,
     TraceError,
+    _MINI,
     _Builder,
     _w_prime_template,
     apply_trace_step,
@@ -105,6 +106,70 @@ def test_complete_positive_face_adds_negative_inner_triangle():
 def test_complete_positive_face_rejects_negative_triangle():
     with pytest.raises(GraphError, match="not positive"):
         complete_positive_face(w_hat(), ("w", "x1", "x2"))
+
+
+def _k3(sign, at):
+    """K3 on u1, u2, u3 with every edge ``sign``, switched at ``at``."""
+    from fracbal.sgraph import switch
+
+    t = ("u1", "u2", "u3")
+    return switch(SignedGraph(t, tuple((a, b, sign) for a, b in combinations(t, 2))), at)
+
+
+def test_face_completions_follow_the_sign_rules_on_every_face_pattern():
+    t = ("u1", "u2", "u3")
+    primes = ("p1", "p2", "p3")
+    patterns = set()
+    for at in ((), ("u1",), ("u2",), ("u3",)):
+        neg = GadgetGraph(_k3(-1, at), {}, (t,))
+        sign = neg.graph.sign
+        g = complete_negative_face(neg, t, "n")
+        assert tuple(g.graph.sign(v, "n") for v in t) == (-1, sign("u1", "u2"), sign("u1", "u3"))
+        assert g.marked_triangles == (t,)
+        assert_canonical_adjacency(g.graph)
+        patterns.add(tuple(sign(a, b) for a, b in combinations(t, 2)))
+
+        pos = GadgetGraph(_k3(1, at))
+        sign = pos.graph.sign
+        g = complete_positive_face(pos, t, primes)
+        for i in range(3):
+            s = sign(t[i], t[i - 1]) * sign(t[i], t[i - 2])
+            assert g.graph.sign(t[i], primes[(i + 1) % 3]) == s
+            assert g.graph.sign(t[i], primes[(i + 2) % 3]) == -s
+            assert not g.graph.has_edge(t[i], primes[i])
+        assert all(g.graph.sign(p, q) == -1 for p, q in combinations(primes, 2))
+        assert g.marked_triangles == (primes,)
+        assert_canonical_adjacency(g.graph)
+        patterns.add(tuple(sign(a, b) for a, b in combinations(t, 2)))
+    assert len(patterns) == 8
+
+
+_FACE = ("u", "x1", "x2")  # a positive face of w_hat
+_NAMES_MESSAGE = r"^prime_names must be three vertex names"
+
+
+@pytest.mark.parametrize(
+    "surgery, message",
+    [
+        (lambda b: b.add_mini(_FACE, ("a", "b")), _NAMES_MESSAGE),
+        (lambda b: b.add_mini(_FACE, ("a", "b", "c", "d")), _NAMES_MESSAGE),
+        (lambda b: b.add_mini(_FACE, ("a", 5, "c")), _NAMES_MESSAGE),
+        (lambda b: b.add_mini(_FACE, ("q", "q", "r")), r"^duplicate vertex name$"),
+        (lambda b: b.add_mini(_FACE, ("q", "w", "r")), r"^vertex name 'w' already in graph$"),
+        (lambda b: b.add_apex(("w", "x1", "x2"), 5), r"^apex name must be a string, got 5$"),
+        (lambda b: b.add_apex(("w", "x1", "x2"), "u"), r"^apex name 'u' already in graph$"),
+    ],
+    ids=["two-primes", "four-primes", "non-string-prime", "duplicate-prime", "taken-prime",
+         "non-string-apex", "taken-apex"],
+)
+def test_surgery_names_are_checked_before_the_builder_changes(surgery, message):
+    g = w_hat()
+    b = _Builder(g)
+    with pytest.raises(GraphError, match=message):
+        surgery(b)
+    assert b.vertices == list(g.graph.vertices) and not b.added
+    assert b.marked == list(g.marked_triangles)
+    assert all(b.adj[v] is g.graph.adj[v] for v in g.graph.vertices)
 
 
 def test_w_hat_face_audit():
@@ -221,6 +286,13 @@ def test_glue_triangle_counts_and_signs():
     t = host.marked_triangles[0]
     glued = glue_triangle(host, t, k4_minus(), ("u1", "u2", "u3"), suffix="x")
     assert len(glued.graph.vertices) == len(host.graph.vertices) + 1
+    # the guest's glued triangle is marked in the host already, its other three are new
+    n = len(host.marked_triangles)
+    assert glued.marked_triangles[:n] == host.marked_triangles
+    assert len(glued.marked_triangles) == n + 3 and t not in glued.marked_triangles[n:]
+    face = next(f for f, s in all_triangles(host.graph) if s == -1 and f not in host.marked_triangles)
+    glued = glue_triangle(host, face, k4_minus(), ("u1", "u2", "u3"), suffix="x")
+    assert glued.marked_triangles[n:][0] == face and len(glued.marked_triangles) == n + 4
 
 
 def test_glue_triangle_rejects_positive_triangle():
@@ -261,10 +333,10 @@ def test_glue_switches_the_guest_where_the_subset_search_did(monkeypatch):
     graft = _Builder._graft
     seen = []
 
-    def checked(self, guest, identified, switched, suffix):
-        assert switched == reference(self, guest, identified)
+    def checked(self, guest, identified, switched, name):
+        assert switched == reference(self, guest.graph, identified)
         seen.append(frozenset(switched))
-        return graft(self, guest, identified, switched, suffix)
+        return graft(self, guest, identified, switched, name)
 
     monkeypatch.setattr(_Builder, "_graft", checked)
     t = ("u1", "u2", "u3")
@@ -283,8 +355,6 @@ def test_w1_underlying_shape():
     assert g.graph.has_edge("u", "x1")
     assert g.graph.has_edge("u", "t")
     assert all(s == -1 for *_, s in g.graph.edges)
-    alt = w1_underlying(alt_orientation=True)
-    assert len(alt.graph.vertices) == 34
     # copies keep the degree profile internally
     degs = sorted(len(g.graph.adj[v]) for v in g.graph.vertices if v.endswith("#1"))
     assert degs  # eight renamed vertices per copy
@@ -351,7 +421,10 @@ def test_a_colliding_copy_name_is_refused_with_the_first_in_guest_order():
 
 def test_graft_plans_are_built_on_first_use_and_stay_few():
     root = Path(__file__).resolve().parents[1]
-    code = "import fracbal.gadgets as g; assert g._w_prime_template.cache_info().currsize == 0"
+    code = (
+        "import fracbal.gadgets as g; assert g._w_prime_template.cache_info().currsize == 0;"
+        " assert not g._MINI.graph._memo"
+    )
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     subprocess.run([sys.executable, "-c", code], cwd=root, env=env, check=True)
     guest = w_prime()
@@ -363,6 +436,14 @@ def test_graft_plans_are_built_on_first_use_and_stay_few():
     memo = _w_prime_template().graph._memo
     assert 1 <= len(memo) <= 4
     assert all(len(hosts) == 2 and isinstance(switched, frozenset) for hosts, switched in memo)
+    # one mini plan per switching of its face: an even subset of t0 t1 t2
+    host = u_hat()
+    for t, sign in all_triangles(host.graph):
+        if sign == 1:
+            complete_positive_face(host, t)
+    memo = _MINI.graph._memo
+    assert 1 <= len(memo) <= 4
+    assert all(hosts == ("t0", "t1", "t2") and len(switched) % 2 == 0 for hosts, switched in memo)
 
 
 def test_build_from_trace_three_substitutions():
@@ -514,7 +595,7 @@ def test_derived_freeze_matches_from_scratch(data):
             t_guest = data.draw(st.sampled_from(guest.marked_triangles))
             surgery = lambda g: glue_triangle(g, face, guest, t_guest, f"g{n}")  # noqa: E731
         else:
-            # raises after it has begun to add: the second prime is a duplicate
+            # raises before it adds anything: the second prime is a duplicate
             face = data.draw(st.sampled_from(positive or negative))
             surgery = lambda g: complete_positive_face(g, face, ("q", "q", "r"))  # noqa: E731
         out = _surgery_checked(g, surgery, memo=data.draw(st.booleans()))
@@ -536,7 +617,7 @@ def test_derived_freeze_matches_from_scratch(data):
 def test_freeze_rejects_added_edges_as_full_validation_does(edges):
     g = w_hat()
     b = _Builder(g)
-    b._add_vertex("p")
+    b._graft(GadgetGraph(SignedGraph(("p",), ())), {}, set(), str)
     b.added += edges
     with pytest.raises(GraphError) as got:
         b.freeze()
