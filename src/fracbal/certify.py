@@ -180,9 +180,12 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
     the palette, and every vertex must be covered at least q times.  One
     loop over the members counts coverage, finds strangers and builds the
     class bitmasks in vertex order; ``sgraph.peel`` drops the vertices on
-    no cycle of their class, and one edge pass (``sgraph.sets_hold``) tests
-    what is left.  Only a class that fails is searched again, whole, for
-    its cycle witness, so the report does not depend on the peel.
+    no cycle of their class, and ``sgraph.sets_hold`` tests what is left of
+    every class at once, by eliminating the vertices last first with
+    big-int operations over the classes; on a graph declared in build
+    order, as every trace graph is, no class needs its union-find.  Only a
+    class that fails is searched again, whole, for its cycle witness, so
+    the report does not depend on the peel.
     """
     index = g.index
     counts = [0] * len(index)

@@ -4,20 +4,22 @@ A signed graph is a simple undirected graph with a sign (+1 or -1) on every
 edge.  A vertex set is *balanced* when the subgraph it induces contains no
 cycle whose edge-sign product is -1.  ``sets_hold`` decides balance (or
 acyclicity) for many sets at once, given as class bitmasks in vertex order:
-one pass over the edge list hands each edge to the sets that hold both its
-endpoints, and a parity union-find over vertex indices joins them per set.
-``peel`` can first drop from each set, in one more pass, vertices on no
-cycle of it, which changes no answer.  Only a set that fails is walked
-again, by a BFS over its induced subgraph, for an explicit cycle witness.
+it eliminates the vertices last first, merging each into a neighbour in
+every set at once with big-int operations over the sets.  If the sweep
+stops at a vertex with too many links, a parity union-find over vertex
+indices joins, per set, what is left.  ``peel`` can first drop from each
+set, in one more pass, vertices on no cycle of it, which changes no answer.
+Only a set that fails is walked again, by a BFS over its induced subgraph,
+for an explicit cycle witness.
 
 Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).  The layers
 that work on vertex masks over indices share one index form per graph,
 built on first use and not inherited: the index edges, each vertex's
 neighbours and neighbour mask, and the name tables behind
-``names_by_key``.  The only union-find here is the one inside
-``sets_hold``; the search over vertex masks keeps its own, with rollback,
-in ``families``.
+``names_by_key``.  The only union-find here is the one that
+``sets_hold`` runs on what its sweep leaves; the search over vertex masks
+keeps its own, with rollback, in ``families``.
 """
 from __future__ import annotations
 
@@ -303,24 +305,106 @@ def canonical_set(g: SignedGraph, members: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+# the sweep of ``sets_hold`` stops at the first vertex with more links than
+# this, so that no elimination costs more than _WIDTH ** 2 / 2 pair updates
+_WIDTH = 8
+
+
 def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> list[bool]:
     """For each of ``count`` vertex sets, whether it induces a forest
     (``acyclic``) or no cycle with edge-sign product -1.  Bit j of
     ``masks[i]``, a list in ``g.vertices`` order, is set iff vertex i is in
-    set j.  One pass over the index edges hands each edge to the sets holding
-    both its endpoints; each set joins its edges in a parity union-find
-    over vertex indices, shared by all sets and reset after each, until one
-    closes a cycle (``acyclic``) or a negative one; by Harary's criterion,
-    none does iff the set holds.  It keeps no rollback trail and no root
-    masks, as the search core in ``families`` does: they would double the
-    time.  Masks ``peel`` has shrunk give the same answers in fewer unions;
-    peeling here would cost a single set more than its early exit saves."""
+    set j.
+
+    Every set is settled at once by vertex elimination (Rose, Tarjan and
+    Lueker 1976), last vertex first, on big-int masks over the sets.  A
+    vertex's links join it to lower vertices: its edges, in the sets that
+    hold both ends, and the fill links higher vertices left on it, each
+    with the sets in which it is odd.  In each set the vertex merges into
+    its highest linked neighbour u, whose fill links (u, x) take over its
+    other links x with the parity of the path through it.  That keeps every
+    cycle of the set with its sign, or shortens it to two links of one
+    pair, which fail the set when their parities differ, or at all when
+    ``acyclic``; by Harary's criterion a set that never fails holds.  The
+    sweep stops at the first vertex with more than ``_WIDTH`` links; then a
+    parity union-find over vertex indices, shared by all sets and reset
+    after each, joins per set not yet failed the edges and fill links left
+    among the vertices not eliminated.  On every graph the builder makes,
+    declared in build order, the sweep runs to the end.  Masks ``peel`` has
+    shrunk give the same answers.
+    """
     n = len(g.vertices)
     if isinstance(masks, dict) or len(masks) != n:
         raise ValueError(f"masks must be a list of {n} class bitmasks in vertex order")
-    induced: list[list[tuple[int, int, bool]]] = [[] for _ in range(count)]
+    if masks and (min(masks) < 0 or max(masks) >> count):
+        raise ValueError(f"class bitmasks must lie in [0, 2**{count})")
+    below: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
     for e in g._index_edges:
-        both = masks[e[0]] & masks[e[1]]
+        below[e[1]].append(e)
+    # fill[u][x] is (P, Q), the sets with a fill link from u to a lower x
+    # and the sets in which it is odd
+    fill: list[dict[int, tuple[int, int]] | None] = [None] * n
+    odd = -1 if acyclic else 0  # in a forest, two links of one pair clash at any parity
+    bad = 0
+    stop = -1
+    for v in range(n - 1, -1, -1):
+        mv = masks[v] & ~bad if bad else masks[v]  # a failed set needs no more links
+        links = fill[v] or {}
+        for a, _, negative in below[v]:
+            p = masks[a] & mv
+            if p:
+                q = p if negative else 0
+                old = links.get(a)
+                if old is not None:
+                    bad |= old[0] & p & (odd | old[1] ^ q)
+                    p |= old[0]
+                    q |= old[1]
+                links[a] = p, q
+        if len(links) > _WIDTH:
+            fill[v] = links
+            stop = v
+            break
+        fill[v] = None
+        if len(links) < 2:
+            continue
+        order = sorted(links.items(), reverse=True)
+        seen = 0
+        for i, (u, (pu, qu)) in enumerate(order):
+            first = pu & ~seen  # the sets in which v merges into u
+            seen |= pu
+            if not first:
+                continue
+            to = fill[u]
+            if to is None:
+                to = fill[u] = {}
+            for x, (px, qx) in order[i + 1:]:
+                p = first & px
+                if p:
+                    q = (qu ^ qx) & p
+                    old = to.get(x)
+                    if old is not None:
+                        bad |= old[0] & p & (odd | old[1] ^ q)
+                        p |= old[0]
+                        q |= old[1]
+                    to[x] = p, q
+    # bit j of ``bad`` to ``out[j]``; the marker bit at ``count`` keeps its leading zeros
+    out = [bit == "0" for bit in reversed(bin(bad | 1 << count)[3:])]
+    if stop < 0:
+        return out
+
+    def rest():
+        """The edges among the vertices below ``stop`` and every fill link
+        left, split by parity, each with the sets that hold it."""
+        for e in g._index_edges:
+            if e[1] < stop:  # ``stop``'s own edges are in its links
+                yield e, masks[e[0]] & masks[e[1]]
+        for u, links in enumerate(fill[:stop + 1]):
+            for x, (p, q) in (links or {}).items():
+                yield (x, u, False), p & ~q
+                yield (x, u, True), q
+
+    induced: list[list[tuple[int, int, bool]]] = [[] for _ in range(count)]
+    for e, both in rest():
         while both:
             low = both & -both
             induced[low.bit_length() - 1].append(e)
@@ -328,9 +412,9 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     up = list(range(n))
     parity = [0] * n  # parity of the link to ``up``
     rank = [0] * n
-    out = []
-    for edges in induced:
-        holds = True
+    for j, edges in enumerate(induced):
+        if not out[j]:
+            continue
         touched = []
         for a, b, pb in edges:
             pa = 0
@@ -342,7 +426,7 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
                 b = up[b]
             if a == b:
                 if acyclic or pa != pb:
-                    holds = False
+                    out[j] = False
                     break
                 continue
             if rank[a] < rank[b]:
@@ -355,7 +439,6 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
         for v in touched:  # a root's parity is never read
             up[v] = v
             rank[v] = 0
-        out.append(holds)
     return out
 
 

@@ -401,6 +401,22 @@ def test_verify_matches_per_class_witness_search_beyond_64_classes():
     ]
 
 
+def test_verify_matches_the_reference_out_of_build_order():
+    # declared in build order, every vertex of a trace graph has few links
+    # when sets_hold eliminates it; shuffled, the sweep stops near the top
+    # (at vertex 1,311 of 1,321 here) and the union-find settles the classes
+    trace = random_trace(Random(7), 200)
+    built = build_from_trace(trace).graph
+    names = list(built.vertices)
+    Random(1).shuffle(names)
+    g = SignedGraph(tuple(names), built.edges)
+    cert = compose_8341(trace)
+    forest = Certificate(cert.p, cert.q, Mode.FOREST, cert.classes)
+    reports = [verify(g, c) for c in (cert, forest)]
+    assert reports == [reference_verify(g, c) for c in (cert, forest)]
+    assert reports[0].ok and not reports[1].ok
+
+
 def test_peel_drops_most_memberships_of_a_composed_certificate():
     # a peel that keeps every membership would still give every answer;
     # on a composed certificate it drops about half of them

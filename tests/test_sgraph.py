@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbal import sgraph
 from fracbal.sgraph import (
     GraphError,
     SignedGraph,
@@ -118,6 +119,12 @@ def test_sets_hold_takes_one_mask_per_vertex_in_vertex_order():
             sets_hold(g, masks, 1, acyclic=False)
 
 
+@pytest.mark.parametrize("masks,count", [([3, 3, 3, 3], 1), ([0, -1, 0, 0], 1), ([0, 0, 1, 0], 0)])
+def test_sets_hold_rejects_masks_out_of_range(masks, count):
+    with pytest.raises(ValueError, match=rf"class bitmasks must lie in \[0, 2\*\*{count}\)"):
+        sets_hold(k4_minus().graph, masks, count, acyclic=False)
+
+
 @pytest.mark.parametrize("acyclic", [False, True])
 def test_sets_hold_with_no_sets_and_isolated_vertices(acyclic):
     assert sets_hold(w_hat().graph, [0] * len(w_hat().graph.vertices), 0, acyclic) == []
@@ -143,10 +150,10 @@ def two_core(g, members):
 
 
 @st.composite
-def graphs_and_masks(draw):
+def graphs_and_masks(draw, max_n=10):
     """A random signed graph, possibly empty, with isolated vertices now
     and then, and up to 90 sets as class bitmasks in vertex order."""
-    g = draw(signed_graphs(max_n=10))
+    g = draw(signed_graphs(max_n=max_n))
     count = draw(st.integers(0, 90))
     masks = [draw(st.integers(0, (1 << count) - 1)) for _ in g.vertices]
     return g, masks, count
@@ -165,6 +172,88 @@ def test_peel_keeps_each_sets_2_core_and_every_answer(case):
             assert peeled[g.index[v]] >> j & 1
     for acyclic in (False, True):
         assert sets_hold(g, peeled, count, acyclic) == sets_hold(g, masks, count, acyclic)
+
+
+def per_set(g, masks, count, acyclic):
+    """Each set's answer from the BFS witness search, one set at a time."""
+    search = any_cycle if acyclic else negative_cycle_witness
+    return [
+        search(g, [v for v, m in zip(g.vertices, masks) if m >> j & 1]) is None
+        for j in range(count)
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graphs_and_masks(max_n=12))
+def test_sets_hold_matches_per_set_search_at_every_width(case):
+    # widths 0 to 3 stop the sweep early, before or after it has left fill
+    # links, so the union-find runs on edges and fill links of either parity
+    g, masks, count = case
+    for acyclic in (False, True):
+        want = per_set(g, masks, count, acyclic)
+        for width in (0, 1, 2, 3, sgraph._WIDTH):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sgraph, "_WIDTH", width)
+                assert sets_hold(g, masks, count, acyclic) == want
+
+
+def holds(g, sets, acyclic):
+    """``sets_hold`` on sets of names."""
+    masks = [sum(1 << j for j, s in enumerate(sets) if v in s) for v in g.vertices]
+    return sets_hold(g, masks, len(sets), acyclic)
+
+
+@pytest.mark.parametrize("sign,balanced", [(-1, False), (1, True)])
+def test_a_fill_link_on_an_edge_closes_a_triangle(sign, balanced):
+    # c merges into b and leaves the fill link (b, a), which meets the edge
+    # a-b when b is eliminated: a clash of parities iff the triangle is
+    # negative, and a cycle either way
+    g = SignedGraph(("a", "b", "c"), (("a", "b", sign), ("b", "c", 1), ("a", "c", 1)))
+    sets = [("a", "b", "c"), ("a", "c"), ("b", "c"), ("a", "b")]
+    assert holds(g, sets, acyclic=False) == [balanced, True, True, True]
+    assert holds(g, sets, acyclic=True) == [False, True, True, True]
+
+
+@pytest.mark.parametrize("sign,balanced", [(-1, False), (1, True)])
+def test_two_fill_links_on_one_pair_close_a_four_cycle(sign, balanced):
+    # d and then c merge into b, each leaving a fill link (b, a); no edge
+    # joins a and b
+    g = SignedGraph(
+        ("a", "b", "c", "d"),
+        (("a", "c", 1), ("b", "c", 1), ("a", "d", sign), ("b", "d", 1)),
+    )
+    sets = [("a", "b", "c", "d"), ("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d")]
+    assert holds(g, sets, acyclic=False) == [balanced, True, True, True]
+    assert holds(g, sets, acyclic=True) == [False, True, True, True]
+
+
+def test_a_vertex_over_the_width_at_the_top_leaves_every_set_to_the_union_find():
+    # a hub declared after a path of _WIDTH + 1 rim vertices, each joined to
+    # it: the sweep stops at once, and only the spoke to r0 is negative
+    rim = tuple(f"r{i}" for i in range(sgraph._WIDTH + 1))
+    edges = [(a, b, 1) for a, b in zip(rim, rim[1:])]
+    edges += [(r, "hub", -1 if r == "r0" else 1) for r in rim]
+    g = SignedGraph((*rim, "hub"), tuple(edges))
+    sets = [g.vertices, ("hub", *rim[1:]), rim, ("hub", *rim[::2])]
+    assert holds(g, sets, acyclic=False) == [False, True, True, True]
+    assert holds(g, sets, acyclic=True) == [False, False, True, True]
+
+
+def test_a_vertex_over_the_width_after_fill_links_leaves_them_to_the_union_find(monkeypatch):
+    # v4 merges into v3 and leaves the odd fill link (v3, v0); with it v3
+    # has three links, over a width of 2, so the union-find closes the
+    # negative cycle v0-v4-v3-v1 through that fill link
+    g = SignedGraph(
+        ("v0", "v1", "v2", "v3", "v4"),
+        (("v3", "v4", -1), ("v0", "v4", 1), ("v1", "v3", 1), ("v2", "v3", 1),
+         ("v0", "v1", 1), ("v0", "v2", 1)),
+    )
+    sets = [("v0", "v1", "v3", "v4"), ("v0", "v1", "v2", "v3"), ("v1", "v3", "v4"),
+            ("v0", "v3", "v4"), g.vertices]
+    answers = [holds(g, sets, acyclic) for acyclic in (False, True)]
+    assert answers == [[False, True, True, True, False], [False, False, True, True, False]]
+    monkeypatch.setattr(sgraph, "_WIDTH", 2)
+    assert [holds(g, sets, acyclic) for acyclic in (False, True)] == answers
 
 
 def test_positive_five_cycle_balanced():
