@@ -12,8 +12,7 @@ their memory does not grow with the palette.  The verifier is deliberately
 primitive: it uses only balance / forest checks and integer counting over
 the classes, so it stays independent of whatever produced the certificate
 (the LP solver or the inductive composer, which reads the mask view).
-Classes are peeled to their 2-cores before the balance test, and a failing
-class is searched whole for its witness.
+A failing class is searched whole for its witness.
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from .sgraph import (
     any_cycle,
     load_json,
     negative_cycle_witness,
-    peel,
     sets_hold,
 )
 
@@ -179,13 +177,9 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
     the palette, and every vertex must be covered at least q times.  One
     loop over the members counts coverage, finds strangers and builds the
-    class bitmasks in vertex order; ``sgraph.peel`` drops the vertices on
-    no cycle of their class, and ``sgraph.sets_hold`` tests what is left of
-    every class at once, by eliminating the vertices last first with
-    big-int operations over the classes; on a graph declared in build
-    order, as every trace graph is, no class needs its union-find.  Only a
-    class that fails is searched again, whole, for its cycle witness, so
-    the report does not depend on the peel.
+    class bitmasks in vertex order, and one ``sgraph.sets_hold`` call tests
+    every class.  Only a class that fails is searched again, whole, for its
+    cycle witness.
     """
     index = g.index
     counts = [0] * len(index)
@@ -202,7 +196,7 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
                 counts[i] += rep
                 masks[i] |= bit
         strangers.append(out)
-    holds = sets_hold(g, peel(g, masks), len(c.classes), acyclic=c.mode is Mode.FOREST)
+    holds = sets_hold(g, masks, len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
     for (s, _), out, ok in zip(c.classes, strangers, holds):
         if out:

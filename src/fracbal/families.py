@@ -99,12 +99,15 @@ class SetFamily:
     leaves: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        # looked up per call, so that a wrapper installed on sgraph sees them
-        from .sgraph import is_acyclic, is_balanced
-
-        holds = is_balanced if self.property is SetProperty.BALANCED else is_acyclic
-        for s in self.sets:
-            if not holds(self.host, s):
+        # every set is read, and a stranger or duplicate refused, before any is tested
+        index = self.host.index
+        masks = [0] * len(index)
+        for j, s in enumerate(self.sets):
+            for v in canonical_set(self.host, s):
+                masks[index[v]] |= 1 << j
+        acyclic = self.property is SetProperty.ACYCLIC
+        for s, ok in zip(self.sets, sets_hold(self.host, masks, len(self.sets), acyclic)):
+            if not ok:
                 raise GraphError(f"set {s} violates {self.property.value}")
 
     @classmethod

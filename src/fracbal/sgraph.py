@@ -6,11 +6,10 @@ cycle whose edge-sign product is -1.  ``sets_hold`` decides balance (or
 acyclicity) for many sets at once, given as class bitmasks in vertex order:
 it eliminates the vertices last first, merging each into a neighbour in
 every set at once with big-int operations over the sets.  If the sweep
-stops at a vertex with too many links, a parity union-find over vertex
-indices joins, per set, what is left.  ``peel`` can first drop from each
-set, in one more pass, vertices on no cycle of it, which changes no answer.
-Only a set that fails is walked again, by a BFS over its induced subgraph,
-for an explicit cycle witness.
+stops at a vertex with too many links, each set drops the vertices with at
+most one link left, and a parity union-find over vertex indices joins, per
+set, what remains.  Only a set that fails is walked again, by a BFS over
+its induced subgraph, for an explicit cycle witness.
 
 Vertex declaration order is the canonical order used for all deterministic
 output (sorted sets, sorted edge lists, witness extraction).  The layers
@@ -326,12 +325,12 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     cycle of the set with its sign, or shortens it to two links of one
     pair, which fail the set when their parities differ, or at all when
     ``acyclic``; by Harary's criterion a set that never fails holds.  The
-    sweep stops at the first vertex with more than ``_WIDTH`` links; then a
-    parity union-find over vertex indices, shared by all sets and reset
-    after each, joins per set not yet failed the edges and fill links left
-    among the vertices not eliminated.  On every graph the builder makes,
-    declared in build order, the sweep runs to the end.  Masks ``peel`` has
-    shrunk give the same answers.
+    sweep stops at the first vertex with more than ``_WIDTH`` links.  Then
+    each set not yet failed drops, last first, the vertices with at most one
+    edge or fill link left in it, and a parity union-find over vertex
+    indices, shared by all sets and reset after each, joins per set the
+    edges and fill links that remain.  On every graph the builder makes,
+    declared in build order, the sweep runs to the end.
     """
     n = len(g.vertices)
     if isinstance(masks, dict) or len(masks) != n:
@@ -391,17 +390,43 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
     out = [bit == "0" for bit in reversed(bin(bad | 1 << count)[3:])]
     if stop < 0:
         return out
+    # Each set not failed drops, last first, the vertices with at most one
+    # link left in it, on no cycle of it (Seidman 1983).  A graph edge counts
+    # in every set that holds both ends, a fill link only in its own sets: in
+    # the minor left, a vertex pendant in the graph can lie on a cycle.
+    live = [m & ~bad for m in masks[:stop + 1]]
+    nbrs: list[list[int]] = [[] for _ in live]
+    for a, b, _ in g._index_edges:
+        if b < stop and live[a] & live[b]:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    links: list[list[tuple[int, int]]] = [[] for _ in live]
+    for u, to in enumerate(fill[:stop + 1]):
+        for x, (p, _) in (to or {}).items():
+            links[u].append((x, p))
+            links[x].append((u, p))
+    for v in range(stop, -1, -1):
+        one = two = 0  # bit-sliced link counts; bits outside the vertex's sets are cut below
+        for u in nbrs[v]:
+            x = live[u]
+            two |= one & x
+            one |= x
+        for u, p in links[v]:
+            x = live[u] & p
+            two |= one & x
+            one |= x
+        live[v] &= two
 
     def rest():
-        """The edges among the vertices below ``stop`` and every fill link
-        left, split by parity, each with the sets that hold it."""
+        """The edges and fill links left, by parity, with the sets holding both ends."""
         for e in g._index_edges:
             if e[1] < stop:  # ``stop``'s own edges are in its links
-                yield e, masks[e[0]] & masks[e[1]]
-        for u, links in enumerate(fill[:stop + 1]):
-            for x, (p, q) in (links or {}).items():
+                yield e, live[e[0]] & live[e[1]]
+        for u, to in enumerate(fill[:stop + 1]):
+            for x, (p, q) in (to or {}).items():
+                p &= live[u] & live[x]
                 yield (x, u, False), p & ~q
-                yield (x, u, True), q
+                yield (x, u, True), p & q
 
     induced: list[list[tuple[int, int, bool]]] = [[] for _ in range(count)]
     for e, both in rest():
@@ -439,31 +464,6 @@ def sets_hold(g: SignedGraph, masks: list[int], count: int, acyclic: bool) -> li
         for v in touched:  # a root's parity is never read
             up[v] = v
             rank[v] = 0
-    return out
-
-
-def peel(g: SignedGraph, masks: list[int]) -> list[int]:
-    """Class bitmasks as ``sets_hold`` takes them, with vertices on no
-    cycle of a set dropped from it.  A vertex with at most one neighbour
-    left in a set is on none of its cycles, so dropping it changes no
-    balance or forest answer.  One pass over the index edges lists, per
-    vertex, the neighbours it shares some set with; then each vertex, last
-    first, keeps the sets in which it still has two neighbours, counted
-    bit-sliced over the sets.  Each set keeps its 2-core (Seidman 1983)."""
-    nbrs: list[list[int]] = [[] for _ in masks]
-    for a, b, _ in g._index_edges:
-        if masks[a] & masks[b]:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-    out = list(masks)
-    for v in range(len(out) - 1, -1, -1):
-        mv = out[v]
-        one = two = 0
-        for u in nbrs[v]:
-            x = out[u] & mv
-            two |= one & x
-            one |= x
-        out[v] = mv & two
     return out
 
 

@@ -535,6 +535,24 @@ def test_caller_built_families_are_still_validated():
         SetFamily(cycle, SetProperty.ACYCLIC, (("a", "b", "c"),))
 
 
+def test_a_family_names_its_first_bad_set_after_reading_every_set():
+    # every set is read before any is tested, so a stranger or a duplicate
+    # in a later set is reported before an earlier set that fails
+    g = SignedGraph(
+        ("a", "b", "c", "d"),
+        (("a", "b", -1), ("b", "c", -1), ("a", "c", -1), ("c", "d", 1)),
+    )
+    bad = (("c", "d"), ("c", "b", "a"), ("a", "b", "c", "d"))
+    with pytest.raises(GraphError, match=r"set \('c', 'b', 'a'\) violates balanced"):
+        SetFamily(g, SetProperty.BALANCED, bad)
+    with pytest.raises(GraphError, match="vertex 'zz' not in graph"):
+        SetFamily(g, SetProperty.BALANCED, (*bad, ("a", "zz")))
+    with pytest.raises(GraphError, match="duplicate member 'd'"):
+        SetFamily(g, SetProperty.ACYCLIC, (*bad, ("d", "a", "d")))
+    assert SetFamily(g, SetProperty.BALANCED, bad[:1] + (("a", "b", "d"),)).sets == (
+        ("c", "d"), ("a", "b", "d"))
+
+
 def test_pricing_a_long_path_needs_no_recursion():
     n = 1200
     names = tuple(f"p{i}" for i in range(n))

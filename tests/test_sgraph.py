@@ -21,7 +21,6 @@ from fracbal.sgraph import (
     names_by_key,
     negative_cycle_witness,
     parse_graph,
-    peel,
     serialize_graph,
     sets_hold,
     switch,
@@ -138,17 +137,6 @@ def test_sets_hold_with_no_sets_and_isolated_vertices(acyclic):
     assert sets_hold(g, masks, len(sets), acyclic) == [False, True, True, True, True, True]
 
 
-def two_core(g, members):
-    """The 2-core of the subgraph ``members`` induces, by deleting vertices
-    with fewer than two neighbours left until none is left."""
-    core = set(members)
-    while True:
-        low = {v for v in core if sum(w in core for w in g.adj[v]) < 2}
-        if not low:
-            return core
-        core -= low
-
-
 @st.composite
 def graphs_and_masks(draw, max_n=10):
     """A random signed graph, possibly empty, with isolated vertices now
@@ -157,21 +145,6 @@ def graphs_and_masks(draw, max_n=10):
     count = draw(st.integers(0, 90))
     masks = [draw(st.integers(0, (1 << count) - 1)) for _ in g.vertices]
     return g, masks, count
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(graphs_and_masks())
-def test_peel_keeps_each_sets_2_core_and_every_answer(case):
-    g, masks, count = case
-    peeled = peel(g, masks)
-    assert len(peeled) == len(masks)
-    assert all(p & ~m == 0 for p, m in zip(peeled, masks))
-    for j in range(count):
-        members = [v for v, m in zip(g.vertices, masks) if m >> j & 1]
-        for v in two_core(g, members):
-            assert peeled[g.index[v]] >> j & 1
-    for acyclic in (False, True):
-        assert sets_hold(g, peeled, count, acyclic) == sets_hold(g, masks, count, acyclic)
 
 
 def per_set(g, masks, count, acyclic):
@@ -254,6 +227,26 @@ def test_a_vertex_over_the_width_after_fill_links_leaves_them_to_the_union_find(
     assert answers == [[False, True, True, True, False], [False, False, True, True, False]]
     monkeypatch.setattr(sgraph, "_WIDTH", 2)
     assert [holds(g, sets, acyclic) for acyclic in (False, True)] == answers
+
+
+@pytest.mark.parametrize("acyclic", [False, True])
+def test_the_hand_off_counts_fill_links_and_keeps_failed_sets(monkeypatch, acyclic):
+    # The negative triangle r-s-t fails the third set when s is eliminated.
+    # u's only neighbour in the graph is v, which merges into u and leaves
+    # the fill links (u, x) and (u, y).  h has four links in the second set,
+    # over a width of 3, so the sweep stops there.  Below h, u closes the
+    # negative cycle u-x-y of the first set through the fill links, and the
+    # third set leaves the tree a-h-b, which the hand-off alone would pass.
+    g = SignedGraph(
+        ("a", "b", "x", "y", "u", "h", "v", "r", "s", "t"),
+        (("v", "u", 1), ("v", "x", -1), ("v", "y", 1), ("x", "y", 1),
+         ("h", "a", 1), ("h", "b", 1), ("h", "x", 1), ("h", "y", 1),
+         ("r", "s", 1), ("s", "t", 1), ("r", "t", -1)),
+    )
+    sets = [("u", "v", "x", "y"), ("h", "a", "b", "x", "y"), ("a", "b", "h", "r", "s", "t"),
+            ("a", "b", "h", "x")]
+    monkeypatch.setattr(sgraph, "_WIDTH", 3)
+    assert holds(g, sets, acyclic) == [False, not acyclic, False, True]
 
 
 def test_positive_five_cycle_balanced():
