@@ -115,8 +115,10 @@ class SetFamily:
         cls, host: SignedGraph, prop: SetProperty, sets: tuple[tuple[str, ...], ...],
         maximal_only: bool = False, nodes: int = 0, leaves: int = 0,
     ) -> SetFamily:
-        """A family of sets that the search core produced, which hold the
-        property by construction, built without re-checking them."""
+        """A family of sets that the search core produced or grew (the
+        enumerated sets, or column generation's singletons and lifted
+        priced sets), which hold the property by construction, built
+        without re-checking them."""
         return _assembled(
             cls, host=host, property=prop, sets=sets, maximal_only=maximal_only,
             nodes=nodes, leaves=leaves,
@@ -634,6 +636,21 @@ def _price(
         best, mask = _best_rows(atoms, [k or never for k in key])
         best, nodes = best >> n, sum(len(a.low) for a in atoms)
     return Fraction(best, scale), names_by_key(g, include_first_keys(g, [mask]))[0], nodes
+
+
+def _lift(g: SignedGraph, prop: SetProperty, s: tuple[str, ...]) -> tuple[str, ...]:
+    """``s``, a set with the property, grown to a maximal one by adding
+    every other vertex, in declaration order, that keeps the property.
+
+    When ``s`` is a set of largest dual weight (``_price``), no vertex of
+    positive dual can join it, so the grown set has the same dual weight."""
+    core = _Core(g._neighbours, prop)
+    for i in [g.index[v] for v in s] + list(range(len(g.vertices))):
+        if not core.chosen >> i & 1:
+            roots = core.scan(i)
+            if roots is not None:
+                core.attach(i, roots)
+    return names_by_key(g, include_first_keys(g, [core.chosen]))[0]
 
 
 def _walk_price(

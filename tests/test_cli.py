@@ -96,7 +96,7 @@ def _digest(text: str) -> str:
         ("w-hat", ("chi-fb",), "13f482a536e9fc43"),
         ("w-hat", ("a-f",), "8884922a7e747ab1"),
         ("w-prime", ("chi-fb",), "365b70584052eafa"),
-        ("w-prime", ("chi-fb", "--column-generation"), "127ba807d822efa7"),
+        ("w-prime", ("chi-fb", "--column-generation"), "73527b9e1864043e"),
     ],
 )
 def test_solve_output_is_pinned(tmp_path, capsys, name, argv, digest):

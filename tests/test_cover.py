@@ -24,9 +24,11 @@ from fracbal.cover import (
     lp_to_certificate,
     verify_cover_certificates,
 )
-from fracbal.families import SetFamily, SetProperty, enumerate_sets
-from fracbal.gadgets import k3_minus, k4_minus, w1_underlying, w_hat, w_prime
-from fracbal.sgraph import SignedGraph, is_acyclic, is_balanced
+from fracbal.families import SetFamily, SetProperty, _lift, enumerate_sets
+from fracbal.gadgets import g_hat_k3, k3_minus, k4_minus, u_hat, w1_underlying, w_hat, w_prime
+from fracbal.sgraph import (
+    SignedGraph, any_cycle, is_acyclic, is_balanced, negative_cycle_witness,
+)
 from fracbal.simplex import simplex_max
 
 
@@ -196,9 +198,21 @@ def test_column_generation_budget_interval():
     assert cg.lower <= Fraction(11, 6) <= cg.upper
 
 
+def greedy_lift(g, prop, s):
+    """Reference lift: every other vertex in declaration order joins ``s``
+    when one property check says the set stays good."""
+    check = is_balanced if prop is SetProperty.BALANCED else is_acyclic
+    chosen = set(s)
+    for v in g.vertices:
+        if v not in chosen and check(g, [*chosen, v]):
+            chosen.add(v)
+    return tuple(v for v in g.vertices if v in chosen)
+
+
 def scratch_column_generation(g, prop, max_iterations=None):
     """Reference loop: the restricted master solved from scratch by
-    ``fractional_cover_optimum`` at every iteration, priced by ``_price``."""
+    ``fractional_cover_optimum`` at every iteration, priced by ``_price``,
+    each priced column lifted by ``greedy_lift``."""
     columns = [(v,) for v in g.vertices]
     iterations, lower, nodes = 0, Fraction(0), 0
     while True:
@@ -208,14 +222,18 @@ def scratch_column_generation(g, prop, max_iterations=None):
         iterations += 1
         if best_w <= 1:
             return ColumnGenResult(
-                True, master.optimum, master.optimum, master, iterations, len(columns), nodes
+                True, master.optimum, master.optimum, master, iterations, len(columns),
+                master.dual, nodes,
             )
-        lower = max(lower, master.optimum / best_w)
+        if master.optimum / best_w > lower:
+            lower, behind = master.optimum / best_w, (master.dual, best_w)
         if max_iterations is not None and iterations >= max_iterations:
+            y, w = behind
             return ColumnGenResult(
-                False, lower, master.optimum, master, iterations, len(columns), nodes
+                False, lower, master.optimum, master, iterations, len(columns),
+                tuple((v, val / w) for v, val in y), nodes,
             )
-        columns.append(best_s)
+        columns.append(greedy_lift(g, prop, best_s))
 
 
 def resumed_cases():
@@ -235,6 +253,52 @@ def test_resumed_master_matches_from_scratch_loop():
         assert got.price_nodes == want.price_nodes
 
 
+def test_lower_dual_attains_lower_and_is_feasible():
+    # capped, the weighting is y / best_w, which every good set weighs at
+    # most 1; completed, it is the final master dual, which pricing accepts
+    for g, prop, cap in resumed_cases():
+        for limit in (cap, 1, 2):
+            got = column_generation(g, prop, max_iterations=limit)
+            y = dict(got.lower_dual)
+            assert tuple(y) == g.vertices
+            assert all(w >= 0 for w in y.values())
+            assert sum(y.values()) == got.lower
+            assert _price(g, prop, y)[0] <= 1
+            if got.completed:
+                assert got.lower_dual == got.result.dual
+
+
+@st.composite
+def graphs_and_duals(draw):
+    """A random signed graph, up to 14 vertices so that some are one atom
+    too large for the row DP, and a nonnegative dual that is often 0."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple(
+        (names[i], names[j], draw(st.sampled_from((1, -1))))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    )
+    weight = st.one_of(st.just(Fraction(0)), st.fractions(0, 2, max_denominator=7))
+    y = {v: draw(weight) for v in names}
+    return SignedGraph(names, edges), y, draw(st.sampled_from(list(SetProperty)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graphs_and_duals())
+def test_lift_grows_the_priced_set_to_a_maximal_one_of_the_same_weight(case):
+    g, y, prop = case
+    witness = negative_cycle_witness if prop is SetProperty.BALANCED else any_cycle
+    best_w, best_s, _ = _price(g, prop, y)
+    lifted = _lift(g, prop, best_s)
+    assert set(best_s) <= set(lifted)
+    assert lifted == tuple(v for v in g.vertices if v in lifted)
+    assert witness(g, lifted) is None
+    assert all(witness(g, lifted + (v,)) is not None for v in g.vertices if v not in lifted)
+    assert sum(y[v] for v in lifted) == best_w
+
+
 def test_column_generation_prices_through_the_cover_attribute(monkeypatch):
     # the benchmark's pricing span wraps ``cover._price`` by name, so each
     # iteration must look the pricer up there, not in ``families``
@@ -247,14 +311,14 @@ def test_column_generation_prices_through_the_cover_attribute(monkeypatch):
 
     monkeypatch.setattr(cover, "_price", counted)
     cg = column_generation(w_prime().graph, SetProperty.BALANCED)
-    assert len(calls) == cg.iterations == 41
+    assert len(calls) == cg.iterations == 21
 
 
 def test_master_pivots_counts_executed_pivots(monkeypatch):
-    # the from-scratch loop takes 1,118 Bland pivots on w_prime; resuming
-    # computes 494, replays included, and returns the same result.  The pin
+    # the from-scratch loop takes 306 Bland pivots on w_prime; resuming
+    # computes 202, replays included, and returns the same result.  The pin
     # is exact so that a rewind that replays more than it needs to fails here
-    # (a single checkpoint at pivot 0 executes all 1,118)
+    # (a single checkpoint at pivot 0 executes all 306)
     from_scratch = []
 
     def counting(rows, b, c):
@@ -269,8 +333,8 @@ def test_master_pivots_counts_executed_pivots(monkeypatch):
     assert got == want
     assert len(from_scratch) == got.iterations
     assert 0 < got.master_pivots < sum(from_scratch)
-    assert (got.iterations, got.columns, got.master_pivots) == (41, 56, 494)
-    assert sum(from_scratch) == 1118
+    assert (got.iterations, got.columns, got.master_pivots) == (21, 36, 202)
+    assert sum(from_scratch) == 306
 
 
 def test_master_results_unpack_one_row_per_solve(monkeypatch):
@@ -287,7 +351,7 @@ def test_master_results_unpack_one_row_per_solve(monkeypatch):
 
     monkeypatch.setattr(simplex._Lanes, "unpack", counting)
     got = column_generation(w_prime().graph, SetProperty.BALANCED)
-    assert (got.iterations, got.columns, got.master_pivots) == (41, 56, 494)
+    assert (got.iterations, got.columns, got.master_pivots) == (21, 36, 202)
     assert len(unpacked) <= got.iterations
     assert set(unpacked) == {23}
 
@@ -302,7 +366,18 @@ def test_column_generation_interval_on_large_arboricity_instance():
     cg = column_generation(
         w1_underlying().graph, SetProperty.ACYCLIC, time_budget=45.0
     )
-    assert cg.completed and cg.optimum == Fraction(52, 25) and cg.iterations == 134
+    assert cg.completed and cg.optimum == Fraction(52, 25) and cg.iterations == 73
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("host, optimum", [(g_hat_k3, Fraction(87, 43)), (u_hat, Fraction(2))])
+def test_column_generation_closes_chi_fb_of_the_paper_hosts(host, optimum):
+    # g_hat_k3 (66 vertices) closes in about 100 iterations and u_hat (88)
+    # in about 45; the budget makes a slowdown fail rather than hang
+    g = host().graph
+    cg = column_generation(g, SetProperty.BALANCED, time_budget=120.0)
+    assert cg.completed and cg.optimum == optimum
+    assert verify(g, lp_to_certificate(cg.result, Mode.BALANCED)).ok
 
 
 def test_column_generation_rejects_a_nan_budget():
