@@ -176,16 +176,17 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
     Findings rather than exceptions: every class must induce a balanced set
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
     the palette, and every vertex must be covered at least q times.  One
-    loop over the members counts coverage, finds strangers and builds the
-    class bitmasks in vertex order, and one ``sgraph.sets_hold`` call tests
-    every class.  Only a class that fails is searched again, whole, for its
-    cycle witness.
+    loop over the members finds strangers and builds each vertex's mask of
+    the classes that hold it, and one ``sgraph.sets_hold`` call tests
+    every class.  A vertex's coverage is a popcount of its mask per binary
+    digit of the repetitions: one popcount when every repetition is 1.
+    Only a class that fails is searched again, whole, for its cycle
+    witness.
     """
     index = g.index
-    counts = [0] * len(index)
     masks = [0] * len(index)
     strangers: list[list[str]] = []
-    for j, (s, rep) in enumerate(c.classes):
+    for j, (s, _) in enumerate(c.classes):
         bit = 1 << j
         out = []
         for v in s:
@@ -193,9 +194,15 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
             if i is None:
                 out.append(v)
             else:
-                counts[i] += rep
                 masks[i] |= bit
         strangers.append(out)
+    # digit k selects the classes whose repetition has bit k set
+    digits = [0] * max((rep for _, rep in c.classes), default=0).bit_length()
+    for j, (_, rep) in enumerate(c.classes):
+        for k in range(rep.bit_length()):
+            if rep >> k & 1:
+                digits[k] |= 1 << j
+    counts = [sum((m & d).bit_count() << k for k, d in enumerate(digits)) for m in masks]
     holds = sets_hold(g, masks, len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
     for (s, _), out, ok in zip(c.classes, strangers, holds):

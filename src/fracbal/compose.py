@@ -29,6 +29,11 @@ pool's first ``count`` colors are its lowest set bits:
   The two positive faces of the copy are then completed with a scheme
   from the mini-extension fixture, selected by the induced triangle
   profile.
+
+The trace is replayed on a gadget builder that is never frozen, so it
+builds only the names and adjacency read here, not the edge list or the
+marked triangles.  The classes come out of one byte matrix, a row of
+colors per vertex in name order, one strided column per color.
 """
 from __future__ import annotations
 
@@ -81,7 +86,16 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _lowest(pool: int, count: int) -> int:
-    """The ``count`` lowest colors of ``pool`` (all of it if it has fewer)."""
+    """The ``count`` lowest colors of ``pool`` (all of it if it has fewer),
+    worked from the shorter end: the lowest bits cleared one at a time, or
+    the highest ones when fewer are dropped than kept."""
+    size = pool.bit_count()
+    if count >= size:
+        return pool
+    if 2 * count > size:
+        for _ in range(size - count):
+            pool ^= 1 << (pool.bit_length() - 1)
+        return pool
     rest = pool
     for _ in range(count):
         rest &= rest - 1
@@ -233,8 +247,9 @@ def compose_8341(trace: BuildTrace) -> Certificate:
             _extend_apex(state, step.face, info, idx)  # type: ignore[arg-type]
         else:
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
-    # by name, so every class comes out sorted; the columns of the byte rows
-    # are the colors, made one at a time
-    names, masks = zip(*sorted(state.masks.items()))
-    classes = (tuple(compress(names, col)) for col in zip(*map(_row, masks)))
+    # by name, so every class comes out sorted; color i is the column of
+    # the byte matrix that starts at byte i and strides a row
+    names = sorted(state.masks)
+    matrix = b"".join(map(_row, map(state.masks.__getitem__, names)))
+    classes = (tuple(compress(names, matrix[i::P])) for i in range(P))
     return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))

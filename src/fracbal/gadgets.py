@@ -26,6 +26,9 @@ work in the size of what it adds, plus C-level copies of the parent.  Every
 gadget copy, a mini completion's too, is grafted from a plan its guest
 compiles once per identified order and switching, so a trace's
 substitutions replay one plan of w_prime; only an apex is added by hand.
+A graft's edges and marked triangles are written out only when the builder
+freezes, so the composer, which replays a trace on a builder to name its
+vertices but never freezes it, does not pay for them.
 """
 from __future__ import annotations
 
@@ -83,8 +86,16 @@ def _check_gadget(
     for role, v in terminals.items():
         if not graph.has_vertex(v):
             raise GraphError(f"terminal {role}={v!r} not in graph")
+    adj = graph.adj
     for t in marked:
-        if triangle_sign(graph, t) != -1:
+        # the sign product of the triple as given; anything but a negative
+        # triangle goes to ``triangle_sign``, which raises its exact error
+        try:
+            a, b, c = t
+            negative = adj[a][b] * adj[b][c] * adj[a][c] == -1
+        except (KeyError, TypeError, ValueError):
+            negative = False
+        if not negative and triangle_sign(graph, t) != -1:
             raise GraphError(f"marked triangle {t} is not negative")
 
 
@@ -95,7 +106,11 @@ def _face(
     s = canonical_set(g, t)  # type: ignore[arg-type]
     if len(s) != 3:
         raise GraphError(f"expected 3 vertices, got {len(s)}")
-    if triangle_sign(g, s) != sign:  # type: ignore[arg-type]
+    a, b, c = s
+    adj = g.adj
+    if adj[a].get(b, 0) * adj[b].get(c, 0) * adj[a].get(c, 0) != sign:
+        # a missing edge makes the product 0; ``triangle_sign`` names it
+        triangle_sign(g, s)  # type: ignore[arg-type]
         raise GraphError(f"{what} {s} is not {'negative' if sign < 0 else 'positive'}")
     return s  # type: ignore[return-value]
 
@@ -110,10 +125,9 @@ def _fresh_name(g: _Builder, prefix: str) -> str:
 class _Builder:
     """A gadget graph under construction, and the one implementation of
     every surgery.  An operation checks its preconditions before it changes
-    anything and costs time in the size of what it adds (a graft that
-    identifies a marked triangle also scans the marked list).  The builder
-    reads like a SignedGraph, so ``canonical_set`` and ``triangle_sign``
-    apply to it and report the same errors.
+    anything and costs time in the size of what it adds.  The builder reads
+    like a SignedGraph, so ``canonical_set`` and ``triangle_sign`` apply to
+    it and report the same errors.
 
     A builder never removes or re-signs what it was thawed from, which was
     validated when that graph was built.  So ``freeze`` validates only the
@@ -126,8 +140,14 @@ class _Builder:
     neighbour dict needs sorting.  Freezing hands the builder's dicts to
     the graph, so a builder freezes once.  ``_graft`` adds every gadget
     copy, a mini completion's (``_MINI``) too, from a plan memoised on the
-    guest graph (``_graft_plan``).  An apex, one vertex, is the one addition
-    written by hand: a plan would cost it more than it saves.
+    guest graph (``_graft_plan``).  It adds the copy's vertices and
+    neighbours at once, but only records its edges and marked triangles;
+    ``freeze`` expands the records, in order, into ``added`` and ``marked``
+    (a graft that identified a marked triangle scans the marked list then).
+    So a builder that is only read, as the composer's is, never builds
+    them, and until ``freeze`` those lists hold only what was thawed or
+    added by hand.  An apex, one vertex, is the one addition written by
+    hand: a plan would cost it more than it saves.
     """
 
     def __init__(self, g: GadgetGraph) -> None:
@@ -138,6 +158,9 @@ class _Builder:
         self.terminals = dict(g.terminals)
         self.marked = list(g.marked_triangles)
         self.added: list[Edge] = []
+        # per graft: its plan's edges and marked triangles, the number of
+        # identified vertices and the local names, expanded by ``freeze``
+        self.grafts: list[tuple[list, list, int, list[str]]] = []
 
     # they read only ``index`` and ``adj``, which the builder keeps current
     has_vertex = SignedGraph.has_vertex
@@ -145,6 +168,13 @@ class _Builder:
     sign = SignedGraph.sign
 
     def freeze(self) -> GadgetGraph:
+        for added, marked, identified, local in self.grafts:
+            self.added += [(local[a], local[b], s) for a, b, s in added]
+            for a, b, c in marked:
+                t = (local[a], local[b], local[c])
+                # a triangle on identified vertices alone may be marked already
+                if c >= identified or t not in self.marked:
+                    self.marked.append(t)
         parent = self.parent
         graph = _derived(parent.graph, tuple(self.vertices), self.index, self.adj, self.added)
         marked = tuple(self.marked)
@@ -233,16 +263,23 @@ class _Builder:
         """Copy ``guest`` switched at ``switched``: ``identified`` vertices
         map to host vertices, each other vertex v to a new one ``name(v)``,
         and an edge between two identified vertices merges with the host's.
-        The guest's marked triangles are appended, mapped, but for one on
-        identified vertices alone that is marked already.  It runs the
-        guest graph's plan for these identified vertices in host order and
-        this switching, compiled on first use (``_graft_plan``)."""
+        It runs the guest graph's plan for these identified vertices in host
+        order and this switching, compiled on first use (``_graft_plan``),
+        on the vertices and neighbour dicts, and records the copy: ``freeze``
+        appends its edges and the guest's marked triangles, mapped, but for
+        one on identified vertices alone that is marked already."""
         graph = guest.graph
         hosts = tuple(sorted(identified, key=lambda v: self.index[identified[v]]))
         key = (hosts, frozenset(switched))
         if key not in graph._memo:
             graph._memo[key] = _graft_plan(graph, hosts, switched)
-        copies, copy_nbrs, host_nbrs, added = graph._memo[key]
+        copies, copy_nbrs, host_nbrs, added, marked_plans = graph._memo[key]
+        marked = marked_plans.get(guest.marked_triangles)
+        if marked is None:
+            ids = {v: i for i, v in enumerate(hosts + copies)}
+            marked = marked_plans[guest.marked_triangles] = [
+                tuple(sorted(map(ids.__getitem__, t))) for t in guest.marked_triangles
+            ]
         mapping = {v: identified[v] if v in identified else name(v) for v in graph.vertices}
         names = [mapping[v] for v in copies]
         for new in names:
@@ -257,14 +294,7 @@ class _Builder:
             self.adj[new] = {local[i]: s for i, s in pairs}
         for host, pairs in zip(local, host_nbrs):
             self.adj[host].update({local[i]: s for i, s in pairs})
-        self.added += [(local[a], local[b], s) for a, b, s in added]
-        # sorted into canonical order, which ``freeze`` checks; a triangle whose
-        # last vertex predates the copy lies on identified vertices alone
-        order = self.index.__getitem__
-        for t in guest.marked_triangles:
-            mt = tuple(sorted(map(mapping.__getitem__, t), key=order))
-            if order(mt[2]) >= first or mt not in self.marked:
-                self.marked.append(mt)
+        self.grafts.append((added, marked, len(hosts), local))
         return mapping
 
     def apply(self, step: Op1 | Op2, idx: int) -> dict[str, str] | str:
@@ -282,7 +312,9 @@ def _graft_plan(guest: SignedGraph, hosts: tuple[str, ...], switched: set[str]) 
     in host order, and switched at ``switched``, over local ids: the hosts
     in that order, then the copies in guest order.  Returns the copies, each
     copy's and each host's new neighbours as (id, sign) pairs in insertion
-    order, and the added edges as (id, id, sign)."""
+    order, the added edges as (id, id, sign), and an empty memo for the
+    marked triangles of each marked set grafted with it, as sorted id
+    triples: ids ascend in host order, so these are in canonical order."""
     copies = tuple(v for v in guest.vertices if v not in hosts)
     local = {v: i for i, v in enumerate(hosts + copies)}
     nbrs: list[list[tuple[int, int]]] = [[] for _ in local]
@@ -297,7 +329,7 @@ def _graft_plan(guest: SignedGraph, hosts: tuple[str, ...], switched: set[str]) 
         added.append((i, j, s))
         nbrs[i].append((j, s))
         nbrs[j].append((i, s))
-    return copies, nbrs[len(hosts):], nbrs[: len(hosts)], added
+    return copies, nbrs[len(hosts):], nbrs[: len(hosts)], added, {}
 
 
 # the mini gadget on an all-positive face t0 t1 t2: prime p_j misses t_j, sees

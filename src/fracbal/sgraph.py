@@ -163,13 +163,12 @@ def _normalized_edges(
     inherited = len(known) if known else 0
     normalized: dict[int, Edge] = {}
     for a, b, sign in edges:
-        if a not in index or b not in index:
+        if (ia := index.get(a)) is None or (ib := index.get(b)) is None:
             raise GraphError(f"unknown vertex in edge ({a!r}, {b!r})")
         if a == b:
             raise GraphError(f"loop at {a!r} is not allowed")
         if sign not in (1, -1):
             raise GraphError(f"edge sign must be +1 or -1, got {sign!r}")
-        ia, ib = index[a], index[b]
         if ia > ib:
             a, b, ia, ib = b, a, ib, ia
         key = ia * n + ib

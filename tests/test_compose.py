@@ -1,5 +1,6 @@
 """The inductive (83,41)-coloring composer across trace shapes."""
 import hashlib
+import json
 import random
 from functools import cache
 from itertools import islice
@@ -221,6 +222,17 @@ def test_composition_is_deterministic():
 @example(pool=0b1011, count=3)
 @example(pool=0b1011, count=5)
 @example(pool=0, count=2)
+# where ``_lowest`` changes ends, on 8 bits and on the full palette: the
+# whole pool, all but one bit, and one above, at and one below half
+@example(pool=0b1011_0110_1101, count=8)
+@example(pool=0b1011_0110_1101, count=7)
+@example(pool=0b1011_0110_1101, count=5)
+@example(pool=0b1011_0110_1101, count=4)
+@example(pool=0b1011_0110_1101, count=3)
+@example(pool=(1 << 83) - 1, count=83)
+@example(pool=(1 << 83) - 1, count=82)
+@example(pool=(1 << 83) - 1, count=42)
+@example(pool=(1 << 83) - 1, count=41)
 def test_lowest_takes_the_lowest_set_bits(pool, count):
     assert _lowest(pool, count) == sum(1 << i for i in islice(_bits(pool), count))
 
@@ -383,24 +395,53 @@ def test_invalid_trace_surfaces_step_error():
         compose_8341(trace)
 
 
+# once u1-u2 is substituted, u1 sees x1#1, x2#1 and x5#1 of the copy, u2 sees
+# x3#1 and x4#1, u3 sees none, and u1 x1#1 x2#1 is a positive face
+@pytest.mark.parametrize(
+    "face, message",
+    [
+        (("u1", "u2", "zz"), "vertex 'zz' not in graph"),
+        (("zz", "u1", "u1"), "vertex 'zz' not in graph"),
+        (("u1", "u1", "u2"), "duplicate member 'u1'"),
+        (("x3#1", "x1#1", "u2"), "no edge ('u2', 'x1#1')"),
+        (("u3", "u1", "x3#1"), "no edge ('u3', 'x3#1')"),
+        (("u1", "u2", "x3#1"), "no edge ('u1', 'x3#1')"),
+        (("x2#1", "u1", "x1#1"), "triangle ('u1', 'x1#1', 'x2#1') is not negative"),
+    ],
+    ids=["stranger", "stranger-first", "repeat", "first-edge", "second-edge", "third-edge",
+         "positive"],
+)
+def test_bad_apex_face_errors_are_pinned(face, message):
+    from fracbal.gadgets import TraceError
+
+    trace = BuildTrace("K3_MINUS", (Op2(("u1", "u2")), Op1(face)))
+    for run in (build_from_trace, compose_8341):
+        with pytest.raises(TraceError) as err:
+            run(trace)
+        assert str(err.value) == f"step 2: {message}"
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# sha256 prefixes of the built graph and the composed certificate; any
-# change to vertex naming, edge order or color assignment moves them
+# sha256 prefixes of the built graph, its marked triangles in order and the
+# composed certificate; any change to vertex naming, edge order, marked order
+# or color assignment moves them
 @pytest.mark.parametrize(
-    "name, graph_digest, cert_digest",
+    "name, graph_digest, marked_digest, cert_digest",
     [
-        ("random depth 200", "df07f53f2a85d7f0", "5b4dd2afaa75dae8"),
-        ("gadget triangle", "ef30ed74d5a1f78b", "fe5ae59ac87f9ec7"),
+        ("random depth 200", "df07f53f2a85d7f0", "6706b10d5e2961cb", "5b4dd2afaa75dae8"),
+        ("gadget triangle", "ef30ed74d5a1f78b", "0a27bd60b87659a2", "fe5ae59ac87f9ec7"),
     ],
     ids=["random-depth-200", "gadget-triangle"],
 )
-def test_trace_outputs_are_pinned(name, graph_digest, cert_digest):
+def test_trace_outputs_are_pinned(name, graph_digest, marked_digest, cert_digest):
     if name == "gadget triangle":
         trace, _ = gadget_triangle_trace()
     else:
         trace = random_trace(random.Random(7), 200)
-    assert _digest(serialize_graph(build_from_trace(trace).graph)) == graph_digest
+    built = build_from_trace(trace)
+    assert _digest(serialize_graph(built.graph)) == graph_digest
+    assert _digest(json.dumps(built.marked_triangles)) == marked_digest
     assert _digest(compose_8341(trace).to_json()) == cert_digest

@@ -415,7 +415,7 @@ def test_a_colliding_copy_name_is_refused_with_the_first_in_guest_order():
     b = _Builder(host)
     with pytest.raises(GraphError, match=r"^fresh name 'x1#5' collides with host$"):
         b.substitute(("p", "q"), w_prime(), 5)
-    assert b.vertices == list(names) and not b.added
+    assert b.vertices == list(names) and not b.added and not b.grafts
     assert b.adj == host.graph.adj and all(b.adj[v] is host.graph.adj[v] for v in names)
 
 
@@ -631,6 +631,17 @@ def test_freeze_checks_added_marked_triangles_and_terminals():
     b.marked.append(("x1", "x2", "u"))
     with pytest.raises(GraphError, match=r"marked triangle \('x1', 'x2', 'u'\) is not negative"):
         b.freeze()
+    # a triple that is no triangle raises what ``triangle_sign`` raises
+    for triple, message in [
+        (("x1", "x3", "w"), "no edge ('x1', 'x3')"),
+        (("w", "x1", "nobody"), "vertex 'nobody' not in graph"),
+        (("w", "x1", "x1"), "duplicate member 'x1'"),
+    ]:
+        b = _Builder(w_hat())
+        b.marked.append(triple)
+        with pytest.raises(GraphError) as err:
+            b.freeze()
+        assert str(err.value) == message
     b = _Builder(w_hat())
     b.terminals["w"] = "nobody"
     with pytest.raises(GraphError, match="terminal w='nobody' not in graph"):
