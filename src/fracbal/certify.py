@@ -5,14 +5,16 @@ color class ``rep`` times, drawing from a palette of p colors, and every
 vertex must be covered at least q times.  Classes identify colors only
 through multiplicity; duplicate rows for the same set are merged on load.
 
-The overlap and profile audits are popcounts on one cached view,
-``Certificate.masks``: the classes laid out on consecutive colors, one
-color bitmask per vertex; the triangle counts sum class repetitions, so
-their memory does not grow with the palette.  The verifier is deliberately
-primitive: it uses only balance / forest checks and integer counting over
-the classes, so it stays independent of whatever produced the certificate
-(the LP solver or the inductive composer, which reads the mask view).
-A failing class is searched whole for its witness.
+The audits sum class repetitions, so their memory does not grow with the
+palette: the triangle counts over the classes that hold or miss the
+triangle, and the overlap and profile audits as popcounts on one cached
+view, ``Certificate._class_masks``, which holds for each vertex the
+bitmask of the classes that hold it, one popcount per binary digit of the
+repetitions.  The verifier is deliberately primitive: it uses only
+balance / forest checks and integer counting over the classes, so it
+stays independent of whatever produced the certificate (the LP solver or
+the inductive composer) and of the cached view.  A failing class is
+searched whole for its witness.
 """
 from __future__ import annotations
 
@@ -96,17 +98,20 @@ class Certificate:
         classes: Iterable[tuple[Iterable[str], int]],
     ) -> "Certificate":
         """Canonicalize raw rows: sort each set, merge duplicate sets."""
+        return cls._merged(p, q, mode, ((_sorted_set(raw), rep) for raw, rep in classes))
+
+    @classmethod
+    def _merged(
+        cls, p: int, q: int, mode: Mode, classes: Iterable[tuple[tuple[str, ...], int]]
+    ) -> "Certificate":
+        """The certificate of classes whose sets are already sorted tuples
+        with no repeated vertex: duplicate sets are merged and the classes
+        put in order.  Each set was scanned once by whoever sorted it, so
+        the constructor's second pass over it is skipped."""
         merged: dict[tuple[str, ...], int] = {}
-        for raw, rep in classes:
-            key = row = tuple(raw)
-            if not all(map(lt, row, row[1:])):
-                key = tuple(sorted(row))
-                if any(map(eq, key, key[1:])):
-                    raise CertificateError(f"class {row} repeats a vertex")
+        for key, rep in classes:
             merged[key] = merged.get(key, 0) + rep
         rows = tuple(sorted(merged.items()))
-        # each row was scanned once above: its sorted, merged keys need no
-        # second pass in the constructor
         _check_classes(p, q, rows, canonical=True)
         return _assembled(cls, p=p, q=q, mode=mode, classes=rows)
 
@@ -141,18 +146,44 @@ class Certificate:
         return sum(rep for _, rep in self.classes)
 
     @cached_property
-    def masks(self) -> dict[str, int]:
-        """Color masks: the classes take consecutive colors, each as many as
-        its repetition, and bit i of ``masks[v]`` is set iff v holds color i.
-        Vertices in no class are absent.  Shared; copy before changing."""
-        masks: dict[str, int] = {}
-        color = 0
-        for s, rep in self.classes:
-            block = ((1 << rep) - 1) << color
+    def _class_masks(self) -> tuple[dict[str, int], list[int]]:
+        """For each vertex the bitmask of the classes that hold it, bit j
+        for class j (vertices in no class are absent), and the digits of
+        ``_digits``.  Their size grows with the number of classes, not with
+        the palette."""
+        holders: dict[str, int] = {}
+        for j, (s, _) in enumerate(self.classes):
+            bit = 1 << j
             for v in s:
-                masks[v] = masks.get(v, 0) | block
-            color += rep
-        return masks
+                holders[v] = holders.get(v, 0) | bit
+        return holders, _digits(self.classes)
+
+
+def _digits(classes: Sequence[tuple[tuple[str, ...], int]]) -> list[int]:
+    """Digit k selects the classes whose repetition has bit k set."""
+    digits = [0] * max((rep for _, rep in classes), default=0).bit_length()
+    for j, (_, rep) in enumerate(classes):
+        for k in range(rep.bit_length()):
+            if rep >> k & 1:
+                digits[k] |= 1 << j
+    return digits
+
+
+def _weight(mask: int, digits: list[int]) -> int:
+    """The total repetition of the classes in ``mask``: a popcount per
+    binary digit of the repetitions, one when every repetition is 1."""
+    return sum((mask & d).bit_count() << k for k, d in enumerate(digits))
+
+
+def _sorted_set(raw: Iterable[str]) -> tuple[str, ...]:
+    """``raw`` as a sorted tuple; a repeated vertex is refused."""
+    row = tuple(raw)
+    if all(map(lt, row, row[1:])):
+        return row
+    key = tuple(sorted(row))
+    if any(map(eq, key, key[1:])):
+        raise CertificateError(f"class {row} repeats a vertex")
+    return key
 
 
 @dataclass(frozen=True)
@@ -196,13 +227,8 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
             else:
                 masks[i] |= bit
         strangers.append(out)
-    # digit k selects the classes whose repetition has bit k set
-    digits = [0] * max((rep for _, rep in c.classes), default=0).bit_length()
-    for j, (_, rep) in enumerate(c.classes):
-        for k in range(rep.bit_length()):
-            if rep >> k & 1:
-                digits[k] |= 1 << j
-    counts = [sum((m & d).bit_count() << k for k, d in enumerate(digits)) for m in masks]
+    digits = _digits(c.classes)
+    counts = [_weight(m, digits) for m in masks]
     holds = sets_hold(g, masks, len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
     for (s, _), out, ok in zip(c.classes, strangers, holds):
@@ -231,11 +257,12 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
 
 
 def overlap(c: Certificate, x: str, y: str) -> int:
-    """Number of common colors of two vertices."""
+    """Number of common colors of two vertices: the total repetition of the
+    classes that hold both."""
     if x == y:
         raise GraphError("overlap needs two distinct vertices")
-    m = c.masks
-    return (m.get(x, 0) & m.get(y, 0)).bit_count()
+    holders, digits = c._class_masks
+    return _weight(holders.get(x, 0) & holders.get(y, 0), digits)
 
 
 def triangle_common_count(c: Certificate, t: Sequence[str]) -> int:
@@ -293,12 +320,12 @@ def profile(c: Certificate, terminals: Sequence[str]) -> OverlapProfile:
     exclusively among the terminals."""
     terms = list(terminals)
     pairs = [((x, y), overlap(c, x, y)) for x, y in combinations(terms, 2)]
-    m = c.masks
+    holders, digits = c._class_masks
     singles = []
     for v in terms:
         others = 0
         for w in terms:
             if w != v:
-                others |= m.get(w, 0)
-        singles.append((v, (m.get(v, 0) & ~others).bit_count()))
+                others |= holders.get(w, 0)
+        singles.append((v, _weight(holders.get(v, 0) & ~others, digits)))
     return OverlapProfile(tuple(pairs), tuple(singles))

@@ -5,7 +5,7 @@ operations admits a balanced (83, 41)-coloring in which the endpoints of
 every edge share either 13 or 14 colors.  This module constructs one by
 replaying the trace while carrying the coloring as one 83-bit mask per
 vertex (bit i set iff the vertex holds color i; fixture colorings enter
-as their ``Certificate.masks``), so the overlap of two vertices is
+through ``_masks``), so the overlap of two vertices is
 ``(m[x] & m[y]).bit_count()`` and every pool below is mask algebra.  A
 pool's first ``count`` colors are its lowest set bits:
 
@@ -33,13 +33,15 @@ pool's first ``count`` colors are its lowest set bits:
 The trace is replayed on a gadget builder that is never frozen, so it
 builds only the names and adjacency read here, not the edge list or the
 marked triangles.  The classes come out of one byte matrix, a row of
-colors per vertex in name order, one strided column per color.
+colors per vertex in name order, one strided column per color, so each
+class is sorted as it comes out and only duplicate classes are merged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, product
+from operator import lt
 from typing import Iterator, Sequence
 
 from .certify import Certificate, Mode
@@ -102,8 +104,22 @@ def _lowest(pool: int, count: int) -> int:
     return pool ^ rest
 
 
+def _masks(c: Certificate) -> dict[str, int]:
+    """The coloring of a fixture certificate as one mask per vertex: the
+    classes take consecutive colors, each as many as its repetition, and
+    bit i of ``masks[v]`` is set iff v holds color i."""
+    masks: dict[str, int] = {}
+    color = 0
+    for s, rep in c.classes:
+        block = ((1 << rep) - 1) << color
+        for v in s:
+            masks[v] = masks.get(v, 0) | block
+        color += rep
+    return masks
+
+
 def _base_state(base: str) -> _State:
-    state = _State(_Builder(k3_minus()), dict(k3_base_colorings()["14-14-14"].masks))
+    state = _State(_Builder(k3_minus()), _masks(k3_base_colorings()["14-14-14"]))
     if base == "K4_MINUS":
         state.graph = _Builder(k4_minus())
         _extend_apex(state, ("u1", "u2", "u3"), "u4", step=0)
@@ -142,7 +158,7 @@ def _template(overlap: int) -> tuple[tuple[int, ...], list[tuple[str, tuple[int,
     """The gadget coloring for an edge of ``overlap`` 13 or 14: its terminal
     group sizes, and every other vertex with the positions of its colors
     when the groups' colors are listed in turn."""
-    t = (w_coloring_83_41_uv13() if overlap == 13 else w_coloring_83_41_uv14()).masks
+    t = _masks(w_coloring_83_41_uv13() if overlap == 13 else w_coloring_83_41_uv14())
     groups = _groups(t["u"], t["v"])
     order = [*chain.from_iterable(map(_bits, groups))]
     rows = [(w, tuple(map(order.index, _bits(m)))) for w, m in t.items() if w not in ("u", "v")]
@@ -247,9 +263,12 @@ def compose_8341(trace: BuildTrace) -> Certificate:
             _extend_apex(state, step.face, info, idx)  # type: ignore[arg-type]
         else:
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
-    # by name, so every class comes out sorted; color i is the column of
-    # the byte matrix that starts at byte i and strides a row
+    # by name, so every class, a subsequence of the names, comes out sorted;
+    # color i is the column of the byte matrix that starts at byte i and
+    # strides a row
     names = sorted(state.masks)
+    if not all(map(lt, names, names[1:])):
+        raise ComposeError("vertex names are not strictly increasing")
     matrix = b"".join(map(_row, map(state.masks.__getitem__, names)))
     classes = (tuple(compress(names, matrix[i::P])) for i in range(P))
-    return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))
+    return Certificate._merged(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))

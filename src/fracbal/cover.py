@@ -230,7 +230,7 @@ def column_generation(
     columns: list[tuple[str, ...]] = [(v,) for v in g.vertices]
     col = {v: j for j, v in enumerate(g.vertices)}
     ones = [1] * len(columns)
-    lp = Tableau([_indicator(s, col) for s in columns], ones, ones, resumable=True)
+    lp = Tableau([_indicator(s, col) for s in columns], ones, ones)
     started = time.monotonic()
     iterations = 0
     lower = Fraction(0)

@@ -6,7 +6,7 @@ As b >= 0, the all-slack basis is feasible and no phase-1 is needed.
 
 The tableau is condensed (Tucker form): one row per basic variable and one
 column per nonbasic variable plus the right-hand side, with the objective
-as a last row.  Each row and column carries the label of its variable:
+as a further row.  Each row and column carries the label of its variable:
 structural ``j < n``, slack ``n + i``.  Entries are Python integers over one
 common denominator ``d``, the determinant of the current basis, and a pivot
 is the integer-preserving update of Edmonds and Bareiss:
@@ -17,38 +17,64 @@ which always divides exactly; afterwards ``d`` becomes the pivot ``p``.
 No floating point enters the computation, which is what lets the covering
 optima downstream be exact.
 
-Each row of ``n + 1`` entries is stored as one Python int: entry ``k`` is
-a signed lane of ``W`` bits at bit ``W * k``, and the row is the integer
-``sum(entry_k << W * k)``.  Every stored entry, ``d`` included, is plus or
-minus a minor of at most ``k = n + 1`` columns of ``[A b; c 0]``, so its
-absolute value is at most a bound ``H`` on the determinant of a 0/1 matrix
-of order ``k``, ``H = (k + 1)^((k + 1) / 2) / 2^k``: bordering such a
-matrix and mapping 0 to 1 and 1 to -1 gives a +-1 matrix of order ``k + 1``
-whose determinant is ``(-2)^k`` times it, and Hadamard's inequality bounds
-that (Brenner and Cummings, "The Hadamard maximum determinant problem",
-1972).  ``W = bits(H) + 2`` leaves every lane strictly inside
-``(-2^(W-1), 2^(W-1))``.  A pivot updates a whole row at once:
+The tableau is packed into Python ints of signed lanes, so that one
+big-int update and one exact division handle a whole row or column.  Every
+stored entry, ``d`` included, is plus or minus a minor of at most
+``k = n + 1`` columns of ``[A b; c 0]``, so its absolute value is at most a
+bound ``H`` on the determinant of a 0/1 matrix of order ``k``,
+``H = (k + 1)^((k + 1) / 2) / 2^k``: bordering such a matrix and mapping 0
+to 1 and 1 to -1 gives a +-1 matrix of order ``k + 1`` whose determinant
+is ``(-2)^k`` times it, and Hadamard's inequality bounds that (Brenner and
+Cummings, "The Hadamard maximum determinant problem", 1972).  A lane of
+``W = bits(H) + 2`` bits or more holds every entry strictly inside
+``(-2^(W-1), 2^(W-1))``, and adding ``2^(W-1)`` to every lane makes them all
+nonnegative without carries, so a lane is read with one biased shift and
+mask.  Products are never unpacked: each lane of an update's numerator is
+a multiple of ``d``, so the numerator is ``d`` times the packed quotients,
+and one exact division yields them whatever carries the products left
+between lanes.  The width is fixed when the tableau is built, so an
+appended row must be 0/1 too.
 
-    new = (x * p - f * (prow + (d << W * s))) // d
+The tableau is packed one of two ways, one per use:
 
-where ``f`` is the row's entry in the pivot column ``s``.  Lane ``k`` of
-the numerator is ``x[k] * p - f * prow[k]``, except lane ``s``, which is
-``-f * d``; each is a multiple of ``d``, so the numerator is ``d`` times
-the packed row of the quotients, and one exact integer division yields it
-whatever carries the products left between lanes.  Products are never
-unpacked.  A lane is read with one biased shift and mask: adding ``2^(W-1)``
-to every lane makes them all nonnegative without carries.  ``W`` is fixed
-when the tableau is built, so an appended row must be 0/1 too; column
-generation appends 0/1 rows with right-hand side 1 to a tableau of
-singleton rows.
+* **By column, for a one-shot solve** (``simplex_max``, the covering LPs
+  over a whole set family).  Those programs are tall, hundreds of set rows
+  over at most 24 vertex columns, so the tableau is held as ``n + 1`` ints,
+  the structural columns and the right-hand side, each of ``m + 1`` lanes:
+  the objective in lane 0 and row ``i`` in lane ``i + 1``.  A pivot on
+  ``(r, s)`` is ``n + 1`` big-int updates instead of ``m + 1``:
 
-``Tableau`` is the one engine and ``solve`` its one pivot loop:
-``simplex_max`` builds a tableau and runs Bland's rule to the end, and
-column generation keeps a resumable one across its iterations and appends
-an integer row per priced column.  An appended row adds a basic slack, not
-a column, so the engine can resume instead of solving again.  A resumable
-tableau records each pivot of its path as ``(r, s, packed pivot row, d)``
-and keeps a checkpoint of the whole tableau before every
+      c_k = (c_k * p - t[r][k] * (c_s - (d << lane r))) // d    (k != s)
+      c_s = ((d + p) << lane r) - c_s
+
+  where lane ``r`` of each numerator is ``t[r][k] * d``, so the pivot row
+  keeps its entries, and lane ``r`` of the new ``c_s`` is ``d``.  Lanes are
+  ``W`` rounded up to 1, 2, 4 or 8 bytes, so the ratio test decodes the
+  pivot column and the right-hand side in C: with the bias added, flipping
+  every lane's top bit leaves each lane in two's complement, and
+  ``to_bytes`` and ``memoryview.cast`` read them as machine integers.
+  Lanes wider than 8 bytes (n >= 36) decode one at a time with
+  ``int.from_bytes``.
+
+* **By row, for the resumable master of column generation** (``Tableau``).
+  Each row of ``n + 1`` entries is one int of ``W``-bit lanes, entry ``k``
+  at bit ``W * k``, and a pivot updates each row at once:
+
+      new = (x * p - f * (prow + (d << W * s))) // d
+
+  where ``f`` is the row's entry in column ``s``.  An appended row adds a
+  basic slack, which is one more int here but one more lane of every
+  column in a column packing.  The masters are near-square (16 to 37 rows
+  over 16 columns on ``w_prime``), so column packing gains nothing there:
+  a resumable column-packed master took the same pivots but ran 3-12 %
+  slower on every column generation of the benchmark, and rounding the row
+  lanes to bytes alone cost the one-shot solve of chi_fb(``w_prime``)
+  about 13 %.  Row lanes therefore stay unrounded.
+
+Column generation keeps one ``Tableau`` across its iterations and appends
+a row per priced column, so the engine resumes instead of solving again.
+The tableau records each pivot of its path as ``(r, s, packed pivot row,
+d)`` and keeps a checkpoint of the whole tableau before every
 ``_CHECKPOINT_EVERY``-th pivot.  Bland's entering choice reads only the
 objective row, which no row that never pivots can change, and the new
 slack has the largest label, so it loses every ratio tie.  A from-scratch
@@ -60,25 +86,31 @@ passes), rebuilds the tableau there from the nearest checkpoint, and
 continues with Bland.  The result, pivot count included, is exactly that
 of ``simplex_max`` over all rows, and so is the final tableau.
 
-A result is read from the final tableau without unpacking it: the value
-and the duals from the objective row, the one row unpacked, and each
-basic ``x`` from the right-hand-side lane of its row.  The result keeps
-the packed rows, and ``SimplexResult.max_bits``, the bit length of the
-largest absolute entry of that tableau, is computed from them the first
-time it is read.  Nothing along the path accounts widths.
+Both packings take the same Bland path to the same tableau.  A result is
+read from it without unpacking it whole: the value and the duals from the
+objective entries, and each basic ``x`` from the right-hand side.  The
+result keeps the packed tableau, and ``SimplexResult.max_bits``, the bit
+length of the largest absolute entry, is computed from it the first time
+it is read.  Nothing along the path accounts widths.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import isqrt
+from struct import calcsize
 from typing import Sequence
 
 # Pivots between two full tableau checkpoints: a rewind replays fewer than
 # this many pivots, and checkpoint memory falls with it.
 _CHECKPOINT_EVERY = 8
+
+# memoryview.cast codes of the signed machine integers of 1, 2, 4 and 8
+# bytes; they read little-endian lanes only on a little-endian machine
+_CASTS = {calcsize(code): code for code in "bhiq" if sys.byteorder == "little"}
 
 
 class SimplexError(RuntimeError):
@@ -91,10 +123,11 @@ class SimplexResult:
     x: tuple[Fraction, ...]       # structural variable values
     duals: tuple[Fraction, ...]   # one multiplier per constraint row
     pivots: int                   # Bland pivots taken
-    # The final tableau, its packed rows and their lanes: a property of the
-    # integer representation, not of the answer, so equality ignores it.
+    # The final tableau, its packed rows or columns and their lanes: a
+    # property of the integer representation, not of the answer, so
+    # equality ignores it.
     final: tuple[int, ...] = field(compare=False, repr=False)
-    lanes: _Lanes = field(compare=False, repr=False)
+    lanes: _Lanes | _ColumnLanes = field(compare=False, repr=False)
 
     @cached_property
     def max_bits(self) -> int:
@@ -119,6 +152,14 @@ def _width(rows: Sequence[list[int]]) -> int:
     return max(max(map(max, rows)), -min(map(min, rows)))
 
 
+def _lane_bits(n: int) -> int:
+    """``W = bits(H) + 2`` for the 0/1 determinant bound ``H`` of order
+    ``n + 1`` of the module docstring."""
+    k = n + 1
+    # the largest integer H with H^2 <= (k + 1)^(k + 1) / 4^k
+    return isqrt((k + 1) ** (k + 1) >> 2 * k).bit_length() + 2
+
+
 class _Lanes:
     """The packing of a tableau row of ``n + 1`` entries into one int: entry
     ``k`` is the signed lane of ``width`` bits at bit ``shifts[k]``, with
@@ -130,13 +171,10 @@ class _Lanes:
     __slots__ = ("width", "mask", "half", "bias", "shifts")
 
     def __init__(self, n: int):
-        k = n + 1
-        # the largest integer H with H^2 <= (k + 1)^(k + 1) / 4^k
-        h = isqrt((k + 1) ** (k + 1) >> 2 * k)
-        self.width = w = h.bit_length() + 2
+        self.width = w = _lane_bits(n)
         self.mask = (1 << w) - 1
         self.half = 1 << (w - 1)
-        self.shifts = [w * j for j in range(k)]
+        self.shifts = [w * j for j in range(n + 1)]
         self.bias = sum(self.half << sh for sh in self.shifts)
 
     def pack(self, vals: Sequence[int]) -> int:
@@ -147,21 +185,60 @@ class _Lanes:
         return [((u >> sh) & mask) - half for sh in self.shifts]
 
 
+class _ColumnLanes:
+    """The packing of a tableau column of ``m + 1`` entries into one int:
+    entry ``i`` is the signed lane of ``size`` bytes at bit ``width * i``,
+    with ``width`` the 0/1 determinant bound rounded up to 1, 2, 4 or 8
+    bytes, or to whole bytes beyond.  ``bias``, ``half`` and ``mask`` are
+    as for ``_Lanes``."""
+
+    __slots__ = ("size", "width", "mask", "half", "bias", "nbytes", "cast")
+
+    def __init__(self, n: int, m: int):
+        bits = _lane_bits(n)
+        self.size = size = next((s for s in (1, 2, 4, 8) if 8 * s >= bits), -(-bits // 8))
+        self.width = w = 8 * size
+        self.mask = (1 << w) - 1
+        self.half = 1 << (w - 1)
+        self.nbytes = size * (m + 1)
+        self.bias = int.from_bytes(bytes([0] * (size - 1) + [128]) * (m + 1), "little")
+        self.cast = _CASTS.get(size)
+
+    def pack(self, vals: Sequence[int]) -> int:
+        """The column of ``m + 1`` entries, each the int 0 or 1."""
+        lanes = bytearray(self.nbytes)
+        lanes[:: self.size] = bytes(vals)
+        return int.from_bytes(lanes, "little")
+
+    def unpack(self, x: int) -> list[int]:
+        """Every lane of ``x``, decoded in C: the bias takes each lane into
+        ``[0, 2^width)`` and flipping its top bit into two's complement."""
+        raw = ((x + self.bias) ^ self.bias).to_bytes(self.nbytes, "little")
+        if self.cast:
+            return memoryview(raw).cast(self.cast).tolist()
+        size = self.size
+        return [
+            int.from_bytes(raw[i : i + size], "little", signed=True)
+            for i in range(0, self.nbytes, size)
+        ]
+
+
 class Tableau:
     """Condensed tableau of  max c.x, A x <= b, x >= 0  with every entry
-    of ``A``, ``b`` and ``c`` the int 0 or 1, optionally resumable.
+    of ``A``, ``b`` and ``c`` the int 0 or 1, packed by row and resumable:
+    the master of column generation.
 
-    ``solve`` runs Bland's rule from the current state.  A ``resumable``
-    tableau records its path and checkpoints, and ``append_row`` adds one
-    constraint and moves the state to where a from-scratch solve of all
-    rows leaves the recorded path; a one-shot solve records nothing, as
-    the checkpoints would keep a tableau per ``_CHECKPOINT_EVERY`` pivots
-    alive.  ``t`` holds the rows packed by ``lanes``, constraint rows then
-    the objective row, and ``rows`` unpacks them.  Packed rows are ints,
-    so the path records and the checkpoints share them.  ``executed``
-    counts the pivots actually computed, replays included.  A result keeps
-    the packed rows it was read from as a tuple, since ``append_row``
-    inserts into ``t`` in place, and its ``max_bits`` is their width.
+    ``solve`` runs Bland's rule from the current state, recording its path
+    and checkpoints, and ``append_row`` adds one constraint and moves the
+    state to where a from-scratch solve of all rows leaves the recorded
+    path.  A one-shot solve is ``simplex_max``'s, on a tableau packed by
+    column, which records nothing.  ``t`` holds the rows packed by
+    ``lanes``, constraint rows then the objective row, and ``rows`` unpacks
+    them.  Packed rows are ints, so the path records and the checkpoints
+    share them.  ``executed`` counts the pivots actually computed, replays
+    included.  A result keeps the packed rows it was read from as a tuple,
+    since ``append_row`` inserts into ``t`` in place, and its ``max_bits``
+    is their width.
     """
 
     def __init__(
@@ -169,8 +246,6 @@ class Tableau:
         rows: Sequence[Sequence[int]],
         b: Sequence[int],
         c: Sequence[int],
-        *,
-        resumable: bool = False,
     ):
         self.n = n = len(c)
         # the matrix [A b; c 0] of the module docstring
@@ -183,7 +258,6 @@ class Tableau:
         self.basis = [n + i for i in range(m)]
         self.nonbasic = list(range(n))
         self.d = 1
-        self.resumable = resumable
         self.pivots = 0  # length of the current Bland path
         self.path: list[tuple[int, int, int, int]] = []
         # before pivot k * _CHECKPOINT_EVERY: (rows, d, basis, nonbasic)
@@ -228,10 +302,9 @@ class Tableau:
                         r, b_r = i, b_i
             if r is None:
                 raise SimplexError("unbounded objective")
-            if self.resumable:
-                if self.pivots == _CHECKPOINT_EVERY * len(self.checkpoints):
-                    self.checkpoints.append((list(t), self.d, list(basis), list(nonbasic)))
-                self.path.append((r, s, t[r], self.d))
+            if self.pivots == _CHECKPOINT_EVERY * len(self.checkpoints):
+                self.checkpoints.append((list(t), self.d, list(basis), list(nonbasic)))
+            self.path.append((r, s, t[r], self.d))
             self.pivots += 1
             self._pivot(r, s, col)
 
@@ -240,8 +313,6 @@ class Tableau:
         recorded step at which it would win the ratio test, if any.  An
         entry other than 0 or 1 is refused before anything changes, since
         the lanes could not hold the minors it makes."""
-        if not self.resumable:
-            raise SimplexError("rows can only be appended to a resumable tableau")
         _check_rows([row], [rhs], self.n)
         n = self.n
         m = len(self.t) - 1
@@ -334,7 +405,72 @@ def simplex_max(
     b: Sequence[int],
     c: Sequence[int],
 ) -> SimplexResult:
-    """Maximize c.x over Ax <= b, x >= 0 on a fresh ``Tableau``, with
-    Bland's rule.  Every entry must be the int 0 or 1 (a bool is one); any
-    other entry, a ``Fraction(1)`` or a 1.0 included, is refused."""
-    return Tableau(rows, b, c).solve()
+    """Maximize c.x over Ax <= b, x >= 0 with Bland's rule on a tableau
+    packed by column, as in the module docstring.  Every entry must be the
+    int 0 or 1 (a bool is one); any other entry, a ``Fraction(1)`` or a 1.0
+    included, is refused.  The path, the result and ``max_bits`` are those
+    of a ``Tableau`` built from the same rows."""
+    n = len(c)
+    # the matrix [A b; c 0] of the module docstring
+    _check_rows([*rows, c], [*b, 0], n)
+    m = len(rows)
+    lanes = _ColumnLanes(n, m)
+    w, mask, half, bias = lanes.width, lanes.mask, lanes.half, lanes.bias
+    # the structural columns, then the right-hand side
+    columns = list(zip(*rows)) or [()] * n
+    cols = [lanes.pack([cost, *column]) for cost, column in zip(c, columns)]
+    cols.append(lanes.pack([0, *b]))
+    basis = [n + i for i in range(m)]
+    nonbasic = list(range(n))
+    d = 1
+    pivots = 0
+    while True:
+        # Bland's rule: the least-label column of positive reduced cost,
+        # read from its lane 0, enters
+        entering = [k for k in range(n) if 0 < cols[k] & mask < half]
+        if not entering:
+            break
+        s = min(entering, key=nonbasic.__getitem__)
+        col = lanes.unpack(cols[s])
+        rhs = lanes.unpack(cols[n])
+        r = None
+        for i in range(m):
+            coef = col[i + 1]
+            if coef > 0:
+                b_i = rhs[i + 1]
+                if r is None:
+                    r, b_r, p = i, b_i, coef
+                    continue
+                # b_i / coef against b_r / p; both divisors > 0
+                left, right = b_i * p, b_r * coef
+                if left < right or (left == right and basis[i] < basis[r]):
+                    r, b_r, p = i, b_i, coef
+        if r is None:
+            raise SimplexError("unbounded objective")
+        sh = w * (r + 1)
+        # lane r of each numerator is t[r][k] * d: the pivot row is kept
+        lifted = cols[s] - (d << sh)
+        for k, col_k in enumerate(cols):
+            if k != s:
+                f = (((col_k + bias) >> sh) & mask) - half
+                if f:
+                    cols[k] = (col_k * p - f * lifted) // d
+                elif p != d:
+                    cols[k] = col_k * p // d
+        cols[s] = ((d + p) << sh) - cols[s]
+        d = p
+        basis[r], nonbasic[s] = nonbasic[s], basis[r]
+        pivots += 1
+    obj = [((col_k + half) & mask) - half for col_k in cols]
+    rhs = lanes.unpack(cols[n])
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = Fraction(rhs[i + 1], d)
+    duals = [Fraction(0)] * m
+    for k, var in enumerate(nonbasic):
+        if var >= n:
+            duals[var - n] = Fraction(-obj[k], d)
+    return SimplexResult(
+        Fraction(-obj[n], d), tuple(x), tuple(duals), pivots, tuple(cols), lanes
+    )

@@ -1,4 +1,5 @@
 """Certificate model, verifier findings, audits, and the fixture tables."""
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -201,12 +202,24 @@ def test_fixture_checksum_guard(tmp_path, monkeypatch):
     assert tables.w_forest_52_25().p == 52
 
 
-# Class-scan audits as they stood before the mask view: the oracle side of
-# the differential test below.
+# The overlap audits on a color mask per vertex, as they stood before they
+# summed class repetitions: the oracle side of the differential test below.
+# The triangle counts scan the classes as sets.
+def reference_masks(c):
+    masks = {}
+    color = 0
+    for s, rep in c.classes:
+        for v in s:
+            masks[v] = masks.get(v, 0) | ((1 << rep) - 1) << color
+        color += rep
+    return masks
+
+
 def reference_overlap(c, x, y):
     if x == y:
         raise GraphError("overlap needs two distinct vertices")
-    return sum(rep for s, rep in c.classes if x in s and y in s)
+    m = reference_masks(c)
+    return (m.get(x, 0) & m.get(y, 0)).bit_count()
 
 
 def reference_triangle_common_count(c, t):
@@ -230,14 +243,14 @@ def reference_profile(c, terminals):
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
             pairs.append(((terms[i], terms[j]), reference_overlap(c, terms[i], terms[j])))
+    m = reference_masks(c)
     singles = []
     for v in terms:
-        others = [w for w in terms if w != v]
-        count = sum(
-            rep for s, rep in c.classes
-            if v in s and not any(w in s for w in others)
-        )
-        singles.append((v, count))
+        others = 0
+        for w in terms:
+            if w != v:
+                others |= m.get(w, 0)
+        singles.append((v, (m.get(v, 0) & ~others).bit_count()))
     return OverlapProfile(tuple(pairs), tuple(singles))
 
 
@@ -270,6 +283,22 @@ def _outcome(fn, *args):
         return "value", fn(*args)
     except GraphError as exc:
         return "error", str(exc)
+
+
+def test_overlap_audits_do_not_grow_with_the_palette():
+    # a color mask per vertex would hold 4 * 10^8 bits, 50 MB, for each of
+    # a, b and c; summing the class repetitions holds none
+    rep = 10**8
+    cert = Certificate.build(4 * rep, 1, Mode.BALANCED, [(("a", "b"), rep), (("b", "c"), rep), (("a", "c"), rep)])
+    tracemalloc.start()
+    try:
+        got = overlap(cert, "a", "b"), profile(cert, ("a", "b", "c", "d"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = ((("a", "b"), rep), (("a", "c"), rep), (("a", "d"), 0), (("b", "c"), rep), (("b", "d"), 0), (("c", "d"), 0))
+    assert got == (rep, OverlapProfile(pairs, (("a", 0), ("b", 0), ("c", 0), ("d", 0))))
+    assert peak < 5 * 2**20
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -250,7 +250,7 @@ def reference_bits(mask):
 def reference_extend_substitution(state, edge, mapping, step):
     mx, my = (state.masks[v] for v in edge)
     a = (mx & my).bit_count()
-    template = (w_coloring_83_41_uv13() if a == 13 else w_coloring_83_41_uv14()).masks
+    template = compose._masks(w_coloring_83_41_uv13() if a == 13 else w_coloring_83_41_uv14())
     to_host = [0] * P
     for h, t in zip(_groups(mx, my), _groups(template["u"], template["v"])):
         assert h.bit_count() == t.bit_count()

@@ -1,17 +1,22 @@
 """The exact simplex core on the 0/1 programs it takes: hand-solved
-programs, refusals of every other entry, a differential test against a
-dense Fraction tableau that takes the same Bland pivots, and differential
-tests of the resumable tableau against from-scratch solves."""
+programs, refusals of every other entry, differential tests of both
+packings against a dense Fraction tableau that takes the same Bland
+pivots, and differential tests of the resumable tableau against
+from-scratch solves."""
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracbal import simplex
+from fracbal.cover import _indicator
+from fracbal.families import SetProperty, enumerate_sets
+from fracbal.gadgets import w_prime
 from fracbal.simplex import SimplexError, SimplexResult, Tableau, simplex_max
 
 F = Fraction
@@ -63,17 +68,16 @@ def dense_simplex_max(rows, b, c) -> SimplexResult:
             raise SimplexError("unbounded objective")
         piv = t[leave][enter]
         det *= piv
-        t[leave] = [v / piv for v in t[leave]]
+        prow = t[leave] = [v / piv for v in t[leave]]
+        # the zero entries of the pivot row, most of its slack part, leave
+        # an entry as it is
         for i in range(m):
             if i != leave and t[i][enter] != 0:
                 f = t[i][enter]
-                row = t[i]
-                prow = t[leave]
-                t[i] = [row[k] - f * prow[k] for k in range(total + 1)]
+                t[i] = [v - f * q if q else v for v, q in zip(t[i], prow)]
         if obj[enter] != 0:
             f = obj[enter]
-            prow = t[leave]
-            obj = [obj[k] - f * prow[k] for k in range(total + 1)]
+            obj = [v - f * q if q else v for v, q in zip(obj, prow)]
         basis[leave] = enter
         pivots += 1
 
@@ -283,7 +287,7 @@ def test_appended_row_the_optimum_satisfies_keeps_the_path():
     # ties the first ratio test (1/1 against 1/1), which keeps the recorded
     # row, whose label is smaller, and has no entry in y's column at the
     # second; the optimum satisfies it, so the path stays and its dual is 0
-    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1])
     assert tab.solve().pivots == 2
     tab.append_row([1, 0], 1)
     res = tab.solve()
@@ -295,7 +299,7 @@ def test_violated_row_rewinds_to_where_it_wins():
     # x + y <= 1 ties the first ratio test (1/1 against 1/1), which keeps
     # x <= 1, and wins the second, for y, at 0/1 against 1/1: the engine
     # replays one pivot from the checkpoint before pivot 0 and takes a new one
-    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1])
     tab.solve()
     tab.append_row([1, 1], 1)
     res = tab.solve()
@@ -309,13 +313,15 @@ def test_appended_row_is_scaled_through_a_pivot_it_has_no_entry_in():
     # that pivot only scales it by 2; it never wins a ratio test, so the
     # resumed tableau is the from-scratch one with no pivot taken
     rows = [[1, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, 0]]
-    tab = Tableau(rows, [1, 1, 1], [1, 1, 1, 1], resumable=True)
+    tab = Tableau(rows, [1, 1, 1], [1, 1, 1, 1])
     tab.solve()
     assert [(s, d) for _, s, _, d in tab.path] == [(0, 1), (1, 1), (3, 1), (2, 2)]
     tab.append_row([0, 0, 1, 0], 1)
     res = tab.solve()
-    want = simplex_max([*rows, [0, 0, 1, 0]], [1] * 4, [1] * 4)
+    # the same final rows as a from-scratch tableau, packed alike
+    want = Tableau([*rows, [0, 0, 1, 0]], [1] * 4, [1] * 4).solve()
     assert (res, res.final) == (want, want.final)
+    assert res == simplex_max([*rows, [0, 0, 1, 0]], [1] * 4, [1] * 4)
     assert tab.executed == 4
 
 
@@ -323,7 +329,7 @@ def test_append_row_refuses_a_non_01_entry():
     # the lanes are sized for 0/1 rows when the tableau is built: a refused
     # row, x + y <= 1 scaled by 2^40 among them, leaves the tableau, its
     # path and its checkpoints as they were
-    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1], resumable=True)
+    tab = Tableau([[1, 0], [0, 1]], [1, 1], [1, 1])
     res = tab.solve()
 
     def state():
@@ -449,13 +455,73 @@ def test_cover_programs_on_binary_lanes_match_dense_oracle(program):
     # equal results include equal pivots, and equal max_bits the same tableau
     assert with_bits(got) == with_bits(outcome(dense_simplex_max, rows, b, c))
     if isinstance(got, SimplexResult):
-        assert got.lanes.width == simplex._Lanes(len(c)).width
+        # the one-shot solve packs by column: the 0/1 determinant width of
+        # 1 to 12 columns, 3 to 16 bits, rounded up to 1 or 2 bytes
+        bits = simplex._Lanes(len(c)).width
+        assert got.lanes.width == (8 if bits <= 8 else 16)
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(0, 8), (6, 8), (7, 16), (16, 32), (23, 64), (34, 64), (35, 64), (36, 72), (66, 144), (130, 336)],
+)
+def test_column_lane_widths_are_pinned(n, width):
+    # the row widths of test_lane_widths_are_pinned rounded up to 1, 2, 4 or
+    # 8 bytes, and to whole bytes beyond: from n = 36 on a lane is decoded
+    # by int.from_bytes rather than memoryview.cast
+    lanes = simplex._ColumnLanes(n, 3)
+    assert lanes.width == width
+    assert (lanes.cast is None) == (width > 64)
+
+
+@st.composite
+def tall_programs(draw):
+    """Tall 0/1 programs, up to 60 rows over up to 40 columns, some with
+    n >= 36, whose column lanes are wider than 8 bytes.  Beyond 12 columns
+    at most 12 columns cost 1, which keeps the Bland paths, and with them
+    the dense oracle, short.  Everything comes from a ``Random`` seeded by
+    the one draw: 2,400 entries would overrun Hypothesis's buffer, and its
+    own draws lean to the smallest shapes, which the examples below cover."""
+    rnd = Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = rnd.randint(0, 60)
+    n = rnd.randint(*rnd.choice(((1, 12), (13, 35), (36, 40))))
+    density = rnd.choice((0.2, 0.5))
+    rows = [[int(rnd.random() < density) for _ in range(n)] for _ in range(m)]
+    b = [rnd.choice((0, 1, 1, 1)) for _ in range(m)]
+    live = set(rnd.sample(range(n), n if n <= 12 else rnd.randint(1, 12)))
+    return rows, b, [int(j in live) for j in range(n)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(tall_programs())
+@example(([], [], [1] * 40))        # m = 0 over wide lanes: unbounded
+@example(([], [], [0] * 40))
+@example(([[]] * 60, [1] * 60, []))  # n = 0
+def test_tall_programs_on_column_lanes_match_dense_oracle(program):
+    rows, b, c = program
+    # equal pivots and max_bits: the same Bland path to the same tableau
+    assert with_bits(outcome(simplex_max, rows, b, c)) == with_bits(
+        outcome(dense_simplex_max, rows, b, c)
+    )
+
+
+@pytest.mark.parametrize(
+    "prop, pivots", [(SetProperty.BALANCED, 54), (SetProperty.ACYCLIC, 42)]
+)
+def test_both_packings_solve_w_prime_alike(prop, pivots):
+    # chi_fb and a_f of w_prime: 244 and 316 maximal sets over 16 vertices
+    g = w_prime().graph
+    col = {v: j for j, v in enumerate(g.vertices)}
+    rows = [_indicator(s, col) for s in enumerate_sets(g, prop, maximal_only=True).sets]
+    ones = [1] * len(rows)
+    by_column = simplex_max(rows, ones, [1] * len(col))
+    by_row = Tableau(rows, ones, [1] * len(col)).solve()
+    assert with_bits(by_column) == with_bits(by_row)
+    assert by_column.pivots == pivots
 
 
 def test_append_row_checks_its_row():
-    with pytest.raises(SimplexError, match="resumable"):
-        Tableau([[1]], [1], [1]).append_row([1], 1)
-    tab = Tableau([[1]], [1], [1], resumable=True)
+    tab = Tableau([[1]], [1], [1])
     with pytest.raises(SimplexError, match="inconsistent dimensions"):
         tab.append_row([1, 1], 1)
     with pytest.raises(SimplexError, match="the int 0 or 1"):
@@ -512,7 +578,7 @@ def test_appended_rows_resume_along_the_from_scratch_path(every, run):
     rows = [row for row, _ in start]
     b = [rhs for _, rhs in start]
     with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
-        tab = Tableau(rows, b, c, resumable=True)
+        tab = Tableau(rows, b, c)
         assert with_bits(resumed(tab)) == with_bits(outcome(simplex_max, rows, b, c))
         for row, rhs in appended:
             tab.append_row(row, rhs)
@@ -526,6 +592,7 @@ def test_appended_rows_resume_along_the_from_scratch_path(every, run):
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(programs())
 def test_max_bits_reads_the_final_tableau(program):
+    # both packings: the resumable tableau's rows are scanned whole
     rows, b, c = program
     tab = Tableau(rows, b, c)
     try:
@@ -549,7 +616,7 @@ def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
     b = [rhs for _, rhs in start]
     kept = []
     with mock.patch.object(simplex, "_CHECKPOINT_EVERY", every):
-        tab = Tableau(rows, b, c, resumable=True)
+        tab = Tableau(rows, b, c)
         for row, rhs in [(None, None), *appended]:
             if row is not None:
                 tab.append_row(row, rhs)
