@@ -9,8 +9,8 @@ The LP is solved through its packing dual
 
 whose all-slack basis is feasible; the cover weights are read off the
 optimal dual multipliers.  Both certificates are re-verified in exact
-integer arithmetic (each side scaled by the lcm of its denominators) before
-anything is returned, so a returned LpResult is itself a proof of
+integer arithmetic (every weight scaled by the lcm of the denominators)
+before anything is returned, so a returned LpResult is itself a proof of
 optimality independent of the pivoting path.
 
 ``column_generation`` scales the same LP past full enumeration: a
@@ -29,8 +29,19 @@ there sees every call.  The master is one ``simplex.Tableau`` kept
 across iterations: each priced column is appended as a packing row and the
 tableau resumes along the Bland path that a from-scratch solve of all
 columns would take, so every master equals ``fractional_cover_optimum``
-on the same columns, byte for byte.  Each master's certificates are
-re-verified before pricing reads its duals.
+on the same columns, byte for byte.
+
+The loop stays in integers.  Every entry of a Bareiss tableau is an integer
+over the determinant d of its basis (Bareiss 1968), so each master is read
+as numerators over d and checked in integers at scale d before pricing
+reads it: the cover covers every vertex d times, the vertex weights sum to
+at most d on every column, and both totals are the value's numerator.
+The pricer takes the vertex numerators as weights, since only their
+ratios matter, and the loop stops when the best weight is at most d.
+Fractions are built once, for the result returned, which is re-verified
+as ``fractional_cover_optimum``'s is.  Exact LP codes likewise check in
+integers and build rationals only at the boundary (Applegate, Cook, Dash
+and Espinoza, "Exact solutions to linear programming problems", 2007).
 """
 from __future__ import annotations
 
@@ -39,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Sequence
+from typing import Collection, Mapping, Sequence
 
 from .certify import Certificate, Mode
 from .families import SetFamily, SetProperty, _lift, _price, enumerate_sets
@@ -69,33 +80,76 @@ def verify_cover_certificates(
 ) -> None:
     """Raise CoverError unless primal and dual are feasible with equal value.
 
-    The cover weights and the vertex weights are each scaled by the lcm of
-    their denominators, so every sum below adds Python ints.
+    The optimum, the cover weights and the vertex weights are scaled by the
+    lcm of their denominators and checked by ``_verify_scaled``.  A set that
+    the primal lists twice counts with the sum of its weights, as in the
+    LP; a vertex that the dual lists twice keeps its last weight, and one it
+    omits weighs 0.
     """
-    weights = {s: w for s, w in primal}
-    # a Fraction's sign is its numerator's, read without Fraction comparison
-    if any(w.numerator < 0 for w in weights.values()):
-        raise CoverError("negative primal weight")
-    w_scale = lcm(*(w.denominator for w in weights.values()))
-    scaled_w = {s: w.numerator * (w_scale // w.denominator) for s, w in weights.items()}
-    coverage = dict.fromkeys(family.host.vertices, 0)
-    for s, w in scaled_w.items():
-        for v in s:
-            coverage[v] += w
-    if any(c < w_scale for c in coverage.values()):
-        raise CoverError("primal does not cover every vertex")
     y = dict(dual)
-    if any(val.numerator < 0 for val in y.values()):
+    # ints have a numerator and a denominator too
+    scale = lcm(
+        optimum.denominator,
+        *(w.denominator for _, w in primal),
+        *(val.denominator for val in y.values()),
+    )
+    scaled_y = dict.fromkeys(family.host.vertices, 0)
+    for v, val in y.items():
+        scaled_y[v] = val.numerator * (scale // val.denominator)
+    _verify_scaled(
+        dict.fromkeys(family.sets),
+        family.host.vertices,
+        scale,
+        optimum.numerator * (scale // optimum.denominator),
+        [(s, w.numerator * (scale // w.denominator)) for s, w in primal],
+        scaled_y,
+    )
+
+
+def _verify_scaled(
+    sets: Collection[tuple[str, ...]],
+    vertices: Sequence[str],
+    scale: int,
+    value: int,
+    primal: Sequence[tuple[tuple[str, ...], int]],
+    dual: Mapping[str, int],
+) -> None:
+    """``verify_cover_certificates`` on numerators over one common
+    ``scale``: ``value`` is the optimum's, each primal pair a set and its
+    weight's, and ``dual`` maps every host vertex, and any stranger, to its
+    weight's.  ``sets`` are the family's, in order and each once, in a
+    collection that tests membership in O(1) (a dict, whose keys keep
+    their order), and ``vertices`` are the host's.  The checks run in this
+    order, and the first that fails
+    raises CoverError: primal weights are >= 0 and name family sets, they
+    cover every vertex at least ``scale`` times, dual weights are >= 0 and
+    name host vertices, they sum to at most ``scale`` on every family set,
+    and both totals are ``value``.
+    """
+    # min, sum and map scan in C; a loop runs only to name what failed
+    weights = [w for _, w in primal]
+    if min(weights, default=0) < 0:
+        raise CoverError("negative primal weight")
+    for s, _ in primal:
+        if s not in sets:
+            raise CoverError(f"primal set {s} is not in the family")
+    coverage = dict.fromkeys(vertices, 0)
+    for s, w in primal:
+        if w:
+            for v in s:
+                coverage[v] += w
+    if min(coverage.values(), default=scale) < scale:
+        raise CoverError("primal does not cover every vertex")
+    if min(dual.values(), default=0) < 0:
         raise CoverError("negative dual weight")
-    y_scale = lcm(*(val.denominator for val in y.values()))
-    scaled_y = {v: val.numerator * (y_scale // val.denominator) for v, val in y.items()}
-    for s in family.sets:
-        if sum([scaled_y.get(v, 0) for v in s]) > y_scale:
+    if not coverage.keys() >= dual.keys():
+        v = next(v for v in dual if v not in coverage)
+        raise CoverError(f"dual weight on {v!r}, which is not a host vertex")
+    get = dual.__getitem__
+    for s in sets:
+        if sum(map(get, s)) > scale:
             raise CoverError(f"dual violates set constraint for {s}")
-    if (
-        Fraction(sum(scaled_w.values()), w_scale) != optimum
-        or Fraction(sum(scaled_y.values()), y_scale) != optimum
-    ):
+    if sum(weights) != value or sum(dual.values()) != value:
         raise CoverError("certificate values do not match the optimum")
 
 
@@ -227,41 +281,55 @@ def column_generation(
         raise ValueError("time_budget must be a number of seconds, not NaN")
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    columns: list[tuple[str, ...]] = [(v,) for v in g.vertices]
-    col = {v: j for j, v in enumerate(g.vertices)}
+    verts = g.vertices
+    # the master's columns in row order, as dict keys so that a lookup is O(1)
+    columns: dict[tuple[str, ...], None] = dict.fromkeys((v,) for v in verts)
+    col = {v: j for j, v in enumerate(verts)}
     ones = [1] * len(columns)
     lp = Tableau([_indicator(s, col) for s in columns], ones, ones)
     started = time.monotonic()
     iterations = 0
-    lower = Fraction(0)
+    # the best lower bound so far as the fraction value / best, and the
+    # vertex numerators x behind it
+    lower, behind = (0, 1), None
     nodes = 0
     while True:
-        # singletons and lifted priced columns hold the property by construction
-        fam = SetFamily._trusted(g, prop, tuple(columns))
-        master = _certified(fam, lp.solve())
-        best_w, best_s, price_nodes = _price(g, prop, dict(master.dual))
+        # every weight below is a numerator over the master's determinant d
+        opt = lp.optimize()
+        d = opt.d
+        y = dict(zip(verts, opt.x))
+        # row i is column i, so the master's rows are its primal's sets
+        _verify_scaled(columns, verts, d, opt.value, list(zip(columns, opt.duals)), y)
+        best_w, best_s, price_nodes = _price(g, prop, y)
+        # integer weights have scale 1, so the weight comes back over 1
+        best = best_w.numerator
         nodes += price_nodes
         iterations += 1
-        if best_w <= 1:
-            return ColumnGenResult(
-                True, master.optimum, master.optimum, master, iterations, len(columns),
-                master.dual, nodes, lp.executed,
-            )
-        # y / best_w is dual feasible for the full family
-        if master.optimum / best_w > lower:
-            lower, behind = master.optimum / best_w, (master.dual, best_w)
-        out_of_budget = (
-            (time_budget is not None and time.monotonic() - started > time_budget)
+        # x / best is dual feasible for the full family, of value value / best
+        if opt.value * lower[1] > lower[0] * best:
+            lower, behind = (opt.value, best), opt.x
+        completed = best <= d
+        if (
+            completed
+            or (time_budget is not None and time.monotonic() - started > time_budget)
             or (max_iterations is not None and iterations >= max_iterations)
-        )
-        if out_of_budget:
-            y, w = behind
+        ):
+            # singletons and lifted priced columns hold the property by construction
+            fam = SetFamily._trusted(g, prop, tuple(columns))
+            master = _certified(fam, opt.result())
+            if completed:
+                return ColumnGenResult(
+                    True, master.optimum, master.optimum, master, iterations, len(columns),
+                    master.dual, nodes, lp.executed,
+                )
+            value, best = lower
             return ColumnGenResult(
-                False, lower, master.optimum, master, iterations, len(columns),
-                tuple((v, val / w) for v, val in y), nodes, lp.executed,
+                False, Fraction(value, best), master.optimum, master, iterations,
+                len(columns), tuple((v, Fraction(x, best)) for v, x in zip(verts, behind)),
+                nodes, lp.executed,
             )
         column = _lift(g, prop, best_s)
         if column in columns:  # pricing stalled; should not happen
             raise CoverError("pricing returned a known column")
-        columns.append(column)
+        columns[column] = None
         lp.append_row(_indicator(column, col), 1)

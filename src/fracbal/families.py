@@ -593,13 +593,16 @@ def _best_rows(atoms: list[_AtomRows], key: list[int]) -> tuple[int, int]:
 
 
 def _price(
-    g: SignedGraph, prop: SetProperty, y: dict[str, Fraction]
+    g: SignedGraph, prop: SetProperty, y: dict[str, Fraction | int]
 ) -> tuple[Fraction, tuple[str, ...], int]:
     """Maximum-dual-weight set with the property, and the work done: the
     rows the DP evaluated, or the nodes the walk visited.
 
-    The positive duals are scaled once by the lcm of their denominators, so
-    every sum adds Python ints, and vertices with zero dual never join.
+    The weights may be ints or Fractions, and only their ratios matter:
+    the positive ones are scaled once by the lcm of their denominators (1
+    for ints, so the best weight comes back over 1), every sum adds Python
+    ints, and a positive scaling of all weights changes neither the set
+    returned nor the work.  Vertices with zero dual never join.
     Among equal-weight maximizers the one returned is the first that an
     include-first walk over the positive-dual vertices in canonical order
     finds, which is the lexicographically least improving column.

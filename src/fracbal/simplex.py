@@ -86,12 +86,15 @@ passes), rebuilds the tableau there from the nearest checkpoint, and
 continues with Bland.  The result, pivot count included, is exactly that
 of ``simplex_max`` over all rows, and so is the final tableau.
 
-Both packings take the same Bland path to the same tableau.  A result is
-read from it without unpacking it whole: the value and the duals from the
-objective entries, and each basic ``x`` from the right-hand side.  The
-result keeps the packed tableau, and ``SimplexResult.max_bits``, the bit
-length of the largest absolute entry, is computed from it the first time
-it is read.  Nothing along the path accounts widths.
+Both packings take the same Bland path to the same tableau.  An optimum
+is read from it in integers, without unpacking it whole: every entry is an
+integer over ``d``, so the read (``Optimum``) holds the numerators of the
+value and the duals, from the objective entries, and of each basic ``x``,
+from the right-hand side, and ``d`` itself.  ``Optimum.result`` builds the
+Fractions of a ``SimplexResult`` from it.  The result keeps the packed
+tableau, and ``SimplexResult.max_bits``, the bit length of the largest
+absolute entry, is computed from it the first time it is read.  Nothing
+along the path accounts widths.
 """
 from __future__ import annotations
 
@@ -102,7 +105,7 @@ from functools import cached_property
 from itertools import chain
 from math import isqrt
 from struct import calcsize
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Pivots between two full tableau checkpoints: a rewind replays fewer than
 # this many pivots, and checkpoint memory falls with it.
@@ -133,6 +136,34 @@ class SimplexResult:
     def max_bits(self) -> int:
         """Bit length of the largest absolute entry of the final tableau."""
         return _width([self.lanes.unpack(x) for x in self.final]).bit_length()
+
+
+_ZERO = Fraction(0)
+
+
+class Optimum(NamedTuple):
+    """An optimal tableau read in integers: every entry is an integer over
+    ``d``, the determinant of the optimal basis, so the value is
+    ``value / d``, structural ``j`` is ``x[j] / d`` and the multiplier of
+    row ``i`` is ``duals[i] / d``."""
+
+    value: int
+    x: list[int]       # numerators of the structural variables
+    duals: list[int]   # numerators of the row multipliers
+    d: int
+    pivots: int        # Bland pivots taken
+    final: tuple[int, ...]
+    lanes: _Lanes | _ColumnLanes
+
+    def result(self) -> SimplexResult:
+        """The same optimum in Fractions."""
+        d = self.d
+        return SimplexResult(
+            Fraction(self.value, d),
+            tuple([Fraction(v, d) if v else _ZERO for v in self.x]),
+            tuple([Fraction(v, d) if v else _ZERO for v in self.duals]),
+            self.pivots, self.final, self.lanes,
+        )
 
 
 def _check_rows(rows: Sequence[Sequence[int]], b: Sequence[int], n: int) -> None:
@@ -228,17 +259,19 @@ class Tableau:
     of ``A``, ``b`` and ``c`` the int 0 or 1, packed by row and resumable:
     the master of column generation.
 
-    ``solve`` runs Bland's rule from the current state, recording its path
-    and checkpoints, and ``append_row`` adds one constraint and moves the
-    state to where a from-scratch solve of all rows leaves the recorded
-    path.  A one-shot solve is ``simplex_max``'s, on a tableau packed by
-    column, which records nothing.  ``t`` holds the rows packed by
-    ``lanes``, constraint rows then the objective row, and ``rows`` unpacks
-    them.  Packed rows are ints, so the path records and the checkpoints
-    share them.  ``executed`` counts the pivots actually computed, replays
-    included.  A result keeps the packed rows it was read from as a tuple,
-    since ``append_row`` inserts into ``t`` in place, and its ``max_bits``
-    is their width.
+    ``optimize`` runs Bland's rule from the current state, recording its
+    path and checkpoints, and returns the optimum read in integers, the
+    objective row unpacked once; ``solve`` is the same optimum in
+    Fractions.  ``append_row`` adds one constraint and moves the state to
+    where a from-scratch solve of all rows leaves the recorded path.  A
+    one-shot solve is ``simplex_max``'s, on a tableau packed by column,
+    which records nothing.  ``t`` holds the rows packed by ``lanes``,
+    constraint rows then the objective row, and ``rows`` unpacks them.
+    Packed rows are ints, so the path records and the checkpoints share
+    them.  ``executed`` counts the pivots actually computed, replays
+    included.  A read keeps the packed rows it was taken from as a tuple,
+    since ``append_row`` inserts into ``t`` in place, and its result's
+    ``max_bits`` is their width.
     """
 
     def __init__(
@@ -269,9 +302,14 @@ class Tableau:
         return [self.lanes.unpack(x) for x in self.t]
 
     def solve(self) -> SimplexResult:
-        """Run Bland's rule to the optimum: the least-label nonbasic variable
-        with positive reduced cost enters, and the leaving row breaks ratio
-        ties by least basic label.  This terminates without perturbation."""
+        """``optimize``, with the optimum in Fractions."""
+        return self.optimize().result()
+
+    def optimize(self) -> Optimum:
+        """Run Bland's rule to the optimum and read it in integers: the
+        least-label nonbasic variable with positive reduced cost enters, and
+        the leaving row breaks ratio ties by least basic label.  This
+        terminates without perturbation."""
         n = self.n
         lanes = self.lanes
         mask, half, bias, shifts = lanes.mask, lanes.half, lanes.bias, lanes.shifts
@@ -283,7 +321,7 @@ class Tableau:
             nonbasic = self.nonbasic
             entering = [k for k in range(n) if (obj >> shifts[k]) & mask > half]
             if not entering:
-                return self._result()
+                return self._read()
             s = min(entering, key=nonbasic.__getitem__)
             col = self._column(s)
             basis = self.basis
@@ -380,24 +418,22 @@ class Tableau:
         self.basis[r], self.nonbasic[s] = self.nonbasic[s], self.basis[r]
         self.executed += 1
 
-    def _result(self) -> SimplexResult:
+    def _read(self) -> Optimum:
         """The value and the duals from the objective row, the one row
         unpacked, and each basic ``x`` from the rhs lane of its row."""
-        t, n, d, lanes = self.t, self.n, self.d, self.lanes
+        t, n, lanes = self.t, self.n, self.lanes
         m = len(t) - 1
         obj = lanes.unpack(t[m])
         half, bias, top = lanes.half, lanes.bias, lanes.shifts[n]
-        x = [Fraction(0)] * n
+        x = [0] * n
         for i, var in enumerate(self.basis):
             if var < n:
-                x[var] = Fraction(((t[i] + bias) >> top) - half, d)
-        duals = [Fraction(0)] * m
+                x[var] = ((t[i] + bias) >> top) - half
+        duals = [0] * m
         for k, var in enumerate(self.nonbasic):
             if var >= n:
-                duals[var - n] = Fraction(-obj[k], d)
-        return SimplexResult(
-            Fraction(-obj[n], d), tuple(x), tuple(duals), self.pivots, tuple(t), lanes
-        )
+                duals[var - n] = -obj[k]
+        return Optimum(-obj[n], x, duals, self.d, self.pivots, tuple(t), lanes)
 
 
 def simplex_max(
@@ -463,14 +499,12 @@ def simplex_max(
         pivots += 1
     obj = [((col_k + half) & mask) - half for col_k in cols]
     rhs = lanes.unpack(cols[n])
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(rhs[i + 1], d)
-    duals = [Fraction(0)] * m
+            x[var] = rhs[i + 1]
+    duals = [0] * m
     for k, var in enumerate(nonbasic):
         if var >= n:
-            duals[var - n] = Fraction(-obj[k], d)
-    return SimplexResult(
-        Fraction(-obj[n], d), tuple(x), tuple(duals), pivots, tuple(cols), lanes
-    )
+            duals[var - n] = -obj[k]
+    return Optimum(-obj[n], x, duals, d, pivots, tuple(cols), lanes).result()

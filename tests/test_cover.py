@@ -6,6 +6,8 @@ value V plus a feasible vertex-weighting of the same value prove V exact.
 """
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from fracbal.cover import (
     column_generation,
     fractional_cover_optimum,
     _price,
+    _verify_scaled,
     lp_to_certificate,
     verify_cover_certificates,
 )
@@ -393,12 +396,15 @@ def test_column_generation_rejects_an_iteration_cap_below_one(cap):
 
 def fraction_cover_check(family, optimum, primal, dual):
     """Reference copy of the certificate re-check in plain Fraction sums;
-    returns the CoverError message, or None."""
-    weights = {s: w for s, w in primal}
-    if any(w < 0 for w in weights.values()):
+    returns the CoverError message, or None.  A set listed twice in the
+    primal counts with both weights."""
+    if any(w < 0 for _, w in primal):
         return "negative primal weight"
+    for s, _ in primal:
+        if s not in family.sets:
+            return f"primal set {s} is not in the family"
     coverage = {v: Fraction(0) for v in family.host.vertices}
-    for s, w in weights.items():
+    for s, w in primal:
         for v in s:
             coverage[v] += w
     if any(c < 1 for c in coverage.values()):
@@ -406,10 +412,13 @@ def fraction_cover_check(family, optimum, primal, dual):
     y = dict(dual)
     if any(val < 0 for val in y.values()):
         return "negative dual weight"
+    for v in y:
+        if v not in family.host.vertices:
+            return f"dual weight on {v!r}, which is not a host vertex"
     for s in family.sets:
         if sum(y.get(v, Fraction(0)) for v in s) > 1:
             return f"dual violates set constraint for {s}"
-    if sum(weights.values()) != optimum or sum(y.values()) != optimum:
+    if sum(w for _, w in primal) != optimum or sum(y.values()) != optimum:
         return "certificate values do not match the optimum"
     return None
 
@@ -417,11 +426,14 @@ def fraction_cover_check(family, optimum, primal, dual):
 CORRUPTIONS = {
     "none": None,
     "negative weight": "negative primal weight",
+    "foreign set": "primal set",
     "uncovered vertex": "primal does not cover every vertex",
     "negative dual": "negative dual weight",
+    "stranger vertex": "dual weight on",
     "violated set": "dual violates set constraint for",
     "value mismatch": "certificate values do not match the optimum",
     "primal surplus": "certificate values do not match the optimum",
+    "split set": None,
 }
 positive = st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=97)
 
@@ -429,17 +441,36 @@ positive = st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=
 @st.composite
 def certificates(draw):
     """An optimal certificate of a random family on an edgeless host (every
-    set is balanced), then one corruption of it."""
+    set is balanced), then one corruption of it.  The family may list one
+    set twice, so that the solver's primal may too."""
     n = draw(st.integers(min_value=1, max_value=6))
     names = tuple(f"v{i}" for i in range(n))
     subsets = st.lists(st.sampled_from(names), min_size=1, max_size=n, unique=True)
     sets = {tuple(sorted(s)) for s in draw(st.lists(subsets, min_size=1, max_size=8))}
     sets |= {(v,) for v in names if not any(v in s for s in sets)}
-    fam = SetFamily(SignedGraph(names, ()), SetProperty.BALANCED, tuple(sorted(sets)))
+    listed = sorted(sets)
+    if draw(st.booleans()):
+        listed.append(draw(st.sampled_from(listed)))
+    fam = SetFamily(SignedGraph(names, ()), SetProperty.BALANCED, tuple(listed))
     res = fractional_cover_optimum(fam)
     optimum, primal, dual = res.optimum, list(res.primal), list(res.dual)
     kind = draw(st.sampled_from(sorted(CORRUPTIONS)))
-    if kind == "negative weight":
+    maybe_zero = st.one_of(st.just(Fraction(0)), positive)
+    if kind == "foreign set":
+        # a host set the family lacks, or one that names a stranger
+        lacking = [c for r in range(1, n + 1) for c in combinations(names, r) if c not in sets]
+        s = draw(st.sampled_from([*lacking, ("zzz",), (names[0], "zzz")]))
+        k = draw(st.integers(min_value=0, max_value=len(primal)))
+        primal.insert(k, (s, draw(maybe_zero)))
+    elif kind == "stranger vertex":
+        k = draw(st.integers(min_value=0, max_value=n))
+        dual.insert(k, ("zzz", draw(maybe_zero)))
+    elif kind == "split set":
+        k = draw(st.integers(min_value=0, max_value=len(primal) - 1))
+        s, w = primal[k]
+        part = draw(st.fractions(min_value=0, max_value=1, max_denominator=5))
+        primal[k : k + 1] = [(s, w * part), (s, w - w * part)]
+    elif kind == "negative weight":
         k = draw(st.integers(min_value=0, max_value=len(primal) - 1))
         primal[k] = (primal[k][0], -draw(st.fractions(min_value=0, max_denominator=9)) - 1)
     elif kind == "uncovered vertex":
@@ -463,6 +494,27 @@ def certificates(draw):
     return fam, optimum, primal, dual, CORRUPTIONS[kind]
 
 
+def scaled_check(fam, optimum, primal, dual):
+    """The certificate over the common denominator of all its weights,
+    through ``_verify_scaled``; returns the CoverError message, or None."""
+    y = dict(dual)
+    scale = lcm(
+        Fraction(optimum).denominator,
+        *(Fraction(w).denominator for _, w in primal),
+        *(val.denominator for val in y.values()),
+    )
+    scaled_y = {v: 0 for v in fam.host.vertices}
+    scaled_y.update((v, int(val * scale)) for v, val in y.items())
+    try:
+        _verify_scaled(
+            dict.fromkeys(fam.sets), fam.host.vertices, scale, int(optimum * scale),
+            [(s, int(w * scale)) for s, w in primal], scaled_y,
+        )
+    except CoverError as exc:
+        return str(exc)
+    return None
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(certificates())
 def test_integer_cover_check_matches_fraction_reference(case):
@@ -474,7 +526,72 @@ def test_integer_cover_check_matches_fraction_reference(case):
     except CoverError as exc:
         got = str(exc)
     assert got == want
+    # the same certificate over one common scale: the same first message
+    assert scaled_check(fam, optimum, primal, dual) == got
     if expected is None:
         assert got is None
     else:
         assert got.startswith(expected)
+
+
+def test_cover_check_refuses_strangers_and_sums_a_repeated_set():
+    g = k3_minus().graph
+    fam = enumerate_sets(g, SetProperty.BALANCED, maximal_only=True)
+    res = chi_fb(g)
+    half = Fraction(1, 2)
+    # the unbalanced triangle is no family set, so it proves nothing
+    triangle = [(("u1", "u2", "u3"), Fraction(3, 2))]
+    with pytest.raises(CoverError, match="not in the family"):
+        verify_cover_certificates(fam, Fraction(3, 2), triangle, res.dual)
+    # the whole dual weight on a vertex outside the host
+    with pytest.raises(CoverError, match="'zzz', which is not a host vertex"):
+        verify_cover_certificates(fam, res.optimum, res.primal, [("zzz", Fraction(3, 2))])
+    # a primal set that names a stranger is refused, not looked up
+    with pytest.raises(CoverError, match="not in the family"):
+        verify_cover_certificates(fam, res.optimum, [*res.primal, (("u1", "zzz"), half)], res.dual)
+    # one set's weight split over two entries is the same cover
+    (s, w), *rest = res.primal
+    verify_cover_certificates(fam, res.optimum, [(s, w / 3), (s, w * 2 / 3), *rest], res.dual)
+    # and a family that lists a set twice keeps a solver cover valid
+    twice = SetFamily(g, SetProperty.BALANCED, (*fam.sets, fam.sets[0]))
+    assert fractional_cover_optimum(twice).optimum == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("at", [1, 13])
+@pytest.mark.parametrize("corrupt", ["vertex up", "row down"])
+def test_every_master_is_checked_before_pricing(monkeypatch, at, corrupt):
+    # one integer read of the master is off by one numerator: the loop must
+    # refuse it before the pricer sees its weights
+    optimize = simplex.Tableau.optimize
+    reads, priced = [], []
+
+    def corrupted(tab):
+        opt = optimize(tab)
+        reads.append(opt)
+        if len(reads) == at:
+            if corrupt == "vertex up":
+                opt.x[at % len(opt.x)] += 1
+            else:
+                opt.duals[at % len(opt.duals)] -= 1
+        return opt
+
+    price = cover._price
+
+    def counted(*args):
+        priced.append(args)
+        return price(*args)
+
+    monkeypatch.setattr(simplex.Tableau, "optimize", corrupted)
+    monkeypatch.setattr(cover, "_price", counted)
+    with pytest.raises(CoverError):
+        column_generation(w_prime().graph, SetProperty.BALANCED)
+    assert (len(reads), len(priced)) == (at, at - 1)
+
+
+def test_a_priced_column_already_in_the_master_is_refused(monkeypatch):
+    # a pricer that stalls, here a lift that returns a singleton the master
+    # starts with, must stop the loop rather than append the row again
+    g = w_prime().graph
+    monkeypatch.setattr(cover, "_lift", lambda g, prop, s: (g.vertices[0],))
+    with pytest.raises(CoverError, match="pricing returned a known column"):
+        column_generation(g, SetProperty.BALANCED)
