@@ -22,8 +22,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
-from operator import eq, lt
+from itertools import combinations, repeat
+from operator import add, and_, eq, lshift, lt
 from typing import Iterable, Sequence
 
 from .sgraph import (
@@ -206,29 +206,43 @@ def verify(g: SignedGraph, c: Certificate) -> VerifyReport:
 
     Findings rather than exceptions: every class must induce a balanced set
     (BALANCED mode) or a forest (FOREST mode), total repetitions must fit
-    the palette, and every vertex must be covered at least q times.  One
-    loop over the members finds strangers and builds each vertex's mask of
-    the classes that hold it, and one ``sgraph.sets_hold`` call tests
-    every class.  A vertex's coverage is a popcount of its mask per binary
-    digit of the repetitions: one popcount when every repetition is 1.
-    Only a class that fails is searched again, whole, for its cycle
-    witness.
+    the palette, and every vertex must be covered at least q times.  Each
+    class is mapped through the vertex index to a row of digits, 1 at its
+    members; only a class with a stranger is walked again member by member
+    to list its strangers in order.  One transpose of the rows gives each
+    vertex's mask of the classes that hold it, and one
+    ``sgraph.sets_hold`` call tests every class.  Coverage takes one
+    popcount pass over the masks per binary digit of the repetitions: one
+    pass when every repetition is 1.  Only a class that fails is searched
+    again, whole, for its cycle witness.
     """
     index = g.index
-    masks = [0] * len(index)
-    strangers: list[list[str]] = []
+    n = len(index)
+    rows = []
+    strangers: list[list[str]] = [[]] * len(c.classes)
     for j, (s, _) in enumerate(c.classes):
-        bit = 1 << j
-        out = []
-        for v in s:
-            i = index.get(v)
-            if i is None:
-                out.append(v)
-            else:
-                masks[i] |= bit
-        strangers.append(out)
-    digits = _digits(c.classes)
-    counts = [_weight(m, digits) for m in masks]
+        row = bytearray(b"0") * n
+        try:
+            for i in map(index.__getitem__, s):
+                row[i] = 49  # the digit 1
+        except KeyError:
+            # the members before the stranger are marked again
+            out = strangers[j] = []
+            for v in s:
+                i = index.get(v)
+                if i is None:
+                    out.append(v)
+                else:
+                    row[i] = 49
+        rows.append(row)
+    # the rows stacked last class first, under a row of 0s, make a matrix
+    # whose i-th strided column is the binary text of vertex i's mask
+    matrix = b"".join([b"0" * n, *reversed(rows)])
+    masks = [int(matrix[i::n], 2) for i in range(n)]
+    counts = [0] * len(masks)
+    for k, d in enumerate(_digits(c.classes)):
+        held = map(int.bit_count, map(and_, masks, repeat(d)))
+        counts = list(map(add, counts, map(lshift, held, repeat(k))))
     holds = sets_hold(g, masks, len(c.classes), acyclic=c.mode is Mode.FOREST)
     violations: list[Violation] = []
     for (s, _), out, ok in zip(c.classes, strangers, holds):

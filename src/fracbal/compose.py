@@ -26,21 +26,24 @@ pool's first ``count`` colors are its lowest set bits:
   current overlap of the edge).  Each matched host color absorbs the
   corresponding gadget class; balance survives because the identified
   edge pins the sign of every path between its endpoints on both sides.
+  The match is one permutation of the template's color columns, kept as
+  byte strings, into host color order; each copy's mask is read from its
+  row of the permuted matrix as one binary number.
   The two positive faces of the copy are then completed with a scheme
   from the mini-extension fixture, selected by the induced triangle
   profile.
 
 The trace is replayed on a gadget builder that is never frozen, so it
 builds only the names and adjacency read here, not the edge list or the
-marked triangles.  The classes come out of one byte matrix, a row of
-colors per vertex in name order, one strided column per color, so each
+marked triangles.  The classes come out of one binary text, the masks
+laid end to end in name order, one strided column per color, so each
 class is sorted as it comes out and only duplicate classes are merged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, product
+from itertools import chain, compress, product, repeat
 from operator import lt
 from typing import Iterator, Sequence
 
@@ -65,6 +68,7 @@ from .tables import (
 P, Q = 83, 41
 PALETTE = (1 << P) - 1
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
+_ROW = -(-P // 8) * 8  # bits per mask in whole bytes
 
 
 class ComposeError(RuntimeError):
@@ -154,15 +158,17 @@ def _groups(mx: int, my: int) -> tuple[int, int, int, int]:
 
 
 @cache
-def _template(overlap: int) -> tuple[tuple[int, ...], list[tuple[str, tuple[int, ...]]]]:
+def _template(overlap: int) -> tuple[tuple[int, ...], tuple[str, ...], list[bytes]]:
     """The gadget coloring for an edge of ``overlap`` 13 or 14: its terminal
-    group sizes, and every other vertex with the positions of its colors
-    when the groups' colors are listed in turn."""
+    group sizes, every other vertex, and one column per template position
+    (the groups' colors listed in turn) whose r-th byte is the digit 1 iff
+    the r-th of those vertices holds that position's color, else 0."""
     t = _masks(w_coloring_83_41_uv13() if overlap == 13 else w_coloring_83_41_uv14())
     groups = _groups(t["u"], t["v"])
-    order = [*chain.from_iterable(map(_bits, groups))]
-    rows = [(w, tuple(map(order.index, _bits(m)))) for w, m in t.items() if w not in ("u", "v")]
-    return tuple(g.bit_count() for g in groups), rows
+    names = tuple(w for w in t if w not in ("u", "v"))
+    positions = chain.from_iterable(map(_bits, groups))
+    cols = [bytes(b"01"[t[w] >> i & 1] for w in names) for i in positions]
+    return tuple(g.bit_count() for g in groups), names, cols
 
 
 def _extend_substitution(
@@ -173,15 +179,21 @@ def _extend_substitution(
     a = (mx & my).bit_count()
     if a not in (13, 14):
         raise ComposeError(f"step {step}: edge {edge} has overlap {a}, not 13 or 14")
-    sizes, rows = _template(a)
+    sizes, names, cols = _template(a)
     host_groups = _groups(mx, my)
     for p, h, t in zip(_PATTERNS, host_groups, sizes):
         if h.bit_count() != t:
             raise ComposeError(f"step {step}: group {p} mismatch {h.bit_count()} vs {t}")
-    # the k-th template color of a group becomes the k-th host color of it
-    host_bit = list(map((1).__lshift__, chain.from_iterable(map(_bits, host_groups))))
-    for w, colors in rows:
-        state.masks[mapping[w]] = sum(map(host_bit.__getitem__, colors))
+    # the k-th template color of a group becomes the k-th host color of it:
+    # order[k] is the host color of template position k, so the columns put
+    # in host color order, highest first, are a matrix whose r-th strided
+    # row is the binary text of the r-th vertex's mask
+    order = [*chain.from_iterable(map(_bits, host_groups))]
+    by_color = sorted(range(P), key=order.__getitem__)
+    matrix = b"".join(map(cols.__getitem__, reversed(by_color)))
+    masks, width = state.masks, len(names)
+    for r, w in enumerate(names):
+        masks[mapping[w]] = int(matrix[r::width], 2)
 
     # each mapped face is in canonical order: its host endpoint is older than
     # every copy, and the copies are added in template order
@@ -263,12 +275,21 @@ def compose_8341(trace: BuildTrace) -> Certificate:
             _extend_apex(state, step.face, info, idx)  # type: ignore[arg-type]
         else:
             _extend_substitution(state, step.edge, info, idx)  # type: ignore[arg-type]
-    # by name, so every class, a subsequence of the names, comes out sorted;
-    # color i is the column of the byte matrix that starts at byte i and
-    # strides a row
-    names = sorted(state.masks)
+    return Certificate._merged(P, Q, Mode.BALANCED, ((s, 1) for s in _classes(state.masks)))
+
+
+def _classes(masks: dict[str, int]) -> Iterator[tuple[str, ...]]:
+    """The class of each color that some vertex holds, in color order.
+
+    By name, so every class, a subsequence of the names, comes out sorted:
+    the masks laid end to end, each ``_ROW`` bits wide and highest color
+    first, are one binary text in which color i is the column that starts
+    at digit ``_ROW - 1 - i`` and strides a row."""
+    names = sorted(masks)
     if not all(map(lt, names, names[1:])):
         raise ComposeError("vertex names are not strictly increasing")
-    matrix = b"".join(map(_row, map(state.masks.__getitem__, names)))
-    classes = (tuple(compress(names, matrix[i::P])) for i in range(P))
-    return Certificate._merged(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))
+    rows = map(int.to_bytes, map(masks.__getitem__, names), repeat(_ROW // 8), repeat("big"))
+    packed = int.from_bytes(b"".join(rows), "big")
+    matrix = format(packed, f"0{_ROW * len(names)}b").encode().translate(_DIGITS)
+    classes = (tuple(compress(names, matrix[_ROW - 1 - i :: _ROW])) for i in range(P))
+    return filter(None, classes)

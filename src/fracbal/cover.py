@@ -83,10 +83,16 @@ def verify_cover_certificates(
     The optimum, the cover weights and the vertex weights are scaled by the
     lcm of their denominators and checked by ``_verify_scaled``.  A set that
     the primal lists twice counts with the sum of its weights, as in the
-    LP; a vertex that the dual lists twice keeps its last weight, and one it
-    omits weighs 0.
+    LP; a dual that lists a vertex twice is refused before any other check,
+    and a vertex it omits weighs 0.
     """
     y = dict(dual)
+    if len(y) < len(dual):
+        seen: set[str] = set()
+        for v, _ in dual:
+            if v in seen:
+                raise CoverError(f"dual lists vertex {v!r} twice")
+            seen.add(v)
     # ints have a numerator and a denominator too
     scale = lcm(
         optimum.denominator,

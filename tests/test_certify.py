@@ -366,7 +366,8 @@ def hosts_and_certificates(draw):
     """A small signed graph, possibly empty or with isolated vertices, and a
     certificate of either mode whose classes may hold names the graph lacks,
     induce cycles of either sign, undercover vertices or overflow the
-    palette."""
+    palette.  Repetitions take up to 5 binary digits, and a stranger sorts
+    first, between members or last in its class."""
     n = draw(st.integers(0, len(_MEMBERS)))
     names = _MEMBERS[:n]
     edges = tuple(
@@ -375,13 +376,16 @@ def hosts_and_certificates(draw):
     )
     g = SignedGraph(names, edges)
     # a stranger in one case of four, so that most classes reach the balance check
-    pool = names + ("ghost",) if not names or draw(st.integers(0, 3)) == 0 else names
+    pool = names
+    if not names or draw(st.integers(0, 3)) == 0:
+        pool += (draw(st.sampled_from(("0-ghost", "c-ghost", "ghost"))),)
     rows = draw(st.lists(
-        st.tuples(st.lists(st.sampled_from(pool), min_size=1, unique=True), st.integers(1, 3)),
+        st.tuples(st.lists(st.sampled_from(pool), min_size=1, unique=True), st.integers(1, 20)),
         max_size=7,
     ))
     total = sum(rep for _, rep in rows)
-    cert = Certificate.build(max(total, 1), draw(st.integers(1, 3)), draw(st.sampled_from(Mode)), rows)
+    q = draw(st.integers(1, 40))
+    cert = Certificate.build(max(total, 1), q, draw(st.sampled_from(Mode)), rows)
     if total > 1 and draw(st.integers(0, 3)) == 0:
         # a palette the constructor would refuse: verify reports it instead
         object.__setattr__(cert, "p", draw(st.integers(1, total - 1)))

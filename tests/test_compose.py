@@ -252,8 +252,10 @@ def reference_extend_substitution(state, edge, mapping, step):
     a = (mx & my).bit_count()
     template = compose._masks(w_coloring_83_41_uv13() if a == 13 else w_coloring_83_41_uv14())
     to_host = [0] * P
-    for h, t in zip(_groups(mx, my), _groups(template["u"], template["v"])):
-        assert h.bit_count() == t.bit_count()
+    patterns = ("both", "first", "second", "neither")
+    for p, h, t in zip(patterns, _groups(mx, my), _groups(template["u"], template["v"])):
+        if h.bit_count() != t.bit_count():
+            raise ComposeError(f"step {step}: group {p} mismatch {h.bit_count()} vs {t.bit_count()}")
         for hi, ti in zip(reference_bits(h), reference_bits(t)):
             to_host[ti] = hi
     for w, m in template.items():
@@ -309,6 +311,13 @@ def reference_extend_mini(state, o, primes, step):
                 state.masks[p] = state.masks.get(p, 0) | chosen
 
 
+def reference_classes(masks):
+    """Color i's class by one scan of every vertex per color."""
+    names = sorted(masks)
+    classes = (tuple(v for v in names if masks[v] >> i & 1) for i in range(P))
+    return [s for s in classes if s]
+
+
 def reference_compose(trace):
     state = _base_state(trace.base)
     for idx, step in enumerate(trace.steps, start=1):
@@ -317,9 +326,7 @@ def reference_compose(trace):
             _extend_apex(state, step.face, info, idx)
         else:
             reference_extend_substitution(state, step.edge, info, idx)
-    items = sorted(state.masks.items())
-    classes = ([v for v, mask in items if mask >> i & 1] for i in range(P))
-    return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in classes if s))
+    return Certificate.build(P, Q, Mode.BALANCED, ((s, 1) for s in reference_classes(state.masks)))
 
 
 def oracle_traces():
@@ -330,6 +337,67 @@ def oracle_traces():
 def test_composer_matches_per_bit_remap_and_scan_transpose():
     for trace in oracle_traces():
         assert compose_8341(trace).to_json() == reference_compose(trace).to_json()
+
+
+@st.composite
+def substitution_hosts(draw):
+    """Masks of the endpoints of a host edge: a random permutation of the
+    palette cut into the group sizes of the template for overlap 13 or 14,
+    and sometimes one color moved between the groups outside ``both``, so
+    that the sizes no longer match."""
+    overlap = draw(st.sampled_from((13, 14)))
+    sizes = compose._template(overlap)[0]
+    perm = draw(st.permutations(range(P)))
+    groups, at = [], 0
+    for size in sizes:
+        groups.append(perm[at : at + size])
+        at += size
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations((1, 2, 3)))[:2]
+        groups[dst].append(groups[src].pop())
+    both, first, second, _ = (sum(1 << c for c in g) for g in groups)
+    return both | first, both | second
+
+
+def substitution_copy():
+    """A host edge u1-u2 and the mapping of its fresh gadget copy."""
+    builder = gadgets._Builder(k3_minus())
+    return ("u1", "u2"), builder.apply(Op2(("u1", "u2")), 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(substitution_hosts())
+def test_extend_substitution_matches_the_per_bit_remap(host):
+    edge, mapping = substitution_copy()
+    results = []
+    for extend in (compose._extend_substitution, reference_extend_substitution):
+        state = _State(None, dict(zip(edge, host)))
+        try:
+            extend(state, edge, mapping, 9)
+            results.append(list(state.masks.items()))
+        except ComposeError as err:
+            results.append(str(err))
+    assert results[0] == results[1]
+    if isinstance(results[0], str):
+        assert results[0].startswith("step 9: group ") and " mismatch " in results[0]
+    else:
+        assert len(results[0]) == 2 + 8 + 6  # the endpoints, the copies, the primes
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.dictionaries(
+        st.text(alphabet="ab#01", min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=(1 << P) - 1),
+        max_size=40,
+    )
+)
+def test_transpose_matches_a_per_color_scan(masks):
+    # with a vertex that holds no color and one that holds the whole palette
+    masks = {**masks, "empty": 0, "full": (1 << P) - 1}
+    got = list(compose._classes(masks))
+    assert got == reference_classes(masks)
+    assert len(got) == P
 
 
 def test_extend_mini_matches_the_dict_oracle(monkeypatch):

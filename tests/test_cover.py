@@ -397,7 +397,12 @@ def test_column_generation_rejects_an_iteration_cap_below_one(cap):
 def fraction_cover_check(family, optimum, primal, dual):
     """Reference copy of the certificate re-check in plain Fraction sums;
     returns the CoverError message, or None.  A set listed twice in the
-    primal counts with both weights."""
+    primal counts with both weights; a vertex listed twice in the dual is
+    refused first."""
+    names = [v for v, _ in dual]
+    for k, v in enumerate(names):
+        if v in names[:k]:
+            return f"dual lists vertex {v!r} twice"
     if any(w < 0 for _, w in primal):
         return "negative primal weight"
     for s, _ in primal:
@@ -434,6 +439,7 @@ CORRUPTIONS = {
     "value mismatch": "certificate values do not match the optimum",
     "primal surplus": "certificate values do not match the optimum",
     "split set": None,
+    "repeated dual vertex": "dual lists vertex",
 }
 positive = st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=97)
 
@@ -465,6 +471,11 @@ def certificates(draw):
     elif kind == "stranger vertex":
         k = draw(st.integers(min_value=0, max_value=n))
         dual.insert(k, ("zzz", draw(maybe_zero)))
+    elif kind == "repeated dual vertex":
+        # a second entry for a host vertex, before or after its first
+        v = draw(st.sampled_from(names))
+        k = draw(st.integers(min_value=0, max_value=n))
+        dual.insert(k, (v, draw(maybe_zero)))
     elif kind == "split set":
         k = draw(st.integers(min_value=0, max_value=len(primal) - 1))
         s, w = primal[k]
@@ -526,8 +537,11 @@ def test_integer_cover_check_matches_fraction_reference(case):
     except CoverError as exc:
         got = str(exc)
     assert got == want
-    # the same certificate over one common scale: the same first message
-    assert scaled_check(fam, optimum, primal, dual) == got
+    # the same certificate over one common scale: the same first message,
+    # where the dual is a mapping (``_verify_scaled`` takes one, which
+    # cannot list a vertex twice)
+    if len(dict(dual)) == len(dual):
+        assert scaled_check(fam, optimum, primal, dual) == got
     if expected is None:
         assert got is None
     else:
@@ -549,6 +563,12 @@ def test_cover_check_refuses_strangers_and_sums_a_repeated_set():
     # a primal set that names a stranger is refused, not looked up
     with pytest.raises(CoverError, match="not in the family"):
         verify_cover_certificates(fam, res.optimum, [*res.primal, (("u1", "zzz"), half)], res.dual)
+    # a vertex listed twice in the dual is refused, whichever weight is last:
+    # with ("u1", 5) in front the last weights are optimal, but the listed
+    # weights sum to 13/2
+    for dual in ([("u1", Fraction(5)), *res.dual], [*res.dual, ("u1", Fraction(0))]):
+        with pytest.raises(CoverError, match="dual lists vertex 'u1' twice"):
+            verify_cover_certificates(fam, res.optimum, res.primal, dual)
     # one set's weight split over two entries is the same cover
     (s, w), *rest = res.primal
     verify_cover_certificates(fam, res.optimum, [(s, w / 3), (s, w * 2 / 3), *rest], res.dual)
