@@ -47,12 +47,16 @@ class Mode(Enum):
 
 
 def _check_classes(
-    p: int, q: int, classes: Sequence[tuple[tuple[str, ...], int]], *, canonical: bool
+    p: int, q: int, mode: Mode, classes: Sequence[tuple[tuple[str, ...], int]], *,
+    canonical: bool,
 ) -> None:
-    """Raise CertificateError unless ``classes`` meets the invariants of a
-    ``Certificate`` over a palette of ``p``.  ``canonical`` classes are
-    known to be sorted sets in strictly increasing order, so only their
-    emptiness and repetitions are checked."""
+    """Raise CertificateError unless ``mode`` and ``classes`` meet the
+    invariants of a ``Certificate`` over a palette of ``p``.  ``canonical``
+    classes are known to be sorted sets in strictly increasing order, so
+    only their emptiness and repetitions are checked."""
+    # a string such as "forest" would be read as balanced by verify
+    if not isinstance(mode, Mode):
+        raise CertificateError(f"mode must be a Mode, got {mode!r}")
     if p < 1 or q < 1:
         raise CertificateError("p and q must be positive")
     total = 0
@@ -77,8 +81,9 @@ def _check_classes(
 class Certificate:
     """A (p, q)-coloring given as color classes with repetition counts.
 
-    Invariants: p, q >= 1; classes are nonempty, lexicographically sorted,
-    pairwise distinct, with positive repetitions summing to at most p.
+    Invariants: ``mode`` is a ``Mode``; p, q >= 1; classes are nonempty,
+    lexicographically sorted, pairwise distinct, with positive repetitions
+    summing to at most p.
     """
 
     p: int
@@ -87,7 +92,7 @@ class Certificate:
     classes: tuple[tuple[tuple[str, ...], int], ...]
 
     def __post_init__(self) -> None:
-        _check_classes(self.p, self.q, self.classes, canonical=False)
+        _check_classes(self.p, self.q, self.mode, self.classes, canonical=False)
 
     @classmethod
     def build(
@@ -112,7 +117,7 @@ class Certificate:
         for key, rep in classes:
             merged[key] = merged.get(key, 0) + rep
         rows = tuple(sorted(merged.items()))
-        _check_classes(p, q, rows, canonical=True)
+        _check_classes(p, q, mode, rows, canonical=True)
         return _assembled(cls, p=p, q=q, mode=mode, classes=rows)
 
     @classmethod

@@ -53,7 +53,7 @@ from math import lcm
 from typing import Collection, Mapping, Sequence
 
 from .certify import Certificate, Mode
-from .families import SetFamily, SetProperty, _lift, _price, enumerate_sets
+from .families import SetFamily, SetProperty, _check_property, _lift, _price, enumerate_sets
 from .sgraph import SignedGraph
 from .simplex import SimplexResult, Tableau, simplex_max
 
@@ -281,8 +281,10 @@ def column_generation(
     which every good set weighs at most 1 and whose total is ``lower``.  A
     NaN ``time_budget`` raises ValueError, since no elapsed time would ever
     exceed it, and so does a ``max_iterations`` below 1, since every run
-    prices at least once.
+    prices at least once.  A ``prop`` that is not a ``SetProperty`` raises
+    TypeError.
     """
+    _check_property(prop)
     if time_budget is not None and time_budget != time_budget:
         raise ValueError("time_budget must be a number of seconds, not NaN")
     if max_iterations is not None and max_iterations < 1:

@@ -78,6 +78,14 @@ class SetProperty(Enum):
     ACYCLIC = "acyclic"
 
 
+def _check_property(prop: object) -> None:
+    """Raise TypeError unless ``prop`` is a ``SetProperty``: the search
+    tests it by identity, so a string such as "acyclic" would be taken
+    for balanced."""
+    if not isinstance(prop, SetProperty):
+        raise TypeError(f"prop must be a SetProperty, got {prop!r}")
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Vertex sets with a property, each checked on construction.
@@ -99,6 +107,7 @@ class SetFamily:
     leaves: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        _check_property(self.property)
         # every set is read, and a stranger or duplicate refused, before any is tested
         index = self.host.index
         masks = [0] * len(index)
@@ -522,6 +531,7 @@ def enumerate_sets(
     walks the whole graph.  Both give the same sets in the same,
     include-first order.
     """
+    _check_property(prop)
     masks, nodes, leaves = _masks(g, prop, maximal_only, must_contain, forbid, size_guard)
     sets = tuple(names_by_key(g, include_first_keys(g, masks)))
     return SetFamily._trusted(g, prop, sets, maximal_only, nodes, leaves)

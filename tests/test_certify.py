@@ -133,6 +133,22 @@ def test_forest_mode_catches_cycles():
     assert "cyclic-class" in kinds
 
 
+@pytest.mark.parametrize("mode", ["forest", "balanced", None])
+def test_a_mode_that_is_not_a_mode_member_is_refused(mode):
+    # verify tests the mode by identity, so a string "forest" would audit
+    # the all-negative 4-cycle, which is balanced but no forest, as balanced
+    c4 = SignedGraph(tuple("abcd"), tuple((u, v, -1) for u, v in ("ab", "bc", "cd", "ad")))
+    classes = [(tuple("abcd"), 1)]
+    assert not verify(c4, Certificate.build(1, 1, Mode.FOREST, classes)).ok
+    assert verify(c4, Certificate.build(1, 1, Mode.BALANCED, classes)).ok
+    with pytest.raises(CertificateError, match="mode must be a Mode"):
+        Certificate.build(1, 1, mode, classes)
+    with pytest.raises(CertificateError, match="mode must be a Mode"):
+        Certificate(1, 1, mode, ((tuple("abcd"), 1),))
+    with pytest.raises(CertificateError, match="mode must be a Mode"):
+        lp_to_certificate(chi_fb(c4), mode)
+
+
 def test_balanced_mode_reports_witness():
     bad = Certificate.build(2, 1, Mode.BALANCED, [(("u", "v", "z"), 1)])
     rep = verify(w_hat().graph, bad)

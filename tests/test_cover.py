@@ -340,23 +340,31 @@ def test_master_pivots_counts_executed_pivots(monkeypatch):
     assert sum(from_scratch) == 306
 
 
-def test_master_results_unpack_one_row_per_solve(monkeypatch):
-    # a master result unpacks only its objective row and reads x from the
-    # rhs lanes; the pins keep the bound from being met by a shorter run.
-    # The master is a tableau over 16 vertices, so its lanes take the 0/1
-    # determinant bound of order 17: 23 bits
-    unpack = simplex._Lanes.unpack
-    unpacked = []
+def test_master_reads_unpack_one_column_per_solve(monkeypatch):
+    # a master read unpacks only its right-hand side column, for x, and
+    # reads the value and the duals from lane 0 of every column; the pins
+    # keep the count from being met by a shorter run.  The master is a
+    # tableau over 16 vertices, so its lanes take the 0/1 determinant bound
+    # of order 17, 23 bits, rounded up to 4 bytes
+    unpack, read = simplex._ColumnLanes.unpack, simplex.Tableau._read
+    unpacked, per_read = [], []
 
     def counting(lanes, x):
         unpacked.append(lanes.width)
         return unpack(lanes, x)
 
-    monkeypatch.setattr(simplex._Lanes, "unpack", counting)
+    def counted_read(tab):
+        before = len(unpacked)
+        opt = read(tab)
+        per_read.append(len(unpacked) - before)
+        return opt
+
+    monkeypatch.setattr(simplex._ColumnLanes, "unpack", counting)
+    monkeypatch.setattr(simplex.Tableau, "_read", counted_read)
     got = column_generation(w_prime().graph, SetProperty.BALANCED)
     assert (got.iterations, got.columns, got.master_pivots) == (21, 36, 202)
-    assert len(unpacked) <= got.iterations
-    assert set(unpacked) == {23}
+    assert per_read == [1] * got.iterations
+    assert set(unpacked) == {32}
 
 
 @pytest.mark.stretch
@@ -372,15 +380,32 @@ def test_column_generation_interval_on_large_arboricity_instance():
     assert cg.completed and cg.optimum == Fraction(52, 25) and cg.iterations == 73
 
 
+# (iterations, columns, master pivots) of each closure below
+CLOSURES = {"g_hat_k3": (101, 166, 13919), "u_hat": (44, 131, 6654)}
+
+
 @pytest.mark.stretch
 @pytest.mark.parametrize("host, optimum", [(g_hat_k3, Fraction(87, 43)), (u_hat, Fraction(2))])
 def test_column_generation_closes_chi_fb_of_the_paper_hosts(host, optimum):
-    # g_hat_k3 (66 vertices) closes in about 100 iterations and u_hat (88)
-    # in about 45; the budget makes a slowdown fail rather than hang
+    # g_hat_k3 (66 vertices) and u_hat (88) close in the pinned iterations,
+    # columns and master pivots, so that an engine that leaves the Bland
+    # path fails here; the budget makes a slowdown fail rather than hang
     g = host().graph
     cg = column_generation(g, SetProperty.BALANCED, time_budget=120.0)
     assert cg.completed and cg.optimum == optimum
+    assert (cg.iterations, cg.columns, cg.master_pivots) == CLOSURES[host.__name__]
     assert verify(g, lp_to_certificate(cg.result, Mode.BALANCED)).ok
+
+
+def test_master_resumes_on_lanes_wider_than_8_bytes():
+    # g_hat_k3 has 66 vertices, so the master's lanes are 18 bytes, decoded
+    # by int.from_bytes; ten iterations run in well under a second and
+    # match the from-scratch loop, whose one-shot solves share the engine
+    g = g_hat_k3().graph
+    cg = column_generation(g, SetProperty.BALANCED, max_iterations=10)
+    assert (cg.iterations, cg.columns, cg.master_pivots) == (10, 75, 208)
+    assert (cg.lower, cg.upper) == (Fraction(66, 37), 3)
+    assert cg == scratch_column_generation(g, SetProperty.BALANCED, 10)
 
 
 def test_column_generation_rejects_a_nan_budget():

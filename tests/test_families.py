@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from fracbal.cover import column_generation
 from fracbal.families import (
     GuardExceeded,
+    SetFamily,
     SetProperty,
     check_forest_lemmas,
     check_missing_triangle_lemma,
@@ -131,6 +133,25 @@ def test_forbid_and_avoid_constraints():
         ("x2", "x5", "u", "v"),
         ("x3", "x5", "u", "v"),
     ]
+
+
+@pytest.mark.parametrize("prop", ["acyclic", "balanced", None])
+def test_a_property_that_is_not_a_set_property_is_refused(prop):
+    # the search tests the property by identity, so a string "acyclic" would
+    # give w_hat's 379 balanced sets rather than its 320 forests, and column
+    # generation chi_fb = 11/6 rather than a_f = 2
+    g = w_hat().graph
+    assert len(enumerate_sets(g, SetProperty.ACYCLIC).sets) == 320
+    assert len(enumerate_sets(g, SetProperty.BALANCED).sets) == 379
+    assert column_generation(g, SetProperty.ACYCLIC).optimum == 2
+    c4 = SignedGraph(tuple("abcd"), tuple((u, v, -1) for u, v in ("ab", "bc", "cd", "ad")))
+    with pytest.raises(TypeError, match="prop must be a SetProperty"):
+        enumerate_sets(g, prop)
+    with pytest.raises(TypeError, match="prop must be a SetProperty"):
+        column_generation(g, prop)
+    # the balanced 4-cycle is no forest, and "acyclic" must not pass it
+    with pytest.raises(TypeError, match="prop must be a SetProperty"):
+        SetFamily(c4, prop, (tuple("abcd"),))
 
 
 def test_guard_exceeded():

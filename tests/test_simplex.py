@@ -1,8 +1,8 @@
 """The exact simplex core on the 0/1 programs it takes: hand-solved
-programs, refusals of every other entry, differential tests of both
-packings against a dense Fraction tableau that takes the same Bland
-pivots, and differential tests of the resumable tableau against
-from-scratch solves."""
+programs, refusals of every other entry, differential tests of the
+one-shot and the resumed solve against a dense Fraction tableau that takes
+the same Bland pivots, and differential tests of the resumable tableau
+against from-scratch solves."""
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -88,9 +88,13 @@ def dense_simplex_max(rows, b, c) -> SimplexResult:
     value = -obj[total]
     duals = tuple(-obj[n + i] for i in range(m))
     keep = [j for j in range(total) if j not in basis] + [total]
-    final = [[int(det * row[j]) for j in keep] for row in (*t, obj)]
-    lanes = simplex._Lanes(n)
-    return SimplexResult(value, tuple(x), duals, pivots, tuple(map(lanes.pack, final)), lanes)
+    # packed by column as the engine packs it: the objective in lane 0
+    lanes = simplex._ColumnLanes(n, m)
+    final = tuple(
+        sum(int(det * row[j]) << lanes.width * i for i, row in enumerate((obj, *t)))
+        for j in keep
+    )
+    return SimplexResult(value, tuple(x), duals, pivots, final, lanes)
 
 
 def outcome(solver, rows, b, c):
@@ -318,7 +322,7 @@ def test_appended_row_is_scaled_through_a_pivot_it_has_no_entry_in():
     assert [(s, d) for _, s, _, d in tab.path] == [(0, 1), (1, 1), (3, 1), (2, 2)]
     tab.append_row([0, 0, 1, 0], 1)
     res = tab.solve()
-    # the same final rows as a from-scratch tableau, packed alike
+    # the same final columns as a from-scratch tableau, packed alike
     want = Tableau([*rows, [0, 0, 1, 0]], [1] * 4, [1] * 4).solve()
     assert (res, res.final) == (want, want.final)
     assert res == simplex_max([*rows, [0, 0, 1, 0]], [1] * 4, [1] * 4)
@@ -333,10 +337,10 @@ def test_append_row_refuses_a_non_01_entry():
     res = tab.solve()
 
     def state():
-        checkpoints = [(list(rows), d, list(basis), list(nonbasic))
-                       for rows, d, basis, nonbasic in tab.checkpoints]
-        return (list(tab.t), tab.d, list(tab.basis), list(tab.nonbasic), list(tab.path),
-                checkpoints, tab.pivots, tab.executed)
+        checkpoints = [(list(cols), d, list(basis), list(nonbasic))
+                       for cols, d, basis, nonbasic in tab.checkpoints]
+        return (list(tab.cols), tab.lanes, tab.d, list(tab.basis), list(tab.nonbasic),
+                list(tab.path), checkpoints, tab.pivots, tab.executed)
 
     before = state()
     for row, rhs in (
@@ -383,7 +387,7 @@ def test_tableau_checks_its_input(rows, b, c, message):
 def test_lane_widths_are_pinned(n, width):
     # n = 16 / 23 / 34 / 66 / 88 / 130: w_prime, w_double_prime, w1, g_hat_k3,
     # u_hat and g_sequence(1) as covering LPs over their vertices
-    assert simplex._Lanes(n).width == width
+    assert simplex._lane_bits(n) == width
 
 
 def det(matrix):
@@ -421,12 +425,12 @@ def test_binary_lanes_hold_every_01_determinant():
         assert max(abs(det(m)) for m in combinations(rows, k)) == MAX_01_DET[k - 1]
     assert abs(det(SYLVESTER_7)) == 32
     for k, peak in enumerate(MAX_01_DET, start=1):
-        lanes = simplex._Lanes(k - 1)
+        width = simplex._lane_bits(k - 1)
         # strictly inside (-2^(W-1), 2^(W-1)), and within bits(H) = W - 2
-        assert peak < lanes.half
-        assert peak.bit_length() <= lanes.width - 2
+        assert peak < 1 << (width - 1)
+        assert peak.bit_length() <= width - 2
     # at order 7 the bound is met: H = 32, so W = bits(32) + 2
-    assert simplex._Lanes(6).width == 8
+    assert simplex._lane_bits(6) == 8
 
 
 @st.composite
@@ -455,9 +459,9 @@ def test_cover_programs_on_binary_lanes_match_dense_oracle(program):
     # equal results include equal pivots, and equal max_bits the same tableau
     assert with_bits(got) == with_bits(outcome(dense_simplex_max, rows, b, c))
     if isinstance(got, SimplexResult):
-        # the one-shot solve packs by column: the 0/1 determinant width of
-        # 1 to 12 columns, 3 to 16 bits, rounded up to 1 or 2 bytes
-        bits = simplex._Lanes(len(c)).width
+        # the 0/1 determinant width of 1 to 12 columns, 3 to 16 bits,
+        # rounded up to 1 or 2 bytes
+        bits = simplex._lane_bits(len(c))
         assert got.lanes.width == (8 if bits <= 8 else 16)
 
 
@@ -466,7 +470,7 @@ def test_cover_programs_on_binary_lanes_match_dense_oracle(program):
     [(0, 8), (6, 8), (7, 16), (16, 32), (23, 64), (34, 64), (35, 64), (36, 72), (66, 144), (130, 336)],
 )
 def test_column_lane_widths_are_pinned(n, width):
-    # the row widths of test_lane_widths_are_pinned rounded up to 1, 2, 4 or
+    # the widths of test_lane_widths_are_pinned rounded up to 1, 2, 4 or
     # 8 bytes, and to whole bytes beyond: from n = 36 on a lane is decoded
     # by int.from_bytes rather than memoryview.cast
     lanes = simplex._ColumnLanes(n, 3)
@@ -508,16 +512,23 @@ def test_tall_programs_on_column_lanes_match_dense_oracle(program):
 @pytest.mark.parametrize(
     "prop, pivots", [(SetProperty.BALANCED, 54), (SetProperty.ACYCLIC, 42)]
 )
-def test_both_packings_solve_w_prime_alike(prop, pivots):
-    # chi_fb and a_f of w_prime: 244 and 316 maximal sets over 16 vertices
+def test_resumed_and_one_shot_solves_of_w_prime_agree(prop, pivots):
+    # chi_fb and a_f of w_prime: 244 and 316 maximal sets over 16 vertices,
+    # solved at once and by a tableau of the first half of the sets that
+    # the other half is appended to, one set and one solve at a time
     g = w_prime().graph
     col = {v: j for j, v in enumerate(g.vertices)}
     rows = [_indicator(s, col) for s in enumerate_sets(g, prop, maximal_only=True).sets]
     ones = [1] * len(rows)
-    by_column = simplex_max(rows, ones, [1] * len(col))
-    by_row = Tableau(rows, ones, [1] * len(col)).solve()
-    assert with_bits(by_column) == with_bits(by_row)
-    assert by_column.pivots == pivots
+    half = len(rows) // 2
+    one_shot = simplex_max(rows, ones, [1] * len(col))
+    tab = Tableau(rows[:half], ones[:half], [1] * len(col))
+    tab.solve()
+    for row in rows[half:]:
+        tab.append_row(row, 1)
+        res = tab.solve()
+    assert with_bits(res) == with_bits(one_shot)
+    assert one_shot.pivots == pivots
 
 
 def test_append_row_checks_its_row():
@@ -585,21 +596,24 @@ def test_appended_rows_resume_along_the_from_scratch_path(every, run):
             rows.append(row)
             b.append(rhs)
             # equal results include equal pivot counts: the same Bland path,
-            # and equal max_bits: the same final tableau
-            assert with_bits(resumed(tab)) == with_bits(outcome(simplex_max, rows, b, c))
+            # and equal max_bits: the same final tableau.  simplex_max runs
+            # the same engine, so the dense oracle checks both
+            got = with_bits(resumed(tab))
+            assert got == with_bits(outcome(simplex_max, rows, b, c))
+            assert got == with_bits(outcome(dense_simplex_max, rows, b, c))
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(programs())
 def test_max_bits_reads_the_final_tableau(program):
-    # both packings: the resumable tableau's rows are scanned whole
+    # the resumable tableau's columns are scanned whole
     rows, b, c = program
     tab = Tableau(rows, b, c)
     try:
         res = tab.solve()
     except SimplexError:
         return
-    assert res.max_bits == max(abs(v) for row in tab.rows() for v in row).bit_length()
+    assert res.max_bits == max(abs(v) for row in unpacked(tab) for v in row).bit_length()
     assert simplex_max(rows, b, c).max_bits == res.max_bits
 
 
@@ -629,7 +643,7 @@ def test_max_bits_of_resumed_solves_matches_full_scan(every, run):
 
 def full_scan(tab):
     """``x``, the duals and ``max_bits`` read off every unpacked row."""
-    rows, n, d = tab.rows(), tab.n, tab.d
+    rows, n, d = unpacked(tab), tab.n, tab.d
     x = [F(0)] * n
     for i, var in enumerate(tab.basis):
         if var < n:
@@ -639,3 +653,10 @@ def full_scan(tab):
         if var >= n:
             duals[var - n] = F(-rows[-1][k], d)
     return tuple(x), tuple(duals), max(abs(v) for r in rows for v in r).bit_length()
+
+
+def unpacked(tab):
+    """The tableau's rows, unpacked from its columns: constraint rows, then
+    the objective row, which the columns hold in lane 0."""
+    objective, *rows = zip(*(tab.lanes.unpack(x) for x in tab.cols))
+    return [*rows, objective]
